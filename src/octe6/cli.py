@@ -72,7 +72,7 @@ def cmd_verify(args) -> dict:
     group = generators.normalize_group(args.group)
     curves = generators.roster(group, slot=args.slot)
     rng = np.random.default_rng(args.seed)
-    sv = generators.singular_values(curves, h=args.h_step)
+    sv = generators.singular_values(curves)
     rank = int(np.sum(sv > args.rank_tol * sv[0])) if sv[0] > 0 else 0
     expected = generators.EXPECTED_DIMENSION[group]
     checks = [_check("lie-rank", rank, expected)]
@@ -80,15 +80,15 @@ def cmd_verify(args) -> dict:
     sample = [curves[idx] for idx in rng.choice(len(curves), size=min(6, len(curves)), replace=False)]
     layer_res = 0.0
     for curve in sample:
-        for layer in curve(0.37).layers:
-            two_by_two = _extract_block(layer)
-            if not transform.is_complex(two_by_two):
+        for block in curve.blocks(0.37):
+            if not transform.is_complex(block):
                 layer_res = np.inf
                 break
-            _, det_real = transform.complex_det(two_by_two)
+            _, det_real = transform.complex_det(block)
             layer_res = max(layer_res, 0.0 if det_real else np.inf)
+            layer = transform.embed(block, curve.slot)
             layer_res = max(layer_res, _residual_or_inf(transform.is_welldefined(layer, args.tol)))
-            layer_res = max(layer_res, _residual_or_inf(transform.is_compatible(two_by_two, args.tol)))
+            layer_res = max(layer_res, _residual_or_inf(transform.is_compatible(block, args.tol)))
     checks.append(_bound("layer-predicates", layer_res, args.tol * 10))
 
     det_res = 0.0
@@ -124,18 +124,6 @@ def cmd_verify(args) -> dict:
         "pass": all(c["pass"] for c in checks),
     }
     return report
-
-
-def _extract_block(layer: transform.OctMatrix) -> transform.OctMatrix:
-    """Recover the 2x2 block of an embedded roster layer (any slot)."""
-    T = transform.cyclic_permutation()
-    for _ in range(3):
-        arr = layer.arr
-        corner_ok = abs(arr[2, 2, 0] - 1.0) < 1e-12 and np.abs(arr[2, 2, 1:]).max() < 1e-12
-        if corner_ok and np.abs(arr[2, :2]).max() < 1e-12 and np.abs(arr[:2, 2]).max() < 1e-12:
-            return transform.OctMatrix(arr[:2, :2])
-        layer = T.dagger() @ layer @ T
-    raise ValueError("layer is not a block embedding")
 
 
 def cmd_decompose(args) -> dict:
@@ -236,14 +224,20 @@ def cmd_report_all(args) -> dict:
 # plumbing
 # ---------------------------------------------------------------------------
 
+def _reject_constant(name: str):
+    raise CliInputError(f"non-finite number {name}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise CliInputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except CliInputError as exc:
+        raise CliInputError(f"{path}: {exc}")
 
 
 class CliInputError(Exception):
@@ -273,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", type=float, default=1e-9, help="identity-residual tolerance")
     common.add_argument("--rank-tol", type=float, default=1e-6,
                         help="relative singular-value cutoff for ranks")
-    common.add_argument("--h-step", type=float, default=1e-5,
-                        help="central-difference step for Lie elements")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(

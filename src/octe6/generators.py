@@ -12,6 +12,8 @@ curves:
   of distinct imaginary units (each layer an imaginary multiple of the
   identity, determinant -1)
 
+A curve carries its slot and its 2x2 blocks: ``blocks(theta)`` returns the
+2x2 layers, and calling the curve embeds them in the slot's 3x3 block.
 Group rosters are assembled from these families: all three slots give E6
 (135 curves, rank 78); dropping boosts gives the rotation subgroups.  The
 automorphism subgroup uses four-flip curves
@@ -24,9 +26,9 @@ triples (s, u, w) are enumerated over all ordered pairs of distinct
 imaginary basis units and every admissible basis w; that enumeration
 saturates the 14-dimensional span.
 
-A curve's Lie algebra element is the central difference of its 27x27
-operator, right-translated to the identity; dimensions are numerical ranks
-of the flattened elements.
+A curve's Lie algebra element is the central difference (step
+``LIE_STEP``) of its 27x27 operator, right-translated to the identity;
+dimensions are numerical ranks of the flattened elements.
 """
 
 from __future__ import annotations
@@ -57,25 +59,28 @@ EXPECTED_DIMENSION = {
 # groups whose roster lives in a single 2x2 block slot
 SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
 
+# central-difference step of lie_element
+LIE_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class GeneratorCurve:
-    """A labeled one-parameter family of nested maps."""
+    """A labeled one-parameter family of nested maps in one 2x2 block slot.
+
+    ``blocks(theta)`` gives the 2x2 layers; calling the curve embeds each of
+    them in ``slot`` and returns the 3x3 nested map.
+    """
 
     label: str
     slot: int
-    curve: Callable[[float], NestedMap] = field(repr=False)
+    blocks: Callable[[float], list[OctMatrix]] = field(repr=False)
 
     def __call__(self, theta: float) -> NestedMap:
-        return self.curve(theta)
+        return NestedMap([embed(M, self.slot) for M in self.blocks(theta)])
 
 
 def _unit(name: str) -> np.ndarray:
     return Octonion.unit(name).coefficients
-
-
-def _embedded(layers2, slot: int) -> NestedMap:
-    return NestedMap([embed(M, slot) for M in layers2])
 
 
 def _offdiag(upper: np.ndarray, lower: np.ndarray) -> OctMatrix:
@@ -107,20 +112,19 @@ def boost_curves(slot: int) -> list[GeneratorCurve]:
     """The 9 boost curves of one slot: Hermitian layers, determinant +1."""
     out = []
 
-    def diag_boost(theta: float, slot=slot) -> NestedMap:
+    def diag_boost(theta: float) -> list[OctMatrix]:
         arr = np.zeros((2, 2, 8))
         arr[0, 0, 0] = np.exp(theta / 2.0)
         arr[1, 1, 0] = np.exp(-theta / 2.0)
-        return _embedded([OctMatrix(arr)], slot)
+        return [OctMatrix(arr)]
 
     out.append(GeneratorCurve(f"boost-diag[slot{slot}]", slot, diag_boost))
     for name in BASIS_UNITS:
         e = _unit(name)
 
-        def curve(theta: float, e=e, slot=slot) -> NestedMap:
-            M = np.cosh(theta / 2.0) * OctMatrix.identity(2) \
-                + np.sinh(theta / 2.0) * _offdiag(e, oconj(e))
-            return _embedded([M], slot)
+        def curve(theta: float, e=e) -> list[OctMatrix]:
+            return [np.cosh(theta / 2.0) * OctMatrix.identity(2)
+                    + np.sinh(theta / 2.0) * _offdiag(e, oconj(e))]
 
         out.append(GeneratorCurve(f"boost[{name},slot{slot}]", slot, curve))
     return out
@@ -132,10 +136,9 @@ def rotation_curves(slot: int) -> list[GeneratorCurve]:
     for name in BASIS_UNITS:
         e = _unit(name)
 
-        def curve(theta: float, e=e, slot=slot) -> NestedMap:
-            M = np.cos(theta / 2.0) * OctMatrix.identity(2) \
-                + np.sin(theta / 2.0) * _offdiag(e, -oconj(e))
-            return _embedded([M], slot)
+        def curve(theta: float, e=e) -> list[OctMatrix]:
+            return [np.cos(theta / 2.0) * OctMatrix.identity(2)
+                    + np.sin(theta / 2.0) * _offdiag(e, -oconj(e))]
 
         out.append(GeneratorCurve(f"rotation[{name},slot{slot}]", slot, curve))
     return out
@@ -147,8 +150,8 @@ def transverse_curves(slot: int) -> list[GeneratorCurve]:
     for name in IMAGINARY_UNITS:
         s = _unit(name)
 
-        def curve(theta: float, s=s, slot=slot) -> NestedMap:
-            return _embedded([_phase_diag(s, theta)], slot)
+        def curve(theta: float, s=s) -> list[OctMatrix]:
+            return [_phase_diag(s, theta)]
 
         out.append(GeneratorCurve(f"transverse[{name},slot{slot}]", slot, curve))
     return out
@@ -162,9 +165,9 @@ def flip_pair_curves(slot: int) -> list[GeneratorCurve]:
             s = _unit(IMAGINARY_UNITS[idx_s])
             t = _unit(IMAGINARY_UNITS[idx_t])
 
-            def curve(theta: float, s=s, t=t, slot=slot) -> NestedMap:
+            def curve(theta: float, s=s, t=t) -> list[OctMatrix]:
                 u = np.cos(theta) * s + np.sin(theta) * t
-                return _embedded([_scalar2(s), _scalar2(u)], slot)
+                return [_scalar2(s), _scalar2(u)]
 
             label = f"flip-pair[{IMAGINARY_UNITS[idx_s]},{IMAGINARY_UNITS[idx_t]},slot{slot}]"
             out.append(GeneratorCurve(label, slot, curve))
@@ -190,12 +193,10 @@ def g2_curves(slot: int = 0) -> list[GeneratorCurve]:
                 s, u, w = _unit(sname), _unit(uname), _unit(wname)
                 sw, uw = omul(s, w), omul(u, w)
 
-                def curve(theta: float, s=s, u=u, sw=sw, uw=uw, slot=slot) -> NestedMap:
+                def curve(theta: float, s=s, u=u, sw=sw, uw=uw) -> list[OctMatrix]:
                     q2 = np.cos(theta) * s + np.sin(theta) * sw
                     q4 = np.cos(theta) * u - np.sin(theta) * uw
-                    return _embedded(
-                        [_scalar2(s), _scalar2(q2), _scalar2(u), _scalar2(q4)], slot
-                    )
+                    return [_scalar2(s), _scalar2(q2), _scalar2(u), _scalar2(q4)]
 
                 label = f"four-flip[{sname},{uname};w={wname},slot{slot}]"
                 out.append(GeneratorCurve(label, slot, curve))
@@ -246,12 +247,13 @@ def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
 # Lie elements and ranks
 # ---------------------------------------------------------------------------
 
-def lie_element(curve, h: float = 1e-5) -> np.ndarray:
+def lie_element(curve) -> np.ndarray:
     """Tangent of a curve at 0, right-translated to the identity.
 
-    Central difference (op(c(h)) - op(c(-h)))/2h times op(c(0))^-1; the
-    base operator is a group element and hence invertible.
+    Central difference (op(c(h)) - op(c(-h)))/2h with h = LIE_STEP, times
+    op(c(0))^-1; the base operator is a group element and hence invertible.
     """
+    h = LIE_STEP
     plus = curve(h).as_linear_op()
     minus = curve(-h).as_linear_op()
     base = curve(0.0).as_linear_op()
@@ -262,34 +264,28 @@ def lie_element(curve, h: float = 1e-5) -> np.ndarray:
     return (plus - minus) / (2.0 * h) @ base_inv
 
 
-def _as_elements(items: Sequence, h: float = 1e-5) -> list[np.ndarray]:
-    out = []
-    for item in items:
-        if isinstance(item, np.ndarray):
-            out.append(item)
-        else:
-            out.append(lie_element(item, h))
-    return out
+def _as_elements(items: Sequence) -> list[np.ndarray]:
+    return [item if isinstance(item, np.ndarray) else lie_element(item) for item in items]
 
 
-def singular_values(items: Sequence, h: float = 1e-5) -> np.ndarray:
+def singular_values(items: Sequence) -> np.ndarray:
     """Singular values of the stacked, flattened Lie elements."""
-    elements = _as_elements(items, h)
+    elements = _as_elements(items)
     stacked = np.stack([el.ravel() for el in elements])
     return np.linalg.svd(stacked, compute_uv=False)
 
 
-def lie_rank(items: Sequence, rel_tol: float = 1e-6, h: float = 1e-5) -> int:
+def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:
     """Numerical rank: singular values above rel_tol times the largest."""
-    s = singular_values(items, h)
+    s = singular_values(items)
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))
 
 
-def rank_gap(items: Sequence, rel_tol: float = 1e-6, h: float = 1e-5) -> float:
+def rank_gap(items: Sequence, rel_tol: float = 1e-6) -> float:
     """Ratio of the smallest kept to the largest dropped singular value."""
-    s = singular_values(items, h)
+    s = singular_values(items)
     if s[0] == 0.0:
         return np.inf
     r = int(np.sum(s > rel_tol * s[0]))
@@ -298,11 +294,10 @@ def rank_gap(items: Sequence, rel_tol: float = 1e-6, h: float = 1e-5) -> float:
     return float(s[r - 1] / s[r])
 
 
-def span_equal(first: Sequence, second: Sequence,
-               rel_tol: float = 1e-6, h: float = 1e-5) -> bool:
+def span_equal(first: Sequence, second: Sequence, rel_tol: float = 1e-6) -> bool:
     """Whether two collections of Lie elements span the same subspace."""
-    a = _as_elements(first, h)
-    b = _as_elements(second, h)
+    a = _as_elements(first)
+    b = _as_elements(second)
     ra = lie_rank(a, rel_tol)
     rb = lie_rank(b, rel_tol)
     return ra == rb == lie_rank(a + b, rel_tol)

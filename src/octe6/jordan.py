@@ -276,16 +276,8 @@ def det3(X: JordanMatrix) -> float:
 
 
 def sigma(X: JordanMatrix) -> float:
-    """Second symmetric invariant tr(X * X) = ((tr X)^2 - tr(X o X))/2.
-
-    Both expressions are evaluated and compared as a tripwire.
-    """
-    via_freudenthal = freudenthal(X, X).trace
-    direct = 0.5 * (X.trace**2 - jordan_product(X, X).trace)
-    scale = max(1.0, X.norm**2)
-    if abs(via_freudenthal - direct) > 1e-9 * scale:
-        raise ArithmeticError("sigma formulas disagree; products are inconsistent")
-    return direct
+    """Second symmetric invariant tr(X * X) = ((tr X)^2 - tr(X o X))/2."""
+    return 0.5 * (X.trace**2 - jordan_product(X, X).trace)
 
 
 def char_residual(X: JordanMatrix) -> JordanMatrix:
@@ -348,11 +340,12 @@ def spinor_square(theta: np.ndarray) -> Hermitian2:
 
 
 def lorentz_inner(X: Hermitian2, Y: Hermitian2) -> float:
-    """Lorentzian inner product (tr(X o Y) - tr X tr Y)/2 on 2x2 matrices."""
-    Xa, Ya = X.to_array(), Y.to_array()
-    raw = 0.5 * (omatmul(Xa, Ya) + omatmul(Ya, Xa))
-    tr_XY = raw[0, 0, 0] + raw[1, 1, 0]
-    return 0.5 * (tr_XY - X.trace * Y.trace)
+    """Lorentzian inner product (tr(X o Y) - tr X tr Y)/2 on 2x2 matrices.
+
+    In closed form <a, b> - (x1 y2 + x2 y1)/2, for X = [[x1, conj(a)], [a, x2]]
+    and Y = [[y1, conj(b)], [b, y2]].
+    """
+    return float(X.a @ Y.a) - 0.5 * (X.x1 * Y.x2 + X.x2 * Y.x1)
 
 
 def det_block_identity(X: Hermitian2, theta: np.ndarray, n: float) -> tuple[float, float]:

@@ -9,9 +9,9 @@ Within one layer the pairing is fixed as (M X) M^dagger; for layers passing
 the well-definedness predicate the other pairing agrees.  The module also
 provides the spinor action (layered left multiplication), the complexity /
 well-definedness / compatibility predicates that delimit the usable
-matrices, the three 2x2 -> 3x3 block embeddings related by the cyclic
-permutation matrix, and the 27x27 real matrix of a nested map's action on
-the Jordan coordinates.
+matrices, the three 2x2 -> 3x3 block embeddings (cyclic index shifts, i.e.
+conjugations by the cyclic permutation matrix), and the 27x27 real matrix
+of a nested map's action on the Jordan coordinates.
 """
 
 from __future__ import annotations
@@ -327,7 +327,12 @@ def complex_det(M: OctMatrix, tol: float = 1e-9) -> tuple[Octonion, bool]:
 # ---------------------------------------------------------------------------
 
 def embed(M: OctMatrix, slot: int) -> OctMatrix:
-    """Place a 2x2 matrix in a 3x3 block; slots 1, 2 conjugate by the cycle."""
+    """Place a 2x2 matrix in a 3x3 block, with 1 in the remaining corner.
+
+    Slot 0 is the upper-left block.  Slots are cyclic index shifts: slot s
+    is the slot-0 embedding conjugated s times by the cyclic permutation T,
+    whose effect is to read row and column i from index (i + s) mod 3.
+    """
     if M.n != 2:
         raise ValueError("embed expects a 2x2 matrix")
     if slot not in (0, 1, 2):
@@ -335,11 +340,8 @@ def embed(M: OctMatrix, slot: int) -> OctMatrix:
     arr = np.zeros((3, 3, 8))
     arr[:2, :2] = M.arr
     arr[2, 2, 0] = 1.0
-    out = OctMatrix(arr)
-    T = cyclic_permutation()
-    for _ in range(slot):
-        out = T @ out @ T.dagger()
-    return out
+    idx = (np.arange(3) + slot) % 3
+    return OctMatrix(arr[np.ix_(idx, idx)])
 
 
 def nested_map_to_json(nm: NestedMap) -> list:

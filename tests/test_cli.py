@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from octe6.cli import main
 from octe6.octonion import signed_table
@@ -131,6 +132,23 @@ class TestDirac:
         code, _, err = run_cli(capsys, "dirac", str(path))
         assert code == 2
         assert "factorization" in err
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("command,payload", [
+        ("decompose", lambda x: {"diag": [x, 1.0, 1.0], "a": [0.0] * 8,
+                                 "b": [0.0] * 8, "c": [0.0] * 8}),
+        ("dirac", lambda x: {"P": {"diag": [1.0, 0.0], "a": [x] + [0.0] * 7}}),
+    ])
+    def test_rejected_at_parse_time(self, capsys, tmp_path, command, payload, value):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(payload(value)))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "nonfinite.json" in err and "non-finite" in err
+        assert "Traceback" not in err
 
 
 class TestTriality:

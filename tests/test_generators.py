@@ -6,6 +6,7 @@ import pytest
 from octe6.generators import (
     EXPECTED_DIMENSION,
     GROUPS,
+    GeneratorCurve,
     boost_curves,
     flip_pair_curves,
     g2_curves,
@@ -21,7 +22,7 @@ from octe6.generators import (
 )
 from octe6.jordan import JordanMatrix, random_jordan
 from octe6.octonion import Octonion, exp_imag, is_automorphism, omul, oconj
-from octe6.transform import complex_det, is_compatible, is_complex, is_welldefined
+from octe6.transform import complex_det, embed, is_compatible, is_complex, is_welldefined
 
 SEED = 16180
 
@@ -61,9 +62,8 @@ class TestRosterStructure:
                   + list(transverse_curves(0)) + [flips[0], flips[10], flips[20]]
                   + [g2_curves(0)[17]])
         for curve in sample:
-            nm = curve(rng.uniform(-1.2, 1.2))
-            for layer in nm.layers:
-                block = _unembed(layer)
+            for block in curve.blocks(rng.uniform(-1.2, 1.2)):
+                layer = embed(block, curve.slot)
                 assert is_complex(block)
                 ok, res = is_welldefined(layer)
                 assert ok, (curve.label, res)
@@ -151,12 +151,13 @@ class TestSpans:
         # reversing (s, t) in the nested pair stays inside the same span
         fwd = [lie_element(c) for c in flip_pair_curves(0)]
         i, j = Octonion.unit("i").coefficients, Octonion.unit("j").coefficients
-        from octe6.generators import _embedded, _scalar2
+        from octe6.generators import _scalar2
 
-        def reversed_curve(theta):
+        def blocks(theta):
             u = np.cos(theta) * j + np.sin(theta) * i
-            return _embedded([_scalar2(j), _scalar2(u)], 0)
+            return [_scalar2(j), _scalar2(u)]
 
+        reversed_curve = GeneratorCurve("flip-pair[j,i,slot0]", 0, blocks)
         assert span_equal(fwd, fwd + [lie_element(reversed_curve)])
 
 
@@ -227,7 +228,7 @@ class TestSo8Action:
         rng = np.random.default_rng(SEED)
         q = exp_imag(Octonion.unit("i"), 0.77)
         X = random_jordan(rng)
-        from octe6.transform import NestedMap, OctMatrix, embed
+        from octe6.transform import NestedMap, OctMatrix
 
         def action(unit_oct):
             arr = np.zeros((2, 2, 8))
@@ -277,16 +278,3 @@ class TestPreservation:
             assert curve(0.9).apply(X).trace == pytest.approx(X.trace, abs=1e-9)
         for curve in boost_curves(0):
             assert abs(curve(0.5).apply(JordanMatrix.identity()).trace - 3.0) > 1e-3
-
-
-def _unembed(layer):
-    """Pull the 2x2 block back out of an embedded layer, any slot."""
-    from octe6.transform import OctMatrix, cyclic_permutation
-    T = cyclic_permutation()
-    for _ in range(3):
-        arr = layer.arr
-        if (abs(arr[2, 2, 0] - 1.0) < 1e-12 and np.abs(arr[2, 2, 1:]).max() < 1e-12
-                and np.abs(arr[2, :2]).max() < 1e-12 and np.abs(arr[:2, 2]).max() < 1e-12):
-            return OctMatrix(arr[:2, :2])
-        layer = T.dagger() @ layer @ T
-    raise AssertionError("layer is not an embedded block")

@@ -123,6 +123,15 @@ class TestSigma:
     def test_primitive_idempotent(self):
         assert sigma(E11) == pytest.approx(0.0, abs=1e-12)
 
+    def test_matches_freudenthal_trace(self):
+        # tr(X * X) and ((tr X)^2 - tr(X o X))/2 are the same invariant
+        rng = np.random.default_rng(SEED)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(16):
+                X = random_jordan(rng, scale)
+                assert freudenthal(X, X).trace == pytest.approx(
+                    sigma(X), rel=0, abs=1e-12 * max(1.0, X.norm**2))
+
 
 class TestCharacteristicEquation:
     def test_identity(self):
@@ -188,6 +197,17 @@ class TestBlocks:
         for _ in range(8):
             X = Hermitian2(rng.standard_normal(), rng.standard_normal(), rng.standard_normal(8))
             assert lorentz_inner(X, X) == pytest.approx(-X.det, rel=1e-10)
+
+    def test_inner_matches_symmetrised_product(self):
+        # reference: (tr(X o Y) - tr X tr Y)/2 with X o Y = (XY + YX)/2
+        rng = np.random.default_rng(SEED)
+        for _ in range(64):
+            X, Y = (Hermitian2(rng.standard_normal(), rng.standard_normal(),
+                               rng.standard_normal(8)) for _ in range(2))
+            Xa, Ya = X.to_array(), Y.to_array()
+            raw = 0.5 * (omatmul(Xa, Ya) + omatmul(Ya, Xa))
+            expected = 0.5 * (raw[0, 0, 0] + raw[1, 1, 0] - X.trace * Y.trace)
+            assert lorentz_inner(X, Y) == pytest.approx(expected, rel=0, abs=1e-12 * X.norm * Y.norm)
 
     def test_block_identity_zero_spinor(self):
         rng = np.random.default_rng(SEED)
