@@ -33,7 +33,7 @@ from .jordan import (
     jordan_product,
     sigma,
 )
-from .octonion import _as_coeffs, oconj, omul, onorm, subalgebra_dimension
+from .octonion import _as_coeffs, oconj, omatmul, omul, onorm, subalgebra_dimension
 from .transform import NestedMap
 
 
@@ -95,11 +95,8 @@ def trace_reversal(P: Hermitian2) -> Hermitian2:
 
 def dirac_residual(P: Hermitian2, psi) -> float:
     """Norm of trace_reversal(P) psi for a 2-component spinor psi."""
-    psi = np.asarray(psi, dtype=float).reshape(2, 8)
-    Pt = trace_reversal(P)
-    top = Pt.x1 * psi[0] + omul(oconj(Pt.a), psi[1])
-    bottom = omul(Pt.a, psi[0]) + Pt.x2 * psi[1]
-    return float(np.sqrt(np.sum(top**2) + np.sum(bottom**2)))
+    psi = np.asarray(psi, dtype=float).reshape(2, 1, 8)
+    return float(np.sqrt(np.sum(omatmul(trace_reversal(P).to_array(), psi) ** 2)))
 
 
 def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
@@ -222,7 +219,7 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
         # triple eigenvalue: A is lambda I up to tolerance
         return PSquareDecomposition(
             [(float(np.mean(clusters[0])), identity)],
-            _nonzero_count([np.mean(clusters[0])], scale),
+            _nonzero_count(clusters[0], scale),
         )
 
     if len(clusters) == 2:

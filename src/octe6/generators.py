@@ -312,11 +312,7 @@ def so8_action_check(q, X: JordanMatrix) -> float:
     qv = _as_coeffs(q)
     if abs(onorm(qv) - 1.0) > 1e-9:
         raise ValueError("so8_action_check requires a unit octonion")
-    arr = np.zeros((2, 2, 8))
-    arr[0, 0] = qv
-    arr[1, 1] = oconj(qv)
-    nm = NestedMap([embed(OctMatrix(arr), 0)])
-    got = nm.apply(X)
+    got = NestedMap.single(embed(OctMatrix.diag(qv, oconj(qv)), 0)).apply(X)
     qc = oconj(qv)
     residual = max(abs(got.p - X.p), abs(got.m - X.m), abs(got.n - X.n))
     residual = max(residual, float(onorm(got.a - omul(omul(qc, X.a), qc))))

@@ -235,6 +235,12 @@ class JordanMatrix:
                 f"|a|={onorm(self.a):g}, |b|={onorm(self.b):g}, |c|={onorm(self.c):g})")
 
 
+def jordan_vectors(arr: np.ndarray) -> np.ndarray:
+    """to_vector coordinates (..., 27) of a (..., 3, 3, 8) stack: real diagonal, lower triangle."""
+    return np.concatenate((arr[..., (0, 1, 2), (0, 1, 2), 0], arr[..., 1, 0, :],
+                           arr[..., 2, 1, :], arr[..., 0, 2, :]), axis=-1)
+
+
 def hermiticity_residual(arr: np.ndarray) -> float:
     """How far a (3, 3, 8) array is from being Hermitian."""
     res = 0.0

@@ -15,8 +15,9 @@ data for cross-implementation checks.
 
 Array-level helpers (``omul``, ``oconj``, ``omatmul``, ...) operate on
 plain float arrays whose last axis has length 8, so matrices of octonions
-are ``(n, n, 8)`` arrays.  The :class:`Octonion` class wraps a single
-8-vector for scalar work.  All values are immutable after construction.
+are ``(n, n, 8)`` arrays, stacked as ``(..., n, n, 8)``.  The
+:class:`Octonion` class wraps a single 8-vector for scalar work.  All
+values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -99,17 +100,34 @@ def onorm(x: np.ndarray) -> np.ndarray | float:
 
 
 def omatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Product of octonionic matrices, entries paired left to right."""
-    # contract B with the table first, then one BLAS matmul over (column, component)
-    n = A.shape[0]
-    right = np.tensordot(B, MUL_TENSOR, axes=([2], [1]))  # (c, b, I, K)
-    right = right.transpose(0, 2, 1, 3).reshape(8 * n, 8 * n)
-    return (A.reshape(n, 8 * n) @ right).reshape(n, n, 8)
+    """Product of octonionic matrices, entries paired left to right.
+
+    ``(..., n, k, 8) @ (k, m, 8)`` or ``(n, k, 8) @ (..., k, m, 8)`` gives
+    ``(..., n, m, 8)``; at most one operand has a leading batch.  The table
+    is contracted with the operand without a batch, into one real matrix
+    built once per call, and the batch folds into the rows or columns of a
+    single BLAS product.  (On the batched side it would be built per item.)
+    """
+    if B.ndim == 3:
+        # table on B: (c, b, I, K) -> rows (c, I), columns (b, K)
+        k, m, _ = B.shape
+        right = np.tensordot(B, MUL_TENSOR, axes=([2], [1]))
+        right = right.transpose(0, 2, 1, 3).reshape(8 * k, 8 * m)
+        return (A.reshape(-1, 8 * k) @ right).reshape(A.shape[:-2] + (m, 8))
+    if A.ndim != 3:
+        raise ValueError("omatmul takes a leading batch on one operand only")
+    # table on A: rows (a, K), columns (c, J); B's batch joins its columns (b)
+    n, k, _ = A.shape
+    batch, m = B.shape[:-3], B.shape[-2]
+    left = np.einsum("acI,IJK->aKcJ", A, MUL_TENSOR).reshape(8 * n, 8 * k)
+    cols = np.moveaxis(B.reshape(-1, k, m, 8), (1, 3), (0, 1)).reshape(8 * k, -1)
+    out = (left @ cols).reshape(n, 8, -1, m)
+    return out.transpose(2, 0, 3, 1).reshape(batch + (n, m, 8))
 
 
 def odagger(A: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of an octonionic matrix."""
-    return oconj(np.swapaxes(A, 0, 1))
+    """Conjugate transpose of (a batch of) octonionic matrices."""
+    return oconj(np.swapaxes(A, -3, -2))
 
 
 def imaginary_rank(entries: np.ndarray, rel_tol: float = 1e-9) -> int:
@@ -293,14 +311,10 @@ def is_automorphism(f, tol: float = 1e-9) -> tuple[bool, float]:
     max residual over the 64 basis pairs, including the f(1) = 1 check).
     """
     mat = _as_basis_map(f)
-    e0 = np.zeros(8)
-    e0[0] = 1.0
-    residual = float(onorm(mat @ e0 - e0))
     fbasis = mat.T  # row t = image of e_t
-    for a in range(8):
-        for b in range(8):
-            prod = MUL_TENSOR[a, b]
-            residual = max(residual, float(onorm(mat @ prod - omul(fbasis[a], fbasis[b]))))
+    images = MUL_TENSOR @ fbasis  # [a, b] = f(e_a e_b)
+    products = omul(fbasis[:, None], fbasis[None, :])  # [a, b] = f(e_a) f(e_b)
+    residual = max(float(onorm(fbasis[0] - np.eye(8)[0])), float(onorm(images - products).max()))
     return residual <= tol, residual
 
 
@@ -314,14 +328,10 @@ def triality_ell_conjugation_check(tol: float = 1e-12) -> tuple[bool, float]:
     i, j, k = (Octonion.unit(t).coefficients for t in ("i", "j", "k"))
     flip = np.ones(8)
     flip[4:] = -1.0
-    residual = 0.0
-    for t in range(8):
-        q = np.zeros(8)
-        q[t] = 1.0
-        lhs = omul(k, omul(j, omul(i, q)))
-        rhs = omul(omul(omul(q, oconj(i)), oconj(j)), oconj(k))
-        expected = flip * q
-        residual = max(residual, float(onorm(lhs - rhs)), float(onorm(lhs - expected)))
+    q = np.eye(8)
+    lhs = omul(k, omul(j, omul(i, q)))
+    rhs = omul(omul(omul(q, oconj(i)), oconj(j)), oconj(k))
+    residual = max(float(onorm(lhs - rhs).max()), float(onorm(lhs - flip * q).max()))
     return residual <= tol, residual
 
 

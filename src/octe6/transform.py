@@ -12,18 +12,21 @@ well-definedness / compatibility predicates that delimit the usable
 matrices, the three 2x2 -> 3x3 block embeddings (cyclic index shifts, i.e.
 conjugations by the cyclic permutation matrix), and the 27x27 real matrix
 of a nested map's action on the Jordan coordinates.
+
+Every action is the batched ``omatmul``: the 27x27 matrix acts on the stack
+of the 27 Jordan basis matrices, the predicates on stacked Hermitian bases
+and spinor columns.
 """
 
 from __future__ import annotations
 
-import logging
+import functools
 import numbers
 
 import numpy as np
 
-from .jordan import Hermitian2, JordanMatrix
+from .jordan import Hermitian2, JordanMatrix, jordan_vectors
 from .octonion import (
-    MUL_TENSOR as _MUL,
     Octonion,
     _as_coeffs,
     imaginary_rank,
@@ -31,9 +34,8 @@ from .octonion import (
     odagger,
     omatmul,
     omul,
+    onorm,
 )
-
-logger = logging.getLogger(__name__)
 
 # seed for the random spinor columns used by the compatibility predicate
 COMPATIBILITY_SEED = 20107
@@ -172,9 +174,9 @@ class NestedMap:
         return NestedMap(self.layers + other.layers)
 
     def apply_array(self, X: np.ndarray) -> np.ndarray:
-        """Raw layered action on an (n, n, 8) array, no Hermitian read-off."""
+        """Raw layered action on a (..., n, n, 8) stack, no Hermitian read-off."""
         X = np.asarray(X, dtype=float)
-        if X.shape != (self.dim, self.dim, 8):
+        if X.shape[-3:] != (self.dim, self.dim, 8):
             raise ValueError("operand dimension does not match the map")
         for M in self.layers:
             X = omatmul(omatmul(M.arr, X), odagger(M.arr))
@@ -197,32 +199,16 @@ class NestedMap:
         """Layered left multiplication on a 2-component octonion column."""
         if self.dim != 2:
             raise ValueError("the spinor action needs 2x2 layers")
-        v = np.asarray(v, dtype=float).reshape(2, 8)
+        v = np.asarray(v, dtype=float).reshape(2, 1, 8)
         for M in self.layers:
-            v = omul(M.arr, v[None, :, :]).sum(axis=1)
-        return v
+            v = omatmul(M.arr, v)
+        return v[:, 0]
 
     def as_linear_op(self) -> np.ndarray:
         """27x27 real matrix: column t is the image of Jordan basis element t."""
         if self.dim != 3:
             raise ValueError("the 27-coordinate operator needs 3x3 layers")
-        # batch the 27 basis matrices through each layer with two BLAS products
-        batch = _JORDAN_BASIS_ARRAYS
-        for M in self.layers:
-            Ma, Mh = M.arr, odagger(M.arr)
-            left = np.einsum("acI,IJK->aKcJ", Ma, _MUL).reshape(24, 24)
-            mid = left @ batch.transpose(1, 3, 0, 2).reshape(24, 81)
-            mid = mid.reshape(3, 8, 27, 3).transpose(2, 0, 3, 1)  # (x, a, d, J)
-            right = np.einsum("dbL,JLK->dJbK", Mh, _MUL).reshape(24, 24)
-            batch = (mid.reshape(81, 24) @ right).reshape(27, 3, 3, 8)
-        op = np.empty((27, 27))
-        op[0] = batch[:, 0, 0, 0]
-        op[1] = batch[:, 1, 1, 0]
-        op[2] = batch[:, 2, 2, 0]
-        op[3:11] = batch[:, 1, 0, :].T
-        op[11:19] = batch[:, 2, 1, :].T
-        op[19:27] = batch[:, 0, 2, :].T
-        return op
+        return jordan_vectors(self.apply_array(_JORDAN_BASIS_ARRAYS)).T
 
     def __repr__(self):
         return f"NestedMap(dim={self.dim}, depth={len(self.layers)})"
@@ -255,41 +241,41 @@ def _hermitian_basis(n: int) -> np.ndarray:
 def is_welldefined(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether M(X M^dagger) = (M X) M^dagger on a basis of Hermitian X."""
     Ma, Mh = M.arr, odagger(M.arr)
-    residual = 0.0
-    for X in _hermitian_basis(M.n):
-        left = omatmul(Ma, omatmul(X, Mh))
-        right = omatmul(omatmul(Ma, X), Mh)
-        residual = max(residual, float(np.abs(left - right).max()))
+    X = _hermitian_basis(M.n)
+    left = omatmul(Ma, omatmul(X, Mh))
+    right = omatmul(omatmul(Ma, X), Mh)
+    residual = float(np.abs(left - right).max())
     return residual <= tol * max(1.0, M.norm**2), residual
 
 
-def is_compatible(M: OctMatrix, tol: float = 1e-9,
-                  seed: int = COMPATIBILITY_SEED) -> tuple[bool, float]:
+@functools.cache
+def _spinor_samples() -> tuple[np.ndarray, np.ndarray]:
+    """The 48 sampled spinor columns v, (48, 2, 1, 8), and their squares v v^dagger.
+
+    Built on first use, so that importing the package does not load numpy.random.
+    """
+    seeded = np.random.default_rng(COMPATIBILITY_SEED).standard_normal((32, 16))
+    seeded /= onorm(seeded)[:, None]
+    columns = np.concatenate((np.eye(16), seeded)).reshape(48, 2, 1, 8)
+    squares = omul(columns, odagger(columns))
+    columns.setflags(write=False)
+    squares.setflags(write=False)
+    return columns, squares
+
+
+def is_compatible(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether (Mv)(Mv)^dagger = M(v v^dagger)M^dagger over sampled spinors v.
 
     Samples the 16 standard basis columns plus 32 seeded unit columns.
     """
     if M.n != 2:
         raise ValueError("compatibility is a predicate on 2x2 matrices")
-    logger.debug("is_compatible sampling with seed %d", seed)
-    rng = np.random.default_rng(seed)
-    columns = []
-    for comp in range(2):
-        for t in range(8):
-            v = np.zeros((2, 8))
-            v[comp, t] = 1.0
-            columns.append(v)
-    for _ in range(32):
-        v = rng.standard_normal((2, 8))
-        columns.append(v / float(np.sqrt(np.sum(v**2))))
+    columns, squares = _spinor_samples()
     Ma, Mh = M.arr, odagger(M.arr)
-    residual = 0.0
-    for v in columns:
-        w = omul(Ma, v[None, :, :]).sum(axis=1)
-        lhs = omul(w[:, None, :], oconj(w)[None, :, :])
-        vv = omul(v[:, None, :], oconj(v)[None, :, :])
-        rhs = omatmul(omatmul(Ma, vv), Mh)
-        residual = max(residual, float(np.abs(lhs - rhs).max()))
+    W = omatmul(Ma, columns)
+    lhs = omul(W, odagger(W))
+    rhs = omatmul(omatmul(Ma, squares), Mh)
+    residual = float(np.abs(lhs - rhs).max())
     return residual <= tol * max(1.0, M.norm**2), residual
 
 

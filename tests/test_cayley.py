@@ -274,6 +274,15 @@ class TestPSquareDecomposition:
         total = dec.projectors[0] + dec.projectors[1] + dec.projectors[2]
         assert total.isclose(I3)
 
+    def test_near_scalar_counts_cluster_multiplicity(self):
+        # 1e-9 off-diagonals: not diagonal, but one merged eigenvalue cluster of size 3
+        a = np.zeros(8)
+        a[0] = 1e-9
+        A = JordanMatrix(1, 1, 1, a, a, a)
+        dec = psquare_decompose(A)
+        assert len(dec.terms) == 1
+        assert dec.p == classify(A) == 3
+
     def test_dense_scalar_merges(self):
         # a rotated scalar matrix is still scalar, so the merged branch returns I
         curves = roster("F4")

@@ -1,10 +1,15 @@
 """CLI surface: subcommands, JSON schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import octe6
 from octe6.cli import main
 from octe6.octonion import signed_table
 
@@ -93,6 +98,16 @@ class TestDecompose:
         assert report["applied_map"] == nested_map_to_json(nm)
         names = [c["name"] for c in report["checks"]]
         assert "class-invariance" in names
+
+    def test_near_scalar_matrix(self, capsys, tmp_path):
+        # 1e-9 off-diagonals merge all three eigenvalues; p must still agree with the cascade
+        near = [1e-9] + [0.0] * 7
+        path = tmp_path / "near_scalar.json"
+        path.write_text(json.dumps({"diag": [1.0, 1.0, 1.0], "a": near, "b": near, "c": near}))
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["p"] == 3 and report["pass"] is True
 
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -196,3 +211,14 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestImport:
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        # the compatibility samples are seeded on first use, not at import
+        code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+                "import octe6.cli; print(before, 'numpy.random' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(octe6.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out[1] == out[0]

@@ -12,6 +12,8 @@ from octe6.octonion import (
     exp_imag,
     is_automorphism,
     oconj,
+    odagger,
+    omatmul,
     omul,
     onorm,
     random_imaginary_unit,
@@ -182,6 +184,76 @@ class TestAutomorphism:
         flip = np.diag([1.0, 1, 1, 1, -1, -1, -1, -1])
         ok, res = is_automorphism(flip)
         assert ok and res <= 1e-12
+
+
+def _automorphism_residual_loop(mat: np.ndarray) -> float:
+    """Reference: the f(1) = 1 check, then each of the 64 basis pairs in turn."""
+    residual = float(onorm(mat[:, 0] - np.eye(8)[0]))
+    for a in range(8):
+        for b in range(8):
+            image, product = mat @ MUL_TENSOR[a, b], omul(mat[:, a], mat[:, b])
+            residual = max(residual, float(onorm(image - product)))
+    return residual
+
+
+class TestAutomorphismOracle:
+    def test_matches_basis_pair_loop(self):
+        rng = np.random.default_rng(SEED)
+        u = exp_imag(Octonion.unit("jl"), np.pi / 3)
+        v = exp_imag(Octonion.unit("k"), np.pi / 5)
+        q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
+        rotation = np.eye(8)
+        rotation[1:, 1:] = q
+        maps = [np.eye(8), rotation, rng.standard_normal((8, 8))]
+        maps += [np.stack([conj_by(w, Octonion(e)).coefficients for e in np.eye(8)], axis=1)
+                 for w in (u, v)]
+        for mat in maps:
+            ok, res = is_automorphism(mat)
+            ref = _automorphism_residual_loop(mat)
+            assert res == pytest.approx(ref, rel=1e-12, abs=1e-15)
+            assert ok == (ref <= 1e-9)
+
+
+def _entrywise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Reference matrix product: out[a, b] = sum_c A[a, c] B[c, b], one omul per entry."""
+    return omul(A[:, :, None], B[None, :, :]).sum(axis=1)
+
+
+class TestBatchedMatmul:
+    # integer-valued coefficients keep every sum exact, so any summation
+    # order gives the same floats and the results can be compared exactly
+    @pytest.mark.parametrize("n, k, m", [(2, 2, 2), (3, 3, 3), (2, 2, 1)])
+    def test_batch_on_either_side_matches_item_loop(self, n, k, m):
+        rng = np.random.default_rng(SEED)
+        A = rng.integers(-3, 4, (5, n, k, 8)).astype(float)
+        B = rng.integers(-3, 4, (5, k, m, 8)).astype(float)
+        items = [omatmul(A[t], B[t]) for t in range(5)]
+        for t in range(5):
+            assert np.array_equal(items[t], _entrywise(A[t], B[t]))
+        left = omatmul(A, B[0])
+        right = omatmul(A[0], B)
+        assert left.shape == right.shape == (5, n, m, 8)
+        assert np.array_equal(left, np.stack([omatmul(a, B[0]) for a in A]))
+        assert np.array_equal(right, np.stack([omatmul(A[0], b) for b in B]))
+
+    def test_nested_batch_axes(self):
+        rng = np.random.default_rng(SEED)
+        A = rng.integers(-3, 4, (3, 3, 8)).astype(float)
+        B = rng.integers(-3, 4, (2, 4, 3, 3, 8)).astype(float)
+        flat = omatmul(A, B.reshape(8, 3, 3, 8))
+        assert np.array_equal(omatmul(A, B), flat.reshape(2, 4, 3, 3, 8))
+        assert np.array_equal(omatmul(B, A), omatmul(B.reshape(8, 3, 3, 8), A).reshape(B.shape))
+
+    def test_batch_on_both_sides_rejected(self):
+        X = np.zeros((4, 2, 2, 8))
+        with pytest.raises(ValueError):
+            omatmul(X, X)
+
+    def test_dagger_of_stack(self):
+        rng = np.random.default_rng(SEED)
+        A = rng.standard_normal((4, 2, 3, 8))
+        assert np.array_equal(odagger(A), np.stack([odagger(a) for a in A]))
+        assert odagger(A).shape == (4, 3, 2, 8)
 
 
 class TestEllConjugation:

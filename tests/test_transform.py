@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from octe6.jordan import Hermitian2, JordanMatrix, hermiticity_residual, random_jordan
-from octe6.octonion import Octonion, oconj
+from octe6.generators import roster
+from octe6.octonion import Octonion, oconj, odagger, omatmul, omul
 from octe6.transform import (
+    COMPATIBILITY_SEED,
     NestedMap,
     OctMatrix,
     complex_det,
@@ -17,6 +19,7 @@ from octe6.transform import (
     nested_map_from_json,
     nested_map_to_json,
 )
+from octe6.transform import _hermitian_basis, _spinor_samples
 
 SEED = 27182
 
@@ -70,6 +73,20 @@ class TestVectorApply:
         assert hermiticity_residual(raw) <= 1e-12
 
 
+    def test_stack_matches_each_matrix(self):
+        # integer-valued layers and operands keep every sum exact
+        rng = np.random.default_rng(SEED)
+        nm = NestedMap([OctMatrix(rng.integers(-2, 3, (3, 3, 8)).astype(float)) for _ in range(2)])
+        stack = rng.integers(-2, 3, (4, 3, 3, 8)).astype(float)
+        got = nm.apply_array(stack)
+        assert got.shape == stack.shape
+        assert np.array_equal(got, np.stack([nm.apply_array(X) for X in stack]))
+
+    def test_stack_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            NestedMap.single(I3).apply_array(np.zeros((4, 2, 2, 8)))
+
+
 class TestSpinorApply:
     def test_identity(self):
         rng = np.random.default_rng(SEED)
@@ -99,6 +116,85 @@ class TestSpinorApply:
         both = NestedMap([P, Q]).apply_spinor(v)
         sequential = NestedMap.single(Q).apply_spinor(NestedMap.single(P).apply_spinor(v))
         assert np.allclose(both, sequential, atol=1e-12)
+
+
+def _sample_columns_loop() -> list[np.ndarray]:
+    """Reference spinor columns: 16 basis columns, then 32 seeded unit columns, one by one."""
+    rng = np.random.default_rng(COMPATIBILITY_SEED)
+    columns = []
+    for comp in range(2):
+        for t in range(8):
+            v = np.zeros((2, 8))
+            v[comp, t] = 1.0
+            columns.append(v)
+    for _ in range(32):
+        v = rng.standard_normal((2, 8))
+        columns.append(v / float(np.sqrt(np.sum(v**2))))
+    return columns
+
+
+def _welldefined_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
+    """Reference: one Hermitian basis matrix at a time."""
+    Ma, Mh = M.arr, odagger(M.arr)
+    residual = 0.0
+    for X in _hermitian_basis(M.n):
+        left = omatmul(Ma, omatmul(X, Mh))
+        right = omatmul(omatmul(Ma, X), Mh)
+        residual = max(residual, float(np.abs(left - right).max()))
+    return residual <= tol * max(1.0, M.norm**2), residual
+
+
+def _compatible_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
+    """Reference: one spinor column at a time, products entry by entry."""
+    Ma, Mh = M.arr, odagger(M.arr)
+    residual = 0.0
+    for v in _sample_columns_loop():
+        w = omul(Ma, v[None, :, :]).sum(axis=1)
+        lhs = omul(w[:, None, :], oconj(w)[None, :, :])
+        vv = omul(v[:, None, :], oconj(v)[None, :, :])
+        rhs = omatmul(omatmul(Ma, vv), Mh)
+        residual = max(residual, float(np.abs(lhs - rhs).max()))
+    return residual <= tol * max(1.0, M.norm**2), residual
+
+
+def _oracle_blocks() -> list[OctMatrix]:
+    """Passing blocks (roster layers at 0.37) and failing ones (random, mixed units)."""
+    rng = np.random.default_rng(SEED)
+    curves = roster("E6")
+    blocks = [b for c in curves[::9] for b in c.blocks(0.37)]
+    blocks += [OctMatrix(rng.standard_normal((2, 2, 8)) * scale) for scale in (1e-3, 1.0, 1e3)]
+    blocks.append(OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j")))
+    return blocks
+
+
+class TestPredicateOracles:
+    def test_sample_columns_pinned(self):
+        columns, squares = _spinor_samples()
+        ref = np.stack(_sample_columns_loop())
+        assert columns.shape == (48, 2, 1, 8)
+        assert np.array_equal(columns[:, :, 0], ref)
+        assert np.array_equal(squares, np.stack([omul(v[:, None], oconj(v)[None]) for v in ref]))
+
+    def test_welldefined_matches_loop(self):
+        verdicts = set()
+        for block in _oracle_blocks():
+            for M in (block, embed(block, 1)):
+                ok, res = is_welldefined(M)
+                ref_ok, ref_res = _welldefined_loop(M)
+                assert ok == ref_ok
+                assert abs(res - ref_res) <= 1e-13 * max(1.0, M.norm**2)
+                verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_compatible_matches_loop(self):
+        verdicts = set()
+        for M in _oracle_blocks():
+            ok, res = is_compatible(M)
+            ref_ok, ref_res = _compatible_loop(M)
+            assert ok == ref_ok
+            assert abs(res - ref_res) <= 1e-13 * max(1.0, M.norm**2)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
 
 
 class TestWellDefined:
