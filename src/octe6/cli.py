@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -73,7 +74,7 @@ def cmd_verify(args) -> dict:
     curves = generators.roster(group, slot=args.slot)
     rng = np.random.default_rng(args.seed)
     sv = generators.singular_values(curves)
-    rank = int(np.sum(sv > args.rank_tol * sv[0])) if sv[0] > 0 else 0
+    rank = octonion._numerical_rank(sv, args.rank_tol)
     expected = generators.EXPECTED_DIMENSION[group]
     checks = [_check("lie-rank", rank, expected)]
 
@@ -128,12 +129,13 @@ def cmd_verify(args) -> dict:
 
 def cmd_decompose(args) -> dict:
     data = _load_json(args.file)
-    A = jordan.jordan_from_dict(data)
+    A = _finite_scale(jordan.jordan_from_dict(data), args.file, "matrix")
     checks = []
     report = {"suite": "decompose"}
     if args.apply:
         nm = transform.nested_map_from_json(_load_json(args.apply))
-        transformed = nm.apply(A)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing image exits 2
+            transformed = _finite_scale(nm.apply(A), args.apply, "image")
         checks.append(_check("class-invariance", cayley.classify(transformed),
                              cayley.classify(A)))
         report["applied_map"] = transform.nested_map_to_json(nm)
@@ -157,7 +159,7 @@ def cmd_decompose(args) -> dict:
 
 def cmd_dirac(args) -> dict:
     data = _load_json(args.file)
-    P = jordan.hermitian2_from_dict(data["P"])
+    P = _finite_scale(jordan.hermitian2_from_dict(data["P"]), args.file, "matrix")
     theta = cayley.dirac_solve(P, tol=args.tol)
     sign = 1.0 if P.trace > 0 else -1.0
     square = jordan.spinor_square(theta)
@@ -242,6 +244,18 @@ def _load_json(path: str) -> dict:
 
 class CliInputError(Exception):
     pass
+
+
+def _finite_scale(X, path: str, what: str):
+    """X, unless its cubic invariants would overflow: the cube of its norm must be finite."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = math.isfinite(X.norm**3)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise CliInputError(f"{path}: the {what}'s Frobenius norm cubed is not a finite float")
+    return X
 
 
 def _emit(report: dict, fmt: str) -> None:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jordan import JordanMatrix
-from .octonion import Octonion, _as_coeffs, oconj, omul, onorm
+from .octonion import Octonion, _as_coeffs, _numerical_rank, oconj, omul, onorm
 from .transform import NestedMap, OctMatrix, embed
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
@@ -277,18 +277,13 @@ def singular_values(items: Sequence) -> np.ndarray:
 
 def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:
     """Numerical rank: singular values above rel_tol times the largest."""
-    s = singular_values(items)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+    return _numerical_rank(singular_values(items), rel_tol)
 
 
 def rank_gap(items: Sequence, rel_tol: float = 1e-6) -> float:
     """Ratio of the smallest kept to the largest dropped singular value."""
     s = singular_values(items)
-    if s[0] == 0.0:
-        return np.inf
-    r = int(np.sum(s > rel_tol * s[0]))
+    r = _numerical_rank(s, rel_tol)  # 0 when s[0] = 0, and then s[r] = 0
     if r >= len(s) or s[r] == 0.0:
         return np.inf
     return float(s[r - 1] / s[r])

@@ -1,13 +1,18 @@
 """The exceptional Jordan algebra H3(O) and its 2x2 companion.
 
-A :class:`JordanMatrix` is a 3x3 octonionic Hermitian matrix stored in the
-layout
+Both sizes share one coordinate layout.  An n x n octonionic Hermitian
+matrix is stored as its n real diagonal entries followed by one octonion
+(8 coefficients) per stored off-diagonal entry, whose mirror holds the
+conjugate:
 
-    [[p, conj(a), c], [a, m, conj(b)], [conj(c), b, n]]
+    n = 2:  [[x1, conj(a)], [a, x2]]                              (x1, x2, a)
+    n = 3:  [[p, conj(a), c], [a, m, conj(b)], [conj(c), b, n]]   (p, m, n, a, b, c)
 
-so three reals and three octonions give the 27 real coordinates, ordered
-``(p, m, n, a0..a7, b0..b7, c0..c7)`` by ``to_vector``.  :class:`Hermitian2`
-is the 2x2 sibling ``[[x1, conj(a)], [a, x2]]``.
+that is 10 and 27 real coordinates, with the stored entries at (1, 0) and
+at (1, 0), (2, 1), (0, 2).  ``hermitian_vectors`` and ``hermitian_arrays``
+convert between ``(..., n, n, 8)`` stacks and ``(..., dim)`` coordinate
+vectors.  :class:`Hermitian2` and :class:`JordanMatrix` are read-only views
+over one coordinate vector (``to_vector``) that name its entries.
 
 The module implements the symmetrized Jordan product, the Freudenthal
 product, the cubic determinant and second invariant, the characteristic
@@ -35,220 +40,205 @@ from .octonion import (
 )
 
 
-class Hermitian2:
-    """2x2 octonionic Hermitian matrix [[x1, conj(a)], [a, x2]]."""
+# stored off-diagonal entries (row, column) of each size, in coordinate order
+_OFF_DIAGONAL = {2: ((1, 0),), 3: ((1, 0), (2, 1), (0, 2))}
 
-    __slots__ = ("x1", "x2", "a")
 
-    def __init__(self, x1: float, x2: float, a=None):
-        self.x1 = float(x1)
-        self.x2 = float(x2)
-        arr = np.zeros(8) if a is None else np.array(_as_coeffs(a))
-        arr.setflags(write=False)
-        self.a = arr
+def _layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (n, n, 8) positions of the coordinates and of the conjugate mirrors, and signs."""
+    stored = [8 * (n + 1) * d for d in range(n)]
+    mirror = []
+    for r, c in _OFF_DIAGONAL[n]:
+        stored += range(8 * (n * r + c), 8 * (n * r + c) + 8)
+        mirror += range(8 * (n * c + r), 8 * (n * c + r) + 8)
+    signs = np.tile(np.r_[1.0, -np.ones(7)], len(_OFF_DIAGONAL[n]))
+    return np.array(stored), np.array(mirror), signs
+
+
+_LAYOUTS = {n: _layout(n) for n in _OFF_DIAGONAL}
+
+
+def hermitian_vectors(arr: np.ndarray) -> np.ndarray:
+    """Coordinates (..., dim) of a (..., n, n, 8) stack: real diagonal, stored entries."""
+    n = arr.shape[-2]
+    return np.reshape(arr, arr.shape[:-3] + (8 * n * n,)).take(_LAYOUTS[n][0], axis=-1)
+
+
+def hermitian_arrays(V: np.ndarray, n: int) -> np.ndarray:
+    """The (..., n, n, 8) stack of coordinate vectors (..., dim); inverse of hermitian_vectors."""
+    stored, mirror, signs = _LAYOUTS[n]
+    V = np.asarray(V, dtype=float)
+    out = np.zeros(V.shape[:-1] + (8 * n * n,))
+    out[..., stored] = V
+    out[..., mirror] = V[..., n:] * signs
+    return out.reshape(V.shape[:-1] + (n, n, 8))
+
+
+def hermiticity_residual(arr: np.ndarray) -> float:
+    """How far an (n, n, 8) array is from being Hermitian.
+
+    The largest imaginary diagonal coefficient or |arr[r, c] - conj(arr[c, r])|.
+    """
+    n = arr.shape[0]
+    rows, cols = np.triu_indices(n, 1)
+    diag = np.abs(arr[range(n), range(n), 1:]).max()
+    return float(max(diag, onorm(arr[rows, cols] - oconj(arr[cols, rows])).max()))
+
+
+class _Hermitian:
+    """Read-only view over the coordinate vector of an n x n Hermitian matrix."""
+
+    __slots__ = ("_v",)
+    SIZE = DIM = 0
+
+    def __init__(self, reals, octonions):
+        v = np.zeros(self.DIM)
+        for d, x in enumerate(reals):
+            v[d] = float(x)
+        for start, x in zip(range(self.SIZE, self.DIM, 8), octonions):
+            if x is not None:
+                v[start:start + 8] = _as_coeffs(x)
+        v.setflags(write=False)
+        self._v = v
 
     @classmethod
-    def identity(cls) -> "Hermitian2":
-        return cls(1.0, 1.0)
+    def _wrap(cls, v: np.ndarray):
+        """Adopt a coordinate vector that nothing else holds."""
+        v.setflags(write=False)
+        out = object.__new__(cls)
+        out._v = v
+        return out
 
     @classmethod
-    def zero(cls) -> "Hermitian2":
-        return cls(0.0, 0.0)
+    def zero(cls):
+        return cls._wrap(np.zeros(cls.DIM))
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, tol: float = 1e-9) -> "Hermitian2":
+    def identity(cls):
+        v = np.zeros(cls.DIM)
+        v[:cls.SIZE] = 1.0
+        return cls._wrap(v)
+
+    @classmethod
+    def basis_element(cls, index: int):
+        """The coordinate matrices in vectorization order."""
+        v = np.zeros(cls.DIM)
+        v[index] = 1.0
+        return cls._wrap(v)
+
+    @classmethod
+    def basis(cls) -> tuple:
+        return tuple(cls.basis_element(t) for t in range(cls.DIM))
+
+    @classmethod
+    def from_vector(cls, v: np.ndarray):
+        return cls._wrap(np.array(v, dtype=float).reshape(cls.DIM))
+
+    def to_vector(self) -> np.ndarray:
+        """The stored coordinate vector (read-only)."""
+        return self._v
+
+    @classmethod
+    def from_array(cls, arr: np.ndarray, tol: float = 1e-9, check: bool = True):
+        """Read the real diagonal and the stored entries of an (n, n, 8) array."""
         arr = np.asarray(arr, dtype=float)
-        if arr.shape != (2, 2, 8):
-            raise ValueError("expected a (2, 2, 8) array")
-        herm_res = max(
-            abs(arr[0, 0, 1:]).max(),
-            abs(arr[1, 1, 1:]).max(),
-            float(onorm(arr[0, 1] - oconj(arr[1, 0]))),
-        )
-        if herm_res > tol * max(1.0, float(np.abs(arr).max())):
-            raise ValueError(f"array is not Hermitian (residual {herm_res:g})")
-        return cls(arr[0, 0, 0], arr[1, 1, 0], arr[1, 0])
+        n = cls.SIZE
+        if arr.shape != (n, n, 8):
+            raise ValueError(f"expected a ({n}, {n}, 8) array")
+        if check:
+            res = hermiticity_residual(arr)
+            if res > tol * max(1.0, float(np.abs(arr).max())):
+                raise ValueError(f"array is not Hermitian (residual {res:g})")
+        return cls._wrap(hermitian_vectors(arr))
 
     def to_array(self) -> np.ndarray:
-        arr = np.zeros((2, 2, 8))
-        arr[0, 0, 0] = self.x1
-        arr[1, 1, 0] = self.x2
-        arr[1, 0] = self.a
-        arr[0, 1] = oconj(self.a)
-        return arr
+        return hermitian_arrays(self._v, self.SIZE)
 
     @property
     def trace(self) -> float:
-        return self.x1 + self.x2
+        diag = self._v[:self.SIZE].tolist()
+        return sum(diag[1:], diag[0])
+
+    @property
+    def norm(self) -> float:
+        """Frobenius norm (off-diagonal octonions counted twice)."""
+        v = self._v
+        diag = v[:self.SIZE].tolist()
+        quad = diag[0] ** 2
+        for x in diag[1:]:
+            quad += x**2
+        off = [v[s:s + 8] @ v[s:s + 8] for s in range(self.SIZE, self.DIM, 8)]
+        return float(np.sqrt(quad + 2.0 * sum(off[1:], off[0])))
+
+    def __add__(self, other):
+        if isinstance(other, type(self)):
+            return self._wrap(self._v + other._v)
+        return NotImplemented
+
+    def __sub__(self, other):
+        if isinstance(other, type(self)):
+            return self._wrap(self._v - other._v)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, numbers.Real):
+            return self._wrap(self._v * float(other))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1.0
+
+    def isclose(self, other, tol: float = 1e-9) -> bool:
+        return bool(np.allclose(self._v, other._v, atol=tol, rtol=0.0))
+
+
+def _real(index: int) -> property:
+    return property(lambda self: float(self._v[index]))
+
+
+def _octonion(index: int) -> property:
+    return property(lambda self: self._v[index:index + 8])
+
+
+class Hermitian2(_Hermitian):
+    """2x2 octonionic Hermitian matrix [[x1, conj(a)], [a, x2]]."""
+
+    __slots__ = ()
+    SIZE, DIM = 2, 10
+    x1, x2, a = _real(0), _real(1), _octonion(2)
+
+    def __init__(self, x1: float, x2: float, a=None):
+        super().__init__((x1, x2), (a,))
 
     @property
     def det(self) -> float:
         """x1 x2 - |a|^2, the 2x2 Hermitian determinant (Lorentzian norm)."""
         return self.x1 * self.x2 - float(self.a @ self.a)
 
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self.x1**2 + self.x2**2 + 2.0 * (self.a @ self.a)))
-
-    def __add__(self, other):
-        if isinstance(other, Hermitian2):
-            return Hermitian2(self.x1 + other.x1, self.x2 + other.x2, self.a + other.a)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Hermitian2):
-            return Hermitian2(self.x1 - other.x1, self.x2 - other.x2, self.a - other.a)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            c = float(other)
-            return Hermitian2(self.x1 * c, self.x2 * c, self.a * c)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def isclose(self, other: "Hermitian2", tol: float = 1e-9) -> bool:
-        return (
-            abs(self.x1 - other.x1) <= tol
-            and abs(self.x2 - other.x2) <= tol
-            and bool(np.allclose(self.a, other.a, atol=tol, rtol=0.0))
-        )
-
     def __repr__(self):
         return f"Hermitian2(x1={self.x1:g}, x2={self.x2:g}, a={Octonion(self.a)!r})"
 
 
-class JordanMatrix:
+class JordanMatrix(_Hermitian):
     """Element of H3(O): reals p, m, n and octonions a, b, c."""
 
-    __slots__ = ("p", "m", "n", "a", "b", "c")
+    __slots__ = ()
+    SIZE, DIM = 3, 27
+    p, m, n = _real(0), _real(1), _real(2)
+    a, b, c = _octonion(3), _octonion(11), _octonion(19)
 
     def __init__(self, p, m, n, a=None, b=None, c=None):
-        self.p, self.m, self.n = float(p), float(m), float(n)
-        for name, val in (("a", a), ("b", b), ("c", c)):
-            arr = np.zeros(8) if val is None else np.array(_as_coeffs(val))
-            arr.setflags(write=False)
-            setattr(self, name, arr)
-
-    @classmethod
-    def zero(cls) -> "JordanMatrix":
-        return cls(0.0, 0.0, 0.0)
-
-    @classmethod
-    def identity(cls) -> "JordanMatrix":
-        return cls(1.0, 1.0, 1.0)
+        super().__init__((p, m, n), (a, b, c))
 
     @classmethod
     def diag(cls, p: float, m: float, n: float) -> "JordanMatrix":
         return cls(p, m, n)
 
-    @classmethod
-    def basis_element(cls, index: int) -> "JordanMatrix":
-        """The 27 coordinate matrices in vectorization order."""
-        v = np.zeros(27)
-        v[index] = 1.0
-        return cls.from_vector(v)
-
-    @classmethod
-    def basis(cls) -> tuple["JordanMatrix", ...]:
-        return tuple(cls.basis_element(t) for t in range(27))
-
-    @classmethod
-    def from_vector(cls, v: np.ndarray) -> "JordanMatrix":
-        v = np.asarray(v, dtype=float).reshape(27)
-        return cls(v[0], v[1], v[2], v[3:11], v[11:19], v[19:27])
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(([self.p, self.m, self.n], self.a, self.b, self.c))
-
-    @classmethod
-    def from_array(cls, arr: np.ndarray, tol: float = 1e-9, check: bool = True) -> "JordanMatrix":
-        """Read the lower triangle and real diagonal of a (3, 3, 8) array."""
-        arr = np.asarray(arr, dtype=float)
-        if arr.shape != (3, 3, 8):
-            raise ValueError("expected a (3, 3, 8) array")
-        if check:
-            res = hermiticity_residual(arr)
-            if res > tol * max(1.0, float(np.abs(arr).max())):
-                raise ValueError(f"array is not Hermitian (residual {res:g})")
-        return cls(arr[0, 0, 0], arr[1, 1, 0], arr[2, 2, 0], arr[1, 0], arr[2, 1], arr[0, 2])
-
-    def to_array(self) -> np.ndarray:
-        arr = np.zeros((3, 3, 8))
-        arr[0, 0, 0], arr[1, 1, 0], arr[2, 2, 0] = self.p, self.m, self.n
-        arr[1, 0] = self.a
-        arr[0, 1] = oconj(self.a)
-        arr[2, 1] = self.b
-        arr[1, 2] = oconj(self.b)
-        arr[0, 2] = self.c
-        arr[2, 0] = oconj(self.c)
-        return arr
-
-    @property
-    def trace(self) -> float:
-        return self.p + self.m + self.n
-
-    @property
-    def norm(self) -> float:
-        """Frobenius norm (off-diagonal octonions counted twice)."""
-        quad = self.p**2 + self.m**2 + self.n**2
-        quad += 2.0 * (self.a @ self.a + self.b @ self.b + self.c @ self.c)
-        return float(np.sqrt(quad))
-
-    def __add__(self, other):
-        if isinstance(other, JordanMatrix):
-            return JordanMatrix(
-                self.p + other.p, self.m + other.m, self.n + other.n,
-                self.a + other.a, self.b + other.b, self.c + other.c,
-            )
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, JordanMatrix):
-            return JordanMatrix(
-                self.p - other.p, self.m - other.m, self.n - other.n,
-                self.a - other.a, self.b - other.b, self.c - other.c,
-            )
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            s = float(other)
-            return JordanMatrix(self.p * s, self.m * s, self.n * s,
-                                self.a * s, self.b * s, self.c * s)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def isclose(self, other: "JordanMatrix", tol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.to_vector(), other.to_vector(), atol=tol, rtol=0.0))
-
     def __repr__(self):
         return (f"JordanMatrix(diag=({self.p:g}, {self.m:g}, {self.n:g}), "
                 f"|a|={onorm(self.a):g}, |b|={onorm(self.b):g}, |c|={onorm(self.c):g})")
-
-
-def jordan_vectors(arr: np.ndarray) -> np.ndarray:
-    """to_vector coordinates (..., 27) of a (..., 3, 3, 8) stack: real diagonal, lower triangle."""
-    return np.concatenate((arr[..., (0, 1, 2), (0, 1, 2), 0], arr[..., 1, 0, :],
-                           arr[..., 2, 1, :], arr[..., 0, 2, :]), axis=-1)
-
-
-def hermiticity_residual(arr: np.ndarray) -> float:
-    """How far a (3, 3, 8) array is from being Hermitian."""
-    res = 0.0
-    for d in range(3):
-        res = max(res, float(np.abs(arr[d, d, 1:]).max()))
-    for r, c in ((0, 1), (0, 2), (1, 2)):
-        res = max(res, float(onorm(arr[r, c] - oconj(arr[c, r]))))
-    return res
 
 
 # ---------------------------------------------------------------------------

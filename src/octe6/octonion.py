@@ -139,7 +139,11 @@ def imaginary_rank(entries: np.ndarray, rel_tol: float = 1e-9) -> int:
     ims = np.asarray(entries, dtype=float).reshape(-1, 8)[:, 1:]
     if not ims.size:
         return 0
-    s = np.linalg.svd(ims, compute_uv=False)
+    return _numerical_rank(np.linalg.svd(ims, compute_uv=False), rel_tol)
+
+
+def _numerical_rank(s: np.ndarray, rel_tol: float) -> int:
+    """Count of the descending singular values s above rel_tol * s[0]; 0 when s[0] = 0."""
     if s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))

@@ -25,12 +25,11 @@ import numbers
 
 import numpy as np
 
-from .jordan import Hermitian2, JordanMatrix, jordan_vectors
+from .jordan import _Hermitian, hermitian_arrays, hermitian_vectors
 from .octonion import (
     Octonion,
     _as_coeffs,
     imaginary_rank,
-    oconj,
     odagger,
     omatmul,
     omul,
@@ -184,16 +183,11 @@ class NestedMap:
 
     def apply(self, X):
         """Act on a JordanMatrix (3x3 maps) or Hermitian2 (2x2 maps)."""
-        if isinstance(X, JordanMatrix):
-            if self.dim != 3:
-                raise ValueError("a 3x3 operand needs 3x3 layers")
-            return JordanMatrix.from_array(self.apply_array(X.to_array()), check=False)
-        if isinstance(X, Hermitian2):
-            if self.dim != 2:
-                raise ValueError("a 2x2 operand needs 2x2 layers")
-            out = self.apply_array(X.to_array())
-            return Hermitian2(out[0, 0, 0], out[1, 1, 0], out[1, 0])
-        raise TypeError("apply expects a JordanMatrix or Hermitian2")
+        if not isinstance(X, _Hermitian):
+            raise TypeError("apply expects a JordanMatrix or Hermitian2")
+        if X.SIZE != self.dim:
+            raise ValueError(f"a {X.SIZE}x{X.SIZE} operand needs {X.SIZE}x{X.SIZE} layers")
+        return X.from_array(self.apply_array(X.to_array()), check=False)
 
     def apply_spinor(self, v: np.ndarray) -> np.ndarray:
         """Layered left multiplication on a 2-component octonion column."""
@@ -208,34 +202,22 @@ class NestedMap:
         """27x27 real matrix: column t is the image of Jordan basis element t."""
         if self.dim != 3:
             raise ValueError("the 27-coordinate operator needs 3x3 layers")
-        return jordan_vectors(self.apply_array(_JORDAN_BASIS_ARRAYS)).T
+        return hermitian_vectors(self.apply_array(_hermitian_basis(3))).T
 
     def __repr__(self):
         return f"NestedMap(dim={self.dim}, depth={len(self.layers)})"
-
-
-_JORDAN_BASIS_ARRAYS = np.stack([B.to_array() for B in JordanMatrix.basis()])
-_JORDAN_BASIS_ARRAYS.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
 # predicates
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _hermitian_basis(n: int) -> np.ndarray:
-    out = []
-    for d in range(n):
-        E = np.zeros((n, n, 8))
-        E[d, d, 0] = 1.0
-        out.append(E)
-    for r in range(n):
-        for c in range(r + 1, n):
-            for t in range(8):
-                E = np.zeros((n, n, 8))
-                E[c, r, t] = 1.0
-                E[r, c] = oconj(E[c, r])
-                out.append(E)
-    return np.stack(out)
+    """The n x n Hermitian coordinate matrices, stacked in vector order (read-only)."""
+    basis = hermitian_arrays(np.eye(n * (4 * n - 3)), n)  # n reals, 8 per stored entry
+    basis.setflags(write=False)
+    return basis
 
 
 def is_welldefined(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:

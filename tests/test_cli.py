@@ -166,6 +166,51 @@ class TestNonFiniteInput:
         assert "Traceback" not in err
 
 
+ZERO8 = [0.0] * 8
+BIG8 = [0.0, 1e200] + [0.0] * 6
+
+
+class TestOverflowInput:
+    @pytest.mark.parametrize("command,payload", [
+        ("decompose", {"diag": [1e200, 1.0, 1.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}),
+        ("decompose", {"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": BIG8, "c": ZERO8}),
+        ("dirac", {"P": {"diag": [1e200, 0.0], "a": ZERO8}}),
+        ("dirac", {"P": {"diag": [0.0, 0.0], "a": BIG8}}),
+    ], ids=["decompose-diagonal", "decompose-octonion", "dirac-diagonal", "dirac-octonion"])
+    def test_rejected(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "overflow.json" in err and "not a finite float" in err
+        assert "Traceback" not in err
+
+    def test_overflowing_image_rejected(self, capsys, tmp_path):
+        path, map_path = tmp_path / "small.json", tmp_path / "huge_map.json"
+        one = [1.0] + [0.0] * 7
+        path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": [0.1] * 8, "b": ZERO8, "c": ZERO8}))
+        map_path.write_text(json.dumps([[[[1e200] + [0.0] * 7, ZERO8, ZERO8],
+                                         [ZERO8, one, ZERO8], [ZERO8, ZERO8, one]]]))
+        code, out, err = run_cli(capsys, "decompose", str(path), "--apply", str(map_path))
+        assert code == 2
+        assert out == ""
+        assert "huge_map.json" in err and "image" in err
+        assert "RuntimeWarning" not in err
+
+    @pytest.mark.parametrize("command,payload", [
+        ("decompose", {"diag": [1e50, 2e50, -3e50], "a": [1e50] + [5e49] * 7,
+                       "b": [0.0, 1e50] + [0.0] * 6, "c": [2.5e49] * 8}),
+        ("dirac", {"P": {"diag": [1e50, 1e50], "a": [1e50] + [0.0] * 7}}),
+    ], ids=["decompose", "dirac"])
+    def test_large_finite_input_accepted(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "large.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, command, str(path))
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+
 class TestTriality:
     def test_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "triality")

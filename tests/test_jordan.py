@@ -15,6 +15,8 @@ from octe6.jordan import (
     freudenthal,
     hermitian2_from_dict,
     hermitian2_to_dict,
+    hermitian_arrays,
+    hermitian_vectors,
     jordan_from_dict,
     jordan_product,
     jordan_to_dict,
@@ -307,6 +309,136 @@ class TestVectorization:
         arr[0, 1, 0] = 1.0  # upper entry without conjugate partner
         with pytest.raises(ValueError):
             JordanMatrix.from_array(arr)
+
+
+def _to_array_fieldwise(X) -> np.ndarray:
+    """Reference: the entry-by-entry to_array of the earlier per-class code."""
+    if isinstance(X, Hermitian2):
+        arr = np.zeros((2, 2, 8))
+        arr[0, 0, 0], arr[1, 1, 0] = X.x1, X.x2
+        arr[1, 0] = X.a
+        arr[0, 1] = oconj(X.a)
+        return arr
+    arr = np.zeros((3, 3, 8))
+    arr[0, 0, 0], arr[1, 1, 0], arr[2, 2, 0] = X.p, X.m, X.n
+    arr[1, 0] = X.a
+    arr[0, 1] = oconj(X.a)
+    arr[2, 1] = X.b
+    arr[1, 2] = oconj(X.b)
+    arr[0, 2] = X.c
+    arr[2, 0] = oconj(X.c)
+    return arr
+
+
+def _fields(X) -> tuple[list[float], list[np.ndarray]]:
+    """Reals as Python floats and octonions as separately allocated arrays."""
+    if isinstance(X, Hermitian2):
+        return [X.x1, X.x2], [np.array(X.a)]
+    return [X.p, X.m, X.n], [np.array(X.a), np.array(X.b), np.array(X.c)]
+
+
+def _norm_fieldwise(X) -> float:
+    """Reference: diagonal squares in order, then twice the octonion dot products in order."""
+    reals, octs = _fields(X)
+    if isinstance(X, Hermitian2):
+        return float(np.sqrt(reals[0]**2 + reals[1]**2 + 2.0 * (octs[0] @ octs[0])))
+    a, b, c = octs
+    quad = reals[0]**2 + reals[1]**2 + reals[2]**2
+    quad += 2.0 * (a @ a + b @ b + c @ c)
+    return float(np.sqrt(quad))
+
+
+def _trace_fieldwise(X) -> float:
+    reals, _ = _fields(X)
+    return reals[0] + reals[1] if len(reals) == 2 else reals[0] + reals[1] + reals[2]
+
+
+def _arith_fieldwise(op, X, Y):
+    """Reference: op field by field, then the component constructor."""
+    (xr, xo), (yr, yo) = _fields(X), _fields(Y)
+    return type(X)(*[op(r, s) for r, s in zip(xr, yr)], *[op(a, b) for a, b in zip(xo, yo)])
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def _layer_samples() -> list:
+    rng = np.random.default_rng(SEED)
+    out = []
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(8):
+            out.append(random_jordan(rng, scale))
+            out.append(Hermitian2(*(rng.standard_normal(2) * scale), rng.standard_normal(8) * scale))
+    return out
+
+
+class TestCoordinateLayer:
+    @pytest.mark.parametrize("n,dim", [(2, 10), (3, 27)])
+    def test_stack_roundtrip(self, n, dim):
+        rng = np.random.default_rng(SEED + n)
+        V = rng.standard_normal((64, dim))
+        arrs = hermitian_arrays(V, n)
+        assert arrs.shape == (64, n, n, 8)
+        assert np.array_equal(hermitian_vectors(arrs), V)
+        assert np.array_equal(hermitian_vectors(arrs.reshape(4, 16, n, n, 8)), V.reshape(4, 16, dim))
+
+    def test_to_array_matches_fieldwise(self):
+        for X in _layer_samples():
+            arr = _to_array_fieldwise(X)
+            assert _bits(X.to_array()) == _bits(arr)
+            assert _bits(type(X).from_array(arr).to_vector()) == _bits(X.to_vector())
+
+    def test_norm_and_trace_match_fieldwise(self):
+        for X in _layer_samples():
+            assert _bits(X.norm) == _bits(_norm_fieldwise(X))
+            assert _bits(X.trace) == _bits(_trace_fieldwise(X))
+            assert type(X.norm) is float and type(X.trace) is float
+
+    def test_arithmetic_matches_fieldwise(self):
+        samples = _layer_samples()
+        for X, Y in zip(samples[:-2], samples[2:]):
+            assert _bits((X + Y).to_vector()) == _bits(_arith_fieldwise(np.add, X, Y).to_vector())
+            assert _bits((X - Y).to_vector()) == _bits(_arith_fieldwise(np.subtract, X, Y).to_vector())
+            scaled = _arith_fieldwise(lambda x, _: x * 2.75, X, X).to_vector()
+            assert _bits((X * 2.75).to_vector()) == _bits(scaled)
+            assert _bits((2.75 * X).to_vector()) == _bits(scaled)
+            negated = _arith_fieldwise(lambda x, _: x * -1.0, X, X).to_vector()
+            assert _bits((-X).to_vector()) == _bits(negated)
+
+    def test_sizes_do_not_mix(self):
+        with pytest.raises(TypeError):
+            JordanMatrix.identity() + Hermitian2.identity()
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    def test_to_vector_is_readonly(self, cls):
+        X = cls.identity()
+        with pytest.raises(ValueError):
+            X.to_vector()[0] = 2.0
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    def test_from_vector_copies(self, cls):
+        v = np.random.default_rng(SEED).standard_normal(cls.DIM)
+        X = cls.from_vector(v)
+        v[:] = 0.0
+        assert np.array_equal(X.to_vector(), np.random.default_rng(SEED).standard_normal(cls.DIM))
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    def test_basis_is_vector_basis(self, cls):
+        basis = np.stack([B.to_vector() for B in cls.basis()])
+        assert np.array_equal(basis, np.eye(cls.DIM))
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    @pytest.mark.parametrize("entry", [(0, 1, 3), (1, 1, 5)], ids=["upper", "diagonal"])
+    def test_from_array_validates_hermiticity(self, cls, entry):
+        X = cls.from_vector(np.arange(cls.DIM, dtype=float))
+        arr = X.to_array()
+        assert cls.from_array(arr).isclose(X)
+        arr[entry] += 0.5  # breaks conj(arr[0, 1]) = arr[1, 0], or a real diagonal
+        with pytest.raises(ValueError):
+            cls.from_array(arr)
+        with pytest.raises(ValueError):
+            cls.from_array(np.zeros((4, 4, 8)))
 
 
 class TestJsonForms:

@@ -297,6 +297,15 @@ class TestEmbed:
         assert got_n == pytest.approx(n)
 
 
+class TestHermitianBasis:
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    def test_is_the_class_basis(self, cls):
+        basis = _hermitian_basis(cls.SIZE)
+        ref = np.stack([B.to_array() for B in cls.basis()])
+        assert basis.tobytes() == ref.tobytes()
+        assert not basis.flags.writeable
+
+
 class TestLinearOp:
     def test_identity(self):
         assert np.allclose(NestedMap.single(I3).as_linear_op(), np.eye(27))
