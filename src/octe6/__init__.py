@@ -49,6 +49,7 @@ from .generators import (
     GeneratorCurve,
     g2_curves,
     lie_element,
+    lie_elements,
     lie_rank,
     roster,
     so8_action_check,

@@ -29,6 +29,19 @@ saturates the 14-dimensional span.
 A curve's Lie algebra element is the central difference (step
 ``LIE_STEP``) of its 27x27 operator, right-translated to the identity;
 dimensions are numerical ranks of the flattened elements.
+
+``lie_elements`` computes the elements of a whole curve list in stacked
+passes.  Curves are grouped by (depth, slot), an opaque callable's already
+embedded 3x3 layers forming groups of their own.  Each curve's layers are
+evaluated at +h, -h and 0; a group's pass runs as soon as it holds
+``LIE_CHUNK`` curves, and the partly filled groups run at the end.  A pass
+embeds its 2x2 blocks in one index shift, and ``linear_ops`` acts on the
+27 Jordan basis matrices one layer at a time for all its maps together;
+one batched inverse and one batched product finish it.  The chunk bounds
+the peak memory: the 210 G2 curves allocate at most 2.9 MB at a time in
+passes of 8 curves (24 maps), against 1.3 MB one curve at a time and 45 MB
+in a single pass, whose stacked basis images alone take 10 MB.  Passes of
+more than 8 curves are not faster.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ import numpy as np
 
 from .jordan import JordanMatrix
 from .octonion import Octonion, _as_coeffs, _numerical_rank, oconj, omul, onorm
-from .transform import NestedMap, OctMatrix, embed
+from .transform import NestedMap, OctMatrix, _embed_arrays, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
 BASIS_UNITS = ("1",) + IMAGINARY_UNITS
@@ -59,8 +72,11 @@ EXPECTED_DIMENSION = {
 # groups whose roster lives in a single 2x2 block slot
 SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
 
-# central-difference step of lie_element
+# central-difference step of lie_elements
 LIE_STEP = 1e-5
+
+# curves per stacked pass of lie_elements; bounds the pass's arrays and so the peak RSS
+LIE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -247,25 +263,56 @@ def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
 # Lie elements and ranks
 # ---------------------------------------------------------------------------
 
-def lie_element(curve) -> np.ndarray:
-    """Tangent of a curve at 0, right-translated to the identity.
+def lie_elements(curves: Sequence) -> list[np.ndarray]:
+    """Lie elements of many curves, in stacked passes; see the module docstring.
 
-    Central difference (op(c(h)) - op(c(-h)))/2h with h = LIE_STEP, times
-    op(c(0))^-1; the base operator is a group element and hence invertible.
+    Element t is the tangent of curves[t] at 0, right-translated to the
+    identity: the central difference (op(c(h)) - op(c(-h)))/2h with
+    h = LIE_STEP, times op(c(0))^-1.  The base operator is a group element
+    and hence invertible; a singular one raises ValueError.
     """
     h = LIE_STEP
-    plus = curve(h).as_linear_op()
-    minus = curve(-h).as_linear_op()
-    base = curve(0.0).as_linear_op()
+    out = [None] * len(curves)
+    pending: dict[tuple, list] = {}  # (depth, slot) -> [(index, (3, depth, n, n, 8) layers)]
+    for index, curve in enumerate(curves):
+        if isinstance(curve, GeneratorCurve):
+            slot, maps = curve.slot, [curve.blocks(t) for t in (h, -h, 0.0)]
+        else:  # an opaque callable: its maps' 3x3 layers
+            slot, maps = None, [curve(t).layers for t in (h, -h, 0.0)]
+        layers = np.array([[M.arr for M in layer_list] for layer_list in maps])
+        key = (layers.shape[1], slot)
+        pending.setdefault(key, []).append((index, layers))
+        if len(pending[key]) == LIE_CHUNK:
+            _lie_pass(pending.pop(key), slot, out)
+    for (_, slot), chunk in pending.items():
+        _lie_pass(chunk, slot, out)
+    return out
+
+
+def _lie_pass(chunk: list, slot: int | None, out: list) -> None:
+    """One stacked pass of lie_elements over curves of one depth and slot."""
+    stack = np.stack([layers for _, layers in chunk], axis=1)  # (3, C, depth, n, n, 8)
+    if slot is not None:
+        stack = _embed_arrays(stack, slot)
+    plus, minus, base = linear_ops(stack)
     try:
         base_inv = np.linalg.inv(base)
     except np.linalg.LinAlgError as exc:
         raise ValueError("curve(0) is singular; the roster is broken") from exc
-    return (plus - minus) / (2.0 * h) @ base_inv
+    elements = (plus - minus) / (2.0 * LIE_STEP) @ base_inv
+    for (index, _), element in zip(chunk, elements):
+        out[index] = element
+
+
+def lie_element(curve) -> np.ndarray:
+    """Tangent of one curve at 0, right-translated to the identity (see lie_elements)."""
+    return lie_elements([curve])[0]
 
 
 def _as_elements(items: Sequence) -> list[np.ndarray]:
-    return [item if isinstance(item, np.ndarray) else lie_element(item) for item in items]
+    """Raw arrays as given and the Lie elements of curves, in the order of items."""
+    computed = iter(lie_elements([item for item in items if not isinstance(item, np.ndarray)]))
+    return [item if isinstance(item, np.ndarray) else next(computed) for item in items]
 
 
 def singular_values(items: Sequence) -> np.ndarray:

@@ -77,8 +77,11 @@ def hermitian_arrays(V: np.ndarray, n: int) -> np.ndarray:
 def hermiticity_residual(arr: np.ndarray) -> float:
     """How far an (n, n, 8) array is from being Hermitian.
 
-    The largest imaginary diagonal coefficient or |arr[r, c] - conj(arr[c, r])|.
+    The largest imaginary diagonal coefficient or |arr[r, c] - conj(arr[c, r])|;
+    inf when an entry is NaN or infinite.
     """
+    if not np.isfinite(arr).all():
+        return np.inf
     n = arr.shape[0]
     rows, cols = np.triu_indices(n, 1)
     diag = np.abs(arr[range(n), range(n), 1:]).max()
@@ -147,7 +150,7 @@ class _Hermitian:
             raise ValueError(f"expected a ({n}, {n}, 8) array")
         if check:
             res = hermiticity_residual(arr)
-            if res > tol * max(1.0, float(np.abs(arr).max())):
+            if res == np.inf or res > tol * max(1.0, float(np.abs(arr).max())):
                 raise ValueError(f"array is not Hermitian (residual {res:g})")
         return cls._wrap(hermitian_vectors(arr))
 

@@ -102,11 +102,15 @@ def onorm(x: np.ndarray) -> np.ndarray | float:
 def omatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of octonionic matrices, entries paired left to right.
 
-    ``(..., n, k, 8) @ (k, m, 8)`` or ``(n, k, 8) @ (..., k, m, 8)`` gives
-    ``(..., n, m, 8)``; at most one operand has a leading batch.  The table
-    is contracted with the operand without a batch, into one real matrix
-    built once per call, and the batch folds into the rows or columns of a
-    single BLAS product.  (On the batched side it would be built per item.)
+    ``(..., n, k, 8) @ (..., k, m, 8)`` gives ``(..., n, m, 8)``.  Either
+    operand may carry a leading batch; when both do, the shorter batch must
+    be a leading prefix of the longer one, and item ``P`` of the shorter
+    batch multiplies every item ``(P, ...)`` of the longer.  The table is
+    contracted with the operand with the shorter batch (with the right
+    operand when the batches are equal), into one real matrix per item, and
+    the longer operand's extra axes fold into the rows or columns of one
+    BLAS product per item.  (On the longer side the table would be
+    contracted once per extra item.)
     """
     if B.ndim == 3:
         # table on B: (c, b, I, K) -> rows (c, I), columns (b, K)
@@ -114,15 +118,34 @@ def omatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         right = np.tensordot(B, MUL_TENSOR, axes=([2], [1]))
         right = right.transpose(0, 2, 1, 3).reshape(8 * k, 8 * m)
         return (A.reshape(-1, 8 * k) @ right).reshape(A.shape[:-2] + (m, 8))
-    if A.ndim != 3:
-        raise ValueError("omatmul takes a leading batch on one operand only")
-    # table on A: rows (a, K), columns (c, J); B's batch joins its columns (b)
-    n, k, _ = A.shape
-    batch, m = B.shape[:-3], B.shape[-2]
-    left = np.einsum("acI,IJK->aKcJ", A, MUL_TENSOR).reshape(8 * n, 8 * k)
-    cols = np.moveaxis(B.reshape(-1, k, m, 8), (1, 3), (0, 1)).reshape(8 * k, -1)
-    out = (left @ cols).reshape(n, 8, -1, m)
-    return out.transpose(2, 0, 3, 1).reshape(batch + (n, m, 8))
+    if A.ndim == 3:
+        # table on A: rows (a, K), columns (c, J); B's batch joins its columns (b)
+        n, k, _ = A.shape
+        batch, m = B.shape[:-3], B.shape[-2]
+        left = np.einsum("acI,IJK->aKcJ", A, MUL_TENSOR).reshape(8 * n, 8 * k)
+        cols = np.moveaxis(B.reshape(-1, k, m, 8), (1, 3), (0, 1)).reshape(8 * k, -1)
+        out = (left @ cols).reshape(n, 8, -1, m)
+        return out.transpose(2, 0, 3, 1).reshape(batch + (n, m, 8))
+    # batches on both sides, paired item by item by np.matmul
+    a_batch, b_batch = A.shape[:-3], B.shape[:-3]
+    n, k, _ = A.shape[-3:]
+    m = B.shape[-2]
+    if len(b_batch) <= len(a_batch):
+        if a_batch[:len(b_batch)] != b_batch:
+            raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
+        # table on B per item; A's extra axes join its rows
+        right = np.swapaxes(np.tensordot(B, MUL_TENSOR, axes=([-1], [1])), -3, -2)
+        right = right.reshape(b_batch + (8 * k, 8 * m))
+        rows = A.reshape(b_batch + (-1, 8 * k))
+        return np.matmul(rows, right).reshape(a_batch + (n, m, 8))
+    if b_batch[:len(a_batch)] != a_batch:
+        raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
+    # table on A per item; B's extra axes join its columns
+    left = np.einsum("...acI,IJK->...aKcJ", A, MUL_TENSOR).reshape(a_batch + (8 * n, 8 * k))
+    cols = np.moveaxis(B.reshape(a_batch + (-1, k, m, 8)), (-3, -1), (-4, -3))
+    out = np.matmul(left, cols.reshape(a_batch + (8 * k, -1)))
+    out = np.moveaxis(out.reshape(a_batch + (n, 8, -1, m)), (-4, -3), (-3, -1))
+    return out.reshape(b_batch + (n, m, 8))
 
 
 def odagger(A: np.ndarray) -> np.ndarray:

@@ -15,7 +15,9 @@ of a nested map's action on the Jordan coordinates.
 
 Every action is the batched ``omatmul``: the 27x27 matrix acts on the stack
 of the 27 Jordan basis matrices, the predicates on stacked Hermitian bases
-and spinor columns.
+and spinor columns.  ``linear_ops`` does the same for a stack of nested maps
+of one depth, given as their layer arrays, pairing each map with its own
+copy of the basis by ``omatmul``'s prefix-batch rule.
 """
 
 from __future__ import annotations
@@ -177,9 +179,7 @@ class NestedMap:
         X = np.asarray(X, dtype=float)
         if X.shape[-3:] != (self.dim, self.dim, 8):
             raise ValueError("operand dimension does not match the map")
-        for M in self.layers:
-            X = omatmul(omatmul(M.arr, X), odagger(M.arr))
-        return X
+        return _act([M.arr for M in self.layers], X)
 
     def apply(self, X):
         """Act on a JordanMatrix (3x3 maps) or Hermitian2 (2x2 maps)."""
@@ -200,12 +200,34 @@ class NestedMap:
 
     def as_linear_op(self) -> np.ndarray:
         """27x27 real matrix: column t is the image of Jordan basis element t."""
-        if self.dim != 3:
-            raise ValueError("the 27-coordinate operator needs 3x3 layers")
-        return hermitian_vectors(self.apply_array(_hermitian_basis(3))).T
+        return linear_ops(np.stack([M.arr for M in self.layers]))
 
     def __repr__(self):
         return f"NestedMap(dim={self.dim}, depth={len(self.layers)})"
+
+
+def _act(layers, X: np.ndarray) -> np.ndarray:
+    """Layers applied inside out, X -> (M X) M^dagger for each M in turn.
+
+    A stacked layer pairs with the items of X by omatmul's prefix rule.
+    """
+    for M in layers:
+        X = omatmul(omatmul(M, X), odagger(M))
+    return X
+
+
+def linear_ops(layers: np.ndarray) -> np.ndarray:
+    """27x27 operators of stacked nested maps, (..., depth, 3, 3, 8) -> (..., 27, 27).
+
+    Item P of the stack is the map whose layers are ``layers[P]``; its
+    operator's column t is the image of Jordan basis element t.  All maps
+    act on the 27 basis matrices together, one omatmul per side per layer.
+    """
+    if layers.shape[-3:] != (3, 3, 8):
+        raise ValueError("the 27-coordinate operator needs 3x3 layers")
+    basis = np.broadcast_to(_hermitian_basis(3), layers.shape[:-4] + (27, 3, 3, 8))
+    X = _act([layers[..., d, :, :, :] for d in range(layers.shape[-4])], basis)
+    return np.swapaxes(hermitian_vectors(X), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,15 +323,20 @@ def embed(M: OctMatrix, slot: int) -> OctMatrix:
     is the slot-0 embedding conjugated s times by the cyclic permutation T,
     whose effect is to read row and column i from index (i + s) mod 3.
     """
-    if M.n != 2:
+    return OctMatrix(_embed_arrays(M.arr, slot))
+
+
+def _embed_arrays(blocks: np.ndarray, slot: int) -> np.ndarray:
+    """embed on a (..., 2, 2, 8) stack of block arrays, giving (..., 3, 3, 8)."""
+    if blocks.shape[-3:] != (2, 2, 8):
         raise ValueError("embed expects a 2x2 matrix")
     if slot not in (0, 1, 2):
         raise ValueError("slot must be 0, 1 or 2")
-    arr = np.zeros((3, 3, 8))
-    arr[:2, :2] = M.arr
-    arr[2, 2, 0] = 1.0
+    arr = np.zeros(blocks.shape[:-3] + (3, 3, 8))
+    arr[..., :2, :2, :] = blocks
+    arr[..., 2, 2, 0] = 1.0
     idx = (np.arange(3) + slot) % 3
-    return OctMatrix(arr[np.ix_(idx, idx)])
+    return arr[..., idx[:, None], idx, :]
 
 
 def nested_map_to_json(nm: NestedMap) -> list:

@@ -6,11 +6,15 @@ import pytest
 from octe6.generators import (
     EXPECTED_DIMENSION,
     GROUPS,
+    LIE_STEP,
+    SLOT_GROUPS,
     GeneratorCurve,
+    _as_elements,
     boost_curves,
     flip_pair_curves,
     g2_curves,
     lie_element,
+    lie_elements,
     lie_rank,
     rank_gap,
     roster,
@@ -20,9 +24,18 @@ from octe6.generators import (
     span_equal,
     transverse_curves,
 )
-from octe6.jordan import JordanMatrix, random_jordan
+from octe6.jordan import JordanMatrix, hermitian_vectors, random_jordan
 from octe6.octonion import Octonion, exp_imag, is_automorphism, omul, oconj
-from octe6.transform import complex_det, embed, is_compatible, is_complex, is_welldefined
+from octe6.transform import (
+    NestedMap,
+    OctMatrix,
+    _hermitian_basis,
+    complex_det,
+    embed,
+    is_compatible,
+    is_complex,
+    is_welldefined,
+)
 
 SEED = 16180
 
@@ -75,6 +88,24 @@ class TestRosterStructure:
                     -1.0 if "flip" in curve.label else 1.0, abs=1e-9)
 
 
+def _lie_element_per_curve(curve):
+    """The per-curve formula that the stacked passes replaced, kept as an oracle."""
+
+    def op(theta):
+        return hermitian_vectors(curve(theta).apply_array(_hermitian_basis(3))).T
+
+    return (op(LIE_STEP) - op(-LIE_STEP)) / (2.0 * LIE_STEP) @ np.linalg.inv(op(0.0))
+
+
+def _opaque(curve):
+    """The same curve as a plain callable, so that it takes the embedded-layer path."""
+    return lambda theta: curve(theta)
+
+
+def _degenerate(theta):
+    return NestedMap.single(OctMatrix.zero(3) * (1.0 + theta))
+
+
 class TestLieElements:
     def test_diagonal_boost_analytic_form(self):
         # slot-0 diagonal boost: d/dt acts as +1 on p, -1 on m, -+1/2 on spinors
@@ -103,13 +134,52 @@ class TestLieElements:
         assert lie_rank([L, 2.0 * L]) == 1
 
     def test_singular_base_point_rejected(self):
-        from octe6.transform import NestedMap, OctMatrix
-
-        def degenerate(theta):
-            return NestedMap.single(OctMatrix.zero(3) * (1.0 + theta))
-
         with pytest.raises(ValueError):
-            lie_element(degenerate)
+            lie_element(_degenerate)
+
+
+class TestStackedLieElements:
+    @pytest.mark.parametrize("group, slot", [
+        (group, slot) for group in GROUPS
+        for slot in ((0, 1, 2) if group in SLOT_GROUPS else (0,))
+    ])
+    def test_matches_per_curve_formula(self, group, slot):
+        curves = roster(group, slot=slot)
+        elements = lie_elements(curves)
+        assert len(elements) == len(curves)
+        for curve, element in zip(curves, elements):
+            assert np.array_equal(element, _lie_element_per_curve(curve)), curve.label
+
+    def test_opaque_callables_match_generator_curves(self):
+        # mixed depths, more curves than one pass holds
+        curves = roster("SO9", slot=1)
+        opaque = lie_elements([_opaque(c) for c in curves])
+        for got, expected in zip(opaque, lie_elements(curves)):
+            assert np.array_equal(got, expected)
+
+    def test_singular_base_in_stack_rejected(self):
+        items = ([_opaque(c) for c in boost_curves(0)[:3]] + [_degenerate]
+                 + [_opaque(c) for c in rotation_curves(0)[:3]])
+        with pytest.raises(ValueError):
+            lie_elements(items)
+
+    def test_two_by_two_layers_rejected(self):
+        with pytest.raises(ValueError):
+            lie_element(lambda theta: NestedMap.single(OctMatrix.identity(2)))
+
+    def test_mixed_items_keep_their_order(self):
+        curves = roster("SO8", slot=2)[::6]
+        L = [_lie_element_per_curve(c) for c in curves]
+        raw = [3.0 * lie_element(c) for c in roster("SO7")[:3]]
+        items = [raw[0], curves[0], curves[1], raw[1], curves[2], raw[2], curves[3], curves[4]]
+        expected = [raw[0], L[0], L[1], raw[1], L[2], raw[2], L[3], L[4]]
+        got = _as_elements(items)
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+        stacked = np.stack([el.ravel() for el in expected])
+        assert np.array_equal(singular_values(items), np.linalg.svd(stacked, compute_uv=False))
+        assert span_equal(items, expected)
 
 
 class TestRanks:

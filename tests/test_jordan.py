@@ -17,6 +17,7 @@ from octe6.jordan import (
     hermitian2_to_dict,
     hermitian_arrays,
     hermitian_vectors,
+    hermiticity_residual,
     jordan_from_dict,
     jordan_product,
     jordan_to_dict,
@@ -439,6 +440,17 @@ class TestCoordinateLayer:
             cls.from_array(arr)
         with pytest.raises(ValueError):
             cls.from_array(np.zeros((4, 4, 8)))
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    @pytest.mark.parametrize("entry", [(1, 1, 0), (1, 0, 3), (0, 1, 3)],
+                             ids=["diagonal", "stored", "mirrored"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, cls, entry, value):
+        arr = cls.from_vector(np.arange(cls.DIM, dtype=float)).to_array()
+        arr[entry] = value
+        assert hermiticity_residual(arr) == np.inf
+        with pytest.raises(ValueError):
+            cls.from_array(arr)
 
 
 class TestJsonForms:

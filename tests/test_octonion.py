@@ -219,6 +219,10 @@ def _entrywise(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return omul(A[:, :, None], B[None, :, :]).sum(axis=1)
 
 
+def _batch_id(batch):
+    return "x".join(map(str, batch))
+
+
 class TestBatchedMatmul:
     # integer-valued coefficients keep every sum exact, so any summation
     # order gives the same floats and the results can be compared exactly
@@ -244,10 +248,31 @@ class TestBatchedMatmul:
         assert np.array_equal(omatmul(A, B), flat.reshape(2, 4, 3, 3, 8))
         assert np.array_equal(omatmul(B, A), omatmul(B.reshape(8, 3, 3, 8), A).reshape(B.shape))
 
-    def test_batch_on_both_sides_rejected(self):
-        X = np.zeros((4, 2, 2, 8))
+    @pytest.mark.parametrize("a_batch, b_batch", [
+        ((4,), (4,)),
+        ((2, 3), (2, 3)),
+        ((4,), (4, 5)),
+        ((2,), (2, 3, 2)),
+        ((4, 5), (4,)),
+        ((2, 3, 2), (2,)),
+    ], ids=_batch_id)
+    @pytest.mark.parametrize("n, k, m", [(3, 3, 3), (2, 2, 1)])
+    def test_paired_batches_match_item_loop(self, a_batch, b_batch, n, k, m):
+        # item P of the shorter batch multiplies every item (P, ...) of the longer
+        rng = np.random.default_rng(SEED)
+        A = rng.integers(-3, 4, a_batch + (n, k, 8)).astype(float)
+        B = rng.integers(-3, 4, b_batch + (k, m, 8)).astype(float)
+        batch = max(a_batch, b_batch, key=len)
+        expected = np.empty(batch + (n, m, 8))
+        for idx in np.ndindex(*batch):
+            expected[idx] = omatmul(A[idx[:len(a_batch)]], B[idx[:len(b_batch)]])
+        assert np.array_equal(omatmul(A, B), expected)
+
+    @pytest.mark.parametrize("a_batch, b_batch", [((4,), (5,)), ((2,), (3, 2)), ((3, 2), (2,))],
+                             ids=_batch_id)
+    def test_non_prefix_batches_rejected(self, a_batch, b_batch):
         with pytest.raises(ValueError):
-            omatmul(X, X)
+            omatmul(np.zeros(a_batch + (2, 2, 8)), np.zeros(b_batch + (2, 2, 8)))
 
     def test_dagger_of_stack(self):
         rng = np.random.default_rng(SEED)
