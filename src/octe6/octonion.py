@@ -65,6 +65,12 @@ def _build_mul_tensor() -> np.ndarray:
 
 
 MUL_TENSOR = _build_mul_tensor()
+# the table as a (8, 64) matrix for omatmul: rows J, columns (I, K) when it
+# is contracted with the right factor's coefficients, rows I, columns (J, K)
+# when with the left factor's
+_TABLE_ON_RIGHT = MUL_TENSOR.transpose(1, 0, 2).reshape(8, 64)
+_TABLE_ON_RIGHT.setflags(write=False)
+_TABLE_ON_LEFT = MUL_TENSOR.reshape(8, 64)
 
 
 def signed_table() -> np.ndarray:
@@ -107,45 +113,35 @@ def omatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     be a leading prefix of the longer one, and item ``P`` of the shorter
     batch multiplies every item ``(P, ...)`` of the longer.  The table is
     contracted with the operand with the shorter batch (with the right
-    operand when the batches are equal), into one real matrix per item, and
-    the longer operand's extra axes fold into the rows or columns of one
-    BLAS product per item.  (On the longer side the table would be
-    contracted once per extra item.)
+    operand when the batches are equal), by one product with a fixed
+    ``(8, 64)`` matrix, into one real matrix per item; the longer operand's
+    extra axes fold into the rows or columns of one BLAS product per item.
+    (On the longer side the table would be contracted once per extra item.)
+    Each table column has one nonzero entry, +-1, so the contraction is
+    exact.
     """
-    if B.ndim == 3:
-        # table on B: (c, b, I, K) -> rows (c, I), columns (b, K)
-        k, m, _ = B.shape
-        right = np.tensordot(B, MUL_TENSOR, axes=([2], [1]))
-        right = right.transpose(0, 2, 1, 3).reshape(8 * k, 8 * m)
-        return (A.reshape(-1, 8 * k) @ right).reshape(A.shape[:-2] + (m, 8))
-    if A.ndim == 3:
-        # table on A: rows (a, K), columns (c, J); B's batch joins its columns (b)
-        n, k, _ = A.shape
-        batch, m = B.shape[:-3], B.shape[-2]
-        left = np.einsum("acI,IJK->aKcJ", A, MUL_TENSOR).reshape(8 * n, 8 * k)
-        cols = np.moveaxis(B.reshape(-1, k, m, 8), (1, 3), (0, 1)).reshape(8 * k, -1)
-        out = (left @ cols).reshape(n, 8, -1, m)
-        return out.transpose(2, 0, 3, 1).reshape(batch + (n, m, 8))
-    # batches on both sides, paired item by item by np.matmul
     a_batch, b_batch = A.shape[:-3], B.shape[:-3]
     n, k, _ = A.shape[-3:]
     m = B.shape[-2]
     if len(b_batch) <= len(a_batch):
         if a_batch[:len(b_batch)] != b_batch:
             raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
-        # table on B per item; A's extra axes join its rows
-        right = np.swapaxes(np.tensordot(B, MUL_TENSOR, axes=([-1], [1])), -3, -2)
-        right = right.reshape(b_batch + (8 * k, 8 * m))
-        rows = A.reshape(b_batch + (-1, 8 * k))
-        return np.matmul(rows, right).reshape(a_batch + (n, m, 8))
+        # table on B per item: (P, c, b, I, K) -> rows (c, I), columns (b, K);
+        # A's extra axes join its rows
+        right = (B.reshape(-1, 8) @ _TABLE_ON_RIGHT).reshape(-1, k, m, 8, 8)
+        right = right.transpose(0, 1, 3, 2, 4).reshape(-1, 8 * k, 8 * m)
+        rows = A.reshape(right.shape[0], -1, 8 * k)
+        return (rows @ right).reshape(a_batch + (n, m, 8))
     if b_batch[:len(a_batch)] != a_batch:
         raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
-    # table on A per item; B's extra axes join its columns
-    left = np.einsum("...acI,IJK->...aKcJ", A, MUL_TENSOR).reshape(a_batch + (8 * n, 8 * k))
-    cols = np.moveaxis(B.reshape(a_batch + (-1, k, m, 8)), (-3, -1), (-4, -3))
-    out = np.matmul(left, cols.reshape(a_batch + (8 * k, -1)))
-    out = np.moveaxis(out.reshape(a_batch + (n, 8, -1, m)), (-4, -3), (-3, -1))
-    return out.reshape(b_batch + (n, m, 8))
+    # table on A per item: (P, a, c, J, K) -> rows (a, K), columns (c, J);
+    # B's extra axes join its columns
+    left = (A.reshape(-1, 8) @ _TABLE_ON_LEFT).reshape(-1, n, k, 8, 8)
+    p = left.shape[0]
+    left = left.transpose(0, 1, 4, 2, 3).reshape(p, 8 * n, 8 * k)
+    cols = B.reshape(p, -1, k, m, 8).transpose(0, 2, 4, 1, 3).reshape(p, 8 * k, -1)
+    out = (left @ cols).reshape(p, n, 8, -1, m)
+    return out.transpose(0, 3, 1, 4, 2).reshape(b_batch + (n, m, 8))
 
 
 def odagger(A: np.ndarray) -> np.ndarray:
