@@ -245,16 +245,22 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
 def classify(A: JordanMatrix) -> int:
     """Number of nonzero eigenvalues via the det / sigma / trace cascade.
 
-    Thresholds scale with the homogeneity degree of each invariant.
+    The cascade runs on A / |A| against the fixed threshold 1e-8, so the
+    class does not depend on A's scale and no invariant under- or
+    overflows.  A is first divided by its largest coordinate, which keeps
+    |A| finite for every finite input.
     """
-    scale = A.norm
-    if scale == 0.0:
+    v = A.to_vector()
+    peak = np.abs(v).max()
+    if peak == 0.0:
         return 0
-    if abs(det3(A)) > 1e-8 * scale**3:
+    v = v / peak
+    unit = v / JordanMatrix.from_vector(v).norm
+    if abs(det3(unit)) > 1e-8:
         return 3
-    if abs(sigma(A)) > 1e-8 * scale**2:
+    if abs(sigma(unit)) > 1e-8:
         return 2
-    if abs(A.trace) > 1e-8 * scale:
+    if abs(unit[:3].sum()) > 1e-8:
         return 1
     return 0
 

@@ -15,11 +15,18 @@ vectors.  :class:`Hermitian2` and :class:`JordanMatrix` are read-only views
 over one coordinate vector (``to_vector``) that name its entries.
 
 The module implements the symmetrized Jordan product, the Freudenthal
-product, the cubic determinant and second invariant, the characteristic
+product and the triple product built from them, the characteristic
 equation residual, the Lorentzian inner product on 2x2 matrices, and the
-trace identity for complex octonionic matrices.  Eigenvalues come from the
-trigonometric solution of the characteristic cubic, whose roots are real
-for every Hermitian input.
+trace identity for complex octonionic matrices.  The cubic determinant and
+the second invariant are evaluated in closed form on the 27 coordinates,
+for one matrix or a ``(..., 27)`` stack, with no Jordan product:
+
+    det3  = pmn - p|b|^2 - m|c|^2 - n|a|^2 + 2 Re((b a) c)
+    sigma = pm + mn + np - |a|^2 - |b|^2 - |c|^2
+
+``det3`` equals the triple-product form tr[X, X, X]/3 (``triple``) up to
+rounding.  Eigenvalues come from the trigonometric solution of the
+characteristic cubic, whose roots are real for every Hermitian input.
 """
 
 from __future__ import annotations
@@ -269,14 +276,45 @@ def triple(X: JordanMatrix, Y: JordanMatrix, Z: JordanMatrix) -> JordanMatrix:
     return jordan_product(freudenthal(X, Y), Z)
 
 
-def det3(X: JordanMatrix) -> float:
-    """Cubic determinant tr[X, X, X]/3."""
-    return triple(X, X, X).trace / 3.0
+def _invariant_parts(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal (p, m, n), octonions (a, b, c) and |a|^2, |b|^2, |c|^2 of X.
+
+    X is a JordanMatrix or a (..., 27) coordinate array.
+    """
+    v = X.to_vector() if isinstance(X, JordanMatrix) else np.asarray(X, dtype=float)
+    off = v[..., 3:].reshape(v.shape[:-1] + (3, 8))
+    return v[..., :3], off, np.sum(off * off, axis=-1)
 
 
-def sigma(X: JordanMatrix) -> float:
-    """Second symmetric invariant tr(X * X) = ((tr X)^2 - tr(X o X))/2."""
-    return 0.5 * (X.trace**2 - jordan_product(X, X).trace)
+def _scalar_or_array(out: np.ndarray):
+    return float(out) if out.ndim == 0 else out
+
+
+def det3(X):
+    """Cubic determinant pmn - p|b|^2 - m|c|^2 - n|a|^2 + 2 Re((b a) c).
+
+    Closed form on the coordinates of a JordanMatrix (a float) or of a
+    (..., 27) stack (an array); equal to tr[X, X, X]/3 from ``triple`` up
+    to rounding.
+    """
+    d, off, sq = _invariant_parts(X)
+    p, m, n = d[..., 0], d[..., 1], d[..., 2]
+    # Re(x y) = <x, conj(y)>
+    re_bac = np.sum(omul(off[..., 1, :], off[..., 0, :]) * oconj(off[..., 2, :]), axis=-1)
+    out = p * m * n - p * sq[..., 1] - m * sq[..., 2] - n * sq[..., 0] + 2.0 * re_bac
+    return _scalar_or_array(out)
+
+
+def sigma(X):
+    """Second invariant pm + mn + np - |a|^2 - |b|^2 - |c|^2.
+
+    Equal to ((tr X)^2 - tr(X o X))/2; a float for a JordanMatrix, an
+    array for a (..., 27) stack.
+    """
+    d, _, sq = _invariant_parts(X)
+    p, m, n = d[..., 0], d[..., 1], d[..., 2]
+    out = p * m + m * n + n * p - sq[..., 0] - sq[..., 1] - sq[..., 2]
+    return _scalar_or_array(out)
 
 
 def char_residual(X: JordanMatrix) -> JordanMatrix:
@@ -295,16 +333,22 @@ def eigenvalues(X: JordanMatrix) -> np.ndarray:
 
     Trigonometric solution of the depressed cubic; the acos argument is
     clamped to [-1, 1] to absorb roundoff, and a nearly triple root falls
-    back to the real cube root.
+    back to the real cube root.  "Nearly" is relative: the depressed
+    cubic's linear coefficient lies within 1e-14 |X|^2 of zero.  The
+    fallback clamps the constant coefficient by the same real-root bound
+    as the acos argument.
     """
     c2, c1, c0 = X.trace, sigma(X), det3(X)
     shift = c2 / 3.0
     pdep = c1 - c2 * c2 / 3.0
     qdep = -2.0 * c2**3 / 27.0 + c1 * c2 / 3.0 - c0
-    scale = max(1.0, X.norm)
+    scale = X.norm
     pdep = min(pdep, 0.0)
     if -pdep <= 1e-14 * scale * scale:
-        roots = np.full(3, shift + np.cbrt(-qdep))
+        # three real roots need |qdep| <= 2 (-pdep/3)^(3/2); the rest of
+        # qdep is rounding, which the cube root would magnify
+        bound = 2.0 * (-pdep / 3.0) ** 1.5
+        roots = np.full(3, shift + np.cbrt(-np.clip(qdep, -bound, bound)))
     else:
         amp = 2.0 * np.sqrt(-pdep / 3.0)
         arg = np.clip(3.0 * qdep / (pdep * amp), -1.0, 1.0)

@@ -71,6 +71,10 @@ MUL_TENSOR = _build_mul_tensor()
 _TABLE_ON_RIGHT = MUL_TENSOR.transpose(1, 0, 2).reshape(8, 64)
 _TABLE_ON_RIGHT.setflags(write=False)
 _TABLE_ON_LEFT = MUL_TENSOR.reshape(8, 64)
+# the table as a (64, 8) matrix for omul: rows (I, J), columns K
+_TABLE_ON_PAIRS = MUL_TENSOR.reshape(64, 8)
+_CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
+_CONJ_SIGNS.setflags(write=False)
 
 
 def signed_table() -> np.ndarray:
@@ -88,15 +92,18 @@ def signed_table() -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def omul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Octonion product, broadcasting over leading axes."""
-    return np.einsum("...i,...j,ijk->...k", x, y, MUL_TENSOR)
+    """Octonion product, broadcasting over leading axes.
+
+    One matrix product: the 64 coefficient products x_I y_J of each pair
+    against the (64, 8) table, whose entries are 0 and +-1.
+    """
+    pairs = np.asarray(x)[..., :, None] * np.asarray(y)[..., None, :]
+    return pairs.reshape(pairs.shape[:-2] + (64,)) @ _TABLE_ON_PAIRS
 
 
 def oconj(x: np.ndarray) -> np.ndarray:
     """Octonion conjugate: negate the seven imaginary coefficients."""
-    out = np.array(x, dtype=float, copy=True)
-    out[..., 1:] *= -1.0
-    return out
+    return np.multiply(x, _CONJ_SIGNS)
 
 
 def onorm(x: np.ndarray) -> np.ndarray | float:

@@ -336,6 +336,16 @@ class TestClassify:
         A = random_jordan(rng)
         assert classify(A) == classify(A * 1e-6) == classify(A * 1e6)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-30, 1.0, 1e100, 1e150, 1e300])
+    def test_class_is_scale_free(self, t):
+        rng = np.random.default_rng(SEED)
+        for _ in range(4):
+            one = random_quaternionic_spinor(rng).square()
+            two = one + random_quaternionic_spinor(rng).square()
+            for A, expected in ((one, 1), (two, 2), (random_jordan(rng), 3)):
+                assert classify(A) == expected
+                assert classify(A * t) == expected
+
 
 class TestClassPreservation:
     def test_boost_keeps_one_square(self):

@@ -191,6 +191,98 @@ class TestEigenvalues:
             assert disc >= -1e-9 * max(1.0, X.norm**6)
 
 
+def _det3_triple(X: JordanMatrix) -> float:
+    """Oracle: tr[X, X, X]/3 from the Freudenthal and Jordan products."""
+    return triple(X, X, X).trace / 3.0
+
+
+def _sigma_jordan(X: JordanMatrix) -> float:
+    """Oracle: ((tr X)^2 - tr(X o X))/2 from one Jordan product."""
+    return 0.5 * (X.trace**2 - jordan_product(X, X).trace)
+
+
+class TestClosedFormInvariants:
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_det3_matches_triple_product(self, scale):
+        rng = np.random.default_rng(SEED)
+        for _ in range(32):
+            X = random_jordan(rng, scale)
+            assert det3(X) == pytest.approx(_det3_triple(X), rel=0,
+                                            abs=1e-12 * max(1.0, X.norm) ** 3)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e1, 1e3])
+    def test_sigma_matches_jordan_product(self, scale):
+        rng = np.random.default_rng(SEED)
+        for _ in range(32):
+            X = random_jordan(rng, scale)
+            assert sigma(X) == pytest.approx(_sigma_jordan(X), rel=0,
+                                             abs=1e-12 * max(1.0, X.norm) ** 2)
+
+    def test_exact_homogeneity(self):
+        # negation and scaling by powers of two commute with every rounding
+        rng = np.random.default_rng(SEED)
+        for _ in range(8):
+            X = random_jordan(rng)
+            assert det3(-X) == -det3(X) and det3(X * 2.0) == 8.0 * det3(X)
+            assert sigma(-X) == sigma(X) and sigma(X * 0.5) == 0.25 * sigma(X)
+        assert det3(JordanMatrix.diag(1, 1, 0)) == 0.0
+
+    def test_scalar_result_for_one_matrix(self):
+        X = random_jordan(np.random.default_rng(SEED))
+        for f in (det3, sigma):
+            assert type(f(X)) is float
+            assert type(f(X.to_vector())) is float
+            assert f(X.to_vector()) == f(X)
+
+    @pytest.mark.parametrize("batch", [(1,), (50,), (4, 5)])
+    def test_batched_rows_equal_single_calls(self, batch):
+        rng = np.random.default_rng(SEED)
+        V = rng.standard_normal(batch + (27,)) * 10.0 ** rng.integers(-3, 4, size=batch + (1,))
+        for f in (det3, sigma):
+            got = f(V)
+            assert got.shape == batch
+            for idx in np.ndindex(*batch):
+                single = f(JordanMatrix.from_vector(V[idx]))
+                assert np.float64(single).tobytes() == got[idx].tobytes()
+
+
+def _eigen_samples(rng) -> dict:
+    from octe6.cayley import random_quaternionic_spinor
+    one = random_quaternionic_spinor(rng).square()
+    two = one + random_quaternionic_spinor(rng).square()
+    return {"rank-1": one, "rank-2": two, "generic": random_jordan(rng)}
+
+
+class TestEigenvalueScale:
+    # rank-1 inputs have a double root at 0, which the cubic resolves only
+    # to about sqrt(eps) of the top eigenvalue
+    @pytest.mark.parametrize("t", [1e-90, 1e-60, 1e-30, 1e-15, 1e-8, 1e-3])
+    def test_scaled_input_scales_spectrum(self, t):
+        rng = np.random.default_rng(SEED)
+        for kind, X in _eigen_samples(rng).items():
+            ref = eigenvalues(X)
+            got = eigenvalues(X * t) / t
+            assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max(), kind
+
+    def test_near_triple_root_under_f4_words(self):
+        # F4 keeps the spectrum; rounding in the image's invariants must not
+        # be magnified by the cube root of the triple-root fallback
+        from octe6.generators import roster
+        rng = np.random.default_rng(SEED)
+        curves = roster("F4")
+        for _ in range(24):
+            X = JordanMatrix.from_vector(np.r_[np.ones(3), rng.standard_normal(24) * 1e-9])
+            nm = curves[int(rng.integers(len(curves)))](rng.uniform(-1, 1))
+            for t in rng.choice(len(curves), size=3):
+                nm = nm.compose(curves[t](rng.uniform(-1, 1)))
+            assert np.abs(eigenvalues(nm.apply(X)) - 1.0).max() <= 1e-7
+
+    def test_rank_one_top_eigenvalue_is_trace(self):
+        from octe6.cayley import random_quaternionic_spinor
+        X = random_quaternionic_spinor(np.random.default_rng(SEED)).square() * 1e-30
+        assert eigenvalues(X)[0] == pytest.approx(X.trace, rel=1e-8, abs=0.0)
+
+
 class TestBlocks:
     def test_lorentz_inner_of_identity(self):
         assert lorentz_inner(Hermitian2.identity(), Hermitian2.identity()) == pytest.approx(-1.0)

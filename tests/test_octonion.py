@@ -281,6 +281,60 @@ class TestBatchedMatmul:
         assert odagger(A).shape == (4, 3, 2, 8)
 
 
+def _einsum_omul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference product: the three-operand contraction with the table."""
+    return np.einsum("...i,...j,ijk->...k", x, y, MUL_TENSOR)
+
+
+class TestProductKernels:
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((8,), (8,)), ((1, 8), (1, 8)), ((500, 8), (500, 8)), ((8,), (40, 8)),
+        ((8, 1, 8), (1, 8, 8)), ((3, 4, 8), (4, 8)), ((2, 3, 5, 8), (2, 3, 5, 8)),
+    ])
+    def test_omul_bitwise_equals_einsum(self, x_shape, y_shape):
+        rng = np.random.default_rng(SEED)
+        for _ in range(5):
+            # coefficients over ten decades, so rounding depends on summation order
+            x = rng.standard_normal(x_shape) * 10.0 ** rng.integers(-5, 5, size=x_shape)
+            y = rng.standard_normal(y_shape) * 10.0 ** rng.integers(-5, 5, size=y_shape)
+            got, ref = omul(x, y), _einsum_omul(x, y)
+            assert got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_omul_keeps_nan_positions_and_zero_signs(self):
+        rng = np.random.default_rng(SEED)
+        x = rng.standard_normal((6, 8))
+        y = rng.standard_normal((6, 8))
+        x[0], y[1] = -0.0, -0.0
+        x[2, 3] = np.nan
+        x[3, :] = 0.0
+        y[3, :] = -0.0
+        y[4, 5] = np.nan
+        with np.errstate(invalid="ignore"):
+            got, ref = omul(x, y), _einsum_omul(x, y)
+        nan = np.isnan(ref)
+        assert nan.any() and np.array_equal(np.isnan(got), nan)
+        # bitwise on every other entry, so the sign of each zero too
+        assert got[~nan].tobytes() == ref[~nan].tobytes()
+
+    def test_omul_accepts_sequences(self):
+        assert np.array_equal(omul(I.coefficients.tolist(), J.coefficients.tolist()), K.coefficients)
+
+    def test_oconj_keeps_sign_of_zero(self):
+        x = np.array([-0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0])
+        got = oconj(x)
+        assert np.array_equal(np.signbit(got), [True, False, True, False, True, False, True, False])
+        assert np.array_equal(got, [0, 0, 0, 0, -1, 1, 0, 0])
+
+    def test_oconj_and_dagger_do_not_alias_input(self):
+        rng = np.random.default_rng(SEED)
+        A = rng.standard_normal((3, 3, 8))
+        before = A.copy()
+        odagger(A)[...] = 0.0
+        oconj(A)[...] = 0.0
+        assert np.array_equal(A, before)
+
+
 class TestEllConjugation:
     def test_full_identity(self):
         ok, res = triality_ell_conjugation_check()
