@@ -26,9 +26,10 @@ import numpy as np
 from .jordan import (
     Hermitian2,
     JordanMatrix,
+    _binary_scaled,
+    _cubic_roots,
     block_split,
     det3,
-    eigenvalues,
     freudenthal,
     jordan_product,
     sigma,
@@ -183,8 +184,9 @@ class PSquareDecomposition:
         return f"PSquareDecomposition(lambdas=[{lams}], p={self.p})"
 
 
-def _nonzero_count(lams, scale: float) -> int:
-    return int(sum(1 for lam in lams if abs(lam) > 1e-8 * max(1.0, scale)))
+# relative threshold of the class p: classify compares the invariants of
+# A / |A| with it, psquare_decompose the eigenvalues over |A|
+CLASS_TOL = 1e-8
 
 
 def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomposition:
@@ -192,19 +194,32 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
 
     Distinct eigenvalues give primitive trace-1 projections from the
     quadratic interpolant in Jordan powers.  Eigenvalues that agree within
-    merge_tol * scale are merged: the linear interpolant on the distinct
+    merge_tol * |A| are merged: the linear interpolant on the distinct
     values yields the (non-primitive) group projection, except that a
     numerically diagonal A is split directly into its diagonal idempotents.
+    p counts the eigenvalues, with multiplicity, above CLASS_TOL * |A|.
+
+    Every tolerance is relative: the decomposition runs on A times the
+    power of two that brings its largest coordinate into [1/2, 1), which
+    is exact, and the eigenvalues are scaled back.
     """
-    lams = eigenvalues(A)
-    scale = max(1.0, A.norm)
+    A, exponent = _binary_scaled(A)
+    scale = A.norm
+    terms, lams = _psquare_terms(A, scale, merge_tol)
+    p = sum(1 for lam in lams if abs(lam) > CLASS_TOL * scale)
+    return PSquareDecomposition([(np.ldexp(lam, exponent), P) for lam, P in terms], p)
+
+
+def _psquare_terms(A: JordanMatrix, scale: float, merge_tol: float) -> tuple[list, list]:
+    """Terms (lambda, projector) of psquare_decompose for a scaled A; its eigenvalues with multiplicity."""
+    lams = _cubic_roots(A)
     off_norm = max(float(onorm(A.a)), float(onorm(A.b)), float(onorm(A.c)))
     if off_norm <= 1e-12 * scale:
         # diagonal: idempotents can be read off directly, even when degenerate
         diag = (A.p, A.m, A.n)
         order = np.argsort(diag)[::-1]
         terms = [(diag[t], JordanMatrix.basis_element(int(t))) for t in order]
-        return PSquareDecomposition(terms, _nonzero_count([d for d, _ in terms], scale))
+        return terms, [d for d, _ in terms]
 
     identity = JordanMatrix.identity()
     tol = merge_tol * scale
@@ -217,19 +232,14 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
 
     if len(clusters) == 1:
         # triple eigenvalue: A is lambda I up to tolerance
-        return PSquareDecomposition(
-            [(float(np.mean(clusters[0])), identity)],
-            _nonzero_count(clusters[0], scale),
-        )
+        return [(float(np.mean(clusters[0])), identity)], clusters[0]
 
     if len(clusters) == 2:
         mu = float(np.mean(clusters[0]))
         nu = float(np.mean(clusters[1]))
         p_mu = (A - identity * nu) * (1.0 / (mu - nu))
         p_nu = (A - identity * mu) * (1.0 / (nu - mu))
-        lams_mult = [mu] * len(clusters[0]) + [nu] * len(clusters[1])
-        terms = [(mu, p_mu), (nu, p_nu)]
-        return PSquareDecomposition(terms, _nonzero_count(lams_mult, scale))
+        return [(mu, p_mu), (nu, p_nu)], [mu] * len(clusters[0]) + [nu] * len(clusters[1])
 
     A2 = jordan_product(A, A)
     terms = []
@@ -239,14 +249,14 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
         numer = A2 - A * (others[0] + others[1]) + identity * (others[0] * others[1])
         proj = numer * (1.0 / ((lam - others[0]) * (lam - others[1])))
         terms.append((lam, proj))
-    return PSquareDecomposition(terms, _nonzero_count(lams, scale))
+    return terms, lams
 
 
 def classify(A: JordanMatrix) -> int:
     """Number of nonzero eigenvalues via the det / sigma / trace cascade.
 
-    The cascade runs on A / |A| against the fixed threshold 1e-8, so the
-    class does not depend on A's scale and no invariant under- or
+    The cascade runs on A / |A| against the fixed threshold CLASS_TOL, so
+    the class does not depend on A's scale and no invariant under- or
     overflows.  A is first divided by its largest coordinate, which keeps
     |A| finite for every finite input.
     """
@@ -256,11 +266,11 @@ def classify(A: JordanMatrix) -> int:
         return 0
     v = v / peak
     unit = v / JordanMatrix.from_vector(v).norm
-    if abs(det3(unit)) > 1e-8:
+    if abs(det3(unit)) > CLASS_TOL:
         return 3
-    if abs(sigma(unit)) > 1e-8:
+    if abs(sigma(unit)) > CLASS_TOL:
         return 2
-    if abs(unit[:3].sum()) > 1e-8:
+    if abs(unit[:3].sum()) > CLASS_TOL:
         return 1
     return 0
 

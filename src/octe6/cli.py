@@ -64,9 +64,23 @@ def cmd_table(args) -> dict:
     }
 
 
-def _residual_or_inf(result: tuple[bool, float]) -> float:
-    verdict, residual = result
-    return residual if verdict else np.inf
+def _layer_residual(curves, tol: float) -> float:
+    """Largest well-definedness or compatibility residual of the curves' blocks at 0.37.
+
+    inf when a block is not complex, has a non-real determinant or fails
+    either predicate.  All blocks go through each predicate in one pass.
+    """
+    blocks = [np.array([M.arr for M in curve.blocks(0.37)]) for curve in curves]
+    layers = np.concatenate([transform._embed_arrays(b, c.slot) for b, c in zip(blocks, curves)])
+    blocks = np.concatenate(blocks)
+    if not transform.is_complex(blocks).all():
+        return np.inf
+    _, det_real = transform.complex_det(blocks)
+    welldefined, welldefined_res = transform.is_welldefined(layers, tol)
+    compatible, compatible_res = transform.is_compatible(blocks, tol)
+    if not (det_real.all() and welldefined.all() and compatible.all()):
+        return np.inf
+    return float(max(welldefined_res.max(), compatible_res.max()))
 
 
 def cmd_verify(args) -> dict:
@@ -79,18 +93,7 @@ def cmd_verify(args) -> dict:
     checks = [_check("lie-rank", rank, expected)]
 
     sample = [curves[idx] for idx in rng.choice(len(curves), size=min(6, len(curves)), replace=False)]
-    layer_res = 0.0
-    for curve in sample:
-        for block in curve.blocks(0.37):
-            if not transform.is_complex(block):
-                layer_res = np.inf
-                break
-            _, det_real = transform.complex_det(block)
-            layer_res = max(layer_res, 0.0 if det_real else np.inf)
-            layer = transform.embed(block, curve.slot)
-            layer_res = max(layer_res, _residual_or_inf(transform.is_welldefined(layer, args.tol)))
-            layer_res = max(layer_res, _residual_or_inf(transform.is_compatible(block, args.tol)))
-    checks.append(_bound("layer-predicates", layer_res, args.tol * 10))
+    checks.append(_bound("layer-predicates", _layer_residual(sample, args.tol), args.tol * 10))
 
     det_res = 0.0
     for _ in range(10):

@@ -38,8 +38,8 @@ evaluated at +h, -h and 0; a group's pass runs as soon as it holds
 embeds its 2x2 blocks in one index shift, and ``linear_ops`` acts on the
 27 Jordan basis matrices one layer at a time for all its maps together;
 one batched inverse and one batched product finish it.  The chunk bounds
-the peak memory: the 210 G2 curves allocate at most 2.9 MB at a time in
-passes of 8 curves (24 maps), against 1.3 MB one curve at a time and 45 MB
+the peak memory: the 210 G2 curves allocate at most 3.3 MB at a time in
+passes of 8 curves (24 maps), against 1.6 MB one curve at a time and 55 MB
 in a single pass, whose stacked basis images alone take 10 MB.  Passes of
 more than 8 curves are not faster.
 """
@@ -280,6 +280,8 @@ def lie_elements(curves: Sequence) -> list[np.ndarray]:
         else:  # an opaque callable: its maps' 3x3 layers
             slot, maps = None, [curve(t).layers for t in (h, -h, 0.0)]
         layers = np.array([[M.arr for M in layer_list] for layer_list in maps])
+        if slot is None and layers.shape[-3:] != (3, 3, 8):
+            raise ValueError("Lie elements need 3x3 layers")
         key = (layers.shape[1], slot)
         pending.setdefault(key, []).append((index, layers))
         if len(pending[key]) == LIE_CHUNK:

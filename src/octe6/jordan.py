@@ -31,6 +31,7 @@ characteristic cubic, whose roots are real for every Hermitian input.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -328,6 +329,17 @@ def char_residual(X: JordanMatrix) -> JordanMatrix:
     return out - JordanMatrix.identity() * det3(X)
 
 
+def _binary_scaled(X: JordanMatrix) -> tuple[JordanMatrix, int]:
+    """X / 2^e and e, for the e that brings X's largest coordinate into [1/2, 1).
+
+    The division is exact, so results computed on X / 2^e and scaled back
+    by 2^e keep every bit wherever nothing under- or overflows.
+    """
+    v = X.to_vector()
+    exponent = math.frexp(float(np.abs(v).max()))[1]
+    return JordanMatrix._wrap(np.ldexp(v, -exponent)), exponent
+
+
 def eigenvalues(X: JordanMatrix) -> np.ndarray:
     """Real roots of the characteristic cubic, descending.
 
@@ -336,8 +348,17 @@ def eigenvalues(X: JordanMatrix) -> np.ndarray:
     back to the real cube root.  "Nearly" is relative: the depressed
     cubic's linear coefficient lies within 1e-14 |X|^2 of zero.  The
     fallback clamps the constant coefficient by the same real-root bound
-    as the acos argument.
+    as the acos argument.  The cubic is solved for X times the power of
+    two that brings its largest coordinate into [1/2, 1), and the roots
+    are scaled back: the scaling is exact, so no invariant under- or
+    overflows and the roots scale exactly with X.
     """
+    X, exponent = _binary_scaled(X)
+    return np.ldexp(_cubic_roots(X), exponent)
+
+
+def _cubic_roots(X: JordanMatrix) -> np.ndarray:
+    """The eigenvalues of X, descending, without the scaling (see eigenvalues)."""
     c2, c1, c0 = X.trace, sigma(X), det3(X)
     shift = c2 / 3.0
     pdep = c1 - c2 * c2 / 3.0

@@ -168,11 +168,13 @@ def imaginary_rank(entries: np.ndarray, rel_tol: float = 1e-9) -> int:
     return _numerical_rank(np.linalg.svd(ims, compute_uv=False), rel_tol)
 
 
-def _numerical_rank(s: np.ndarray, rel_tol: float) -> int:
-    """Count of the descending singular values s above rel_tol * s[0]; 0 when s[0] = 0."""
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
+def _numerical_rank(s: np.ndarray, rel_tol: float):
+    """Count of the descending singular values s above rel_tol * s[0]; 0 when s[0] = 0.
+
+    An int for one list of values; an array of counts for a (..., k) stack.
+    """
+    counts = np.sum(s > rel_tol * s[..., :1], axis=-1)
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def _as_coeffs(x) -> np.ndarray:

@@ -10,28 +10,36 @@ the well-definedness predicate the other pairing agrees.  The module also
 provides the spinor action (layered left multiplication), the complexity /
 well-definedness / compatibility predicates that delimit the usable
 matrices, the three 2x2 -> 3x3 block embeddings (cyclic index shifts, i.e.
-conjugations by the cyclic permutation matrix), and the 27x27 real matrix
-of a nested map's action on the Jordan coordinates.
+conjugations by the cyclic permutation matrix), and the real operator of a
+nested map's action on the Hermitian coordinates.
 
-Every action is the batched ``omatmul``: the 27x27 matrix acts on the stack
-of the 27 Jordan basis matrices, the predicates on stacked Hermitian bases
-and spinor columns.  ``linear_ops`` does the same for a stack of nested maps
-of one depth, given as their layer arrays, pairing each map with its own
-copy of the basis by ``omatmul``'s prefix-batch rule.
+The action is real-linear in the coordinates, so ``NestedMap.apply``
+multiplies by the map's operator (27x27 for 3x3 layers, 10x10 for 2x2),
+built on the first call and kept read-only.  The operator comes from the
+layered kernel ``_act`` on the basis matrices.  For Hermitian X,
+M X = (X M^dagger)^dagger, so a layer is two products with the real table
+of M^dagger around a transpose; one contraction gives the tables of every
+layer, and ``linear_ops`` runs a whole stack of maps of one depth at once,
+each map on the basis stack folded into the rows of its BLAS products.
+The predicates take one matrix or a stack, and run on stacked Hermitian
+bases and spinor columns through the batched ``omatmul``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 
 import numpy as np
 
 from .jordan import _Hermitian, hermitian_arrays, hermitian_vectors
 from .octonion import (
+    _CONJ_SIGNS,
+    _TABLE_ON_RIGHT,
     Octonion,
     _as_coeffs,
-    imaginary_rank,
+    _numerical_rank,
     odagger,
     omatmul,
     omul,
@@ -147,9 +155,14 @@ def cyclic_permutation() -> OctMatrix:
 
 
 class NestedMap:
-    """Ordered layers of octonionic matrices applied inside out."""
+    """Ordered layers of octonionic matrices applied inside out.
 
-    __slots__ = ("layers",)
+    The action on Hermitian matrices is real-linear in the coordinates, so
+    ``apply`` multiplies by the map's real operator (27x27 for 3x3 layers,
+    10x10 for 2x2), built on first use and kept read-only.
+    """
+
+    __slots__ = ("layers", "_op")
 
     def __init__(self, layers):
         layers = tuple(layers)
@@ -159,6 +172,7 @@ class NestedMap:
         if any(layer.n != dim for layer in layers):
             raise ValueError("all layers must share one dimension")
         self.layers = layers
+        self._op = None
 
     @classmethod
     def single(cls, M: OctMatrix) -> "NestedMap":
@@ -175,19 +189,27 @@ class NestedMap:
         return NestedMap(self.layers + other.layers)
 
     def apply_array(self, X: np.ndarray) -> np.ndarray:
-        """Raw layered action on a (..., n, n, 8) stack, no Hermitian read-off."""
+        """Layered action on a (..., n, n, 8) stack of Hermitian matrices, no read-off.
+
+        X must be Hermitian: the kernel forms M X as (X M^dagger)^dagger.
+        A layer that fails the well-definedness predicate leaves a
+        non-Hermitian image, on whose conjugate transpose the next layer acts.
+        """
         X = np.asarray(X, dtype=float)
         if X.shape[-3:] != (self.dim, self.dim, 8):
             raise ValueError("operand dimension does not match the map")
-        return _act([M.arr for M in self.layers], X)
+        return _act(self._stacked(), X)
 
     def apply(self, X):
-        """Act on a JordanMatrix (3x3 maps) or Hermitian2 (2x2 maps)."""
+        """Act on a JordanMatrix (3x3 maps) or Hermitian2 (2x2 maps) through the operator."""
         if not isinstance(X, _Hermitian):
             raise TypeError("apply expects a JordanMatrix or Hermitian2")
         if X.SIZE != self.dim:
             raise ValueError(f"a {X.SIZE}x{X.SIZE} operand needs {X.SIZE}x{X.SIZE} layers")
-        return X.from_array(self.apply_array(X.to_array()), check=False)
+        op = self._op
+        if op is None:
+            op = self.as_linear_op()
+        return X._wrap(op @ X.to_vector())
 
     def apply_spinor(self, v: np.ndarray) -> np.ndarray:
         """Layered left multiplication on a 2-component octonion column."""
@@ -199,35 +221,84 @@ class NestedMap:
         return v[:, 0]
 
     def as_linear_op(self) -> np.ndarray:
-        """27x27 real matrix: column t is the image of Jordan basis element t."""
-        return linear_ops(np.stack([M.arr for M in self.layers]))
+        """Real operator on the coordinates: column t is the image of basis element t.
+
+        Built on the first call (``linear_ops``) and kept; the same
+        read-only array is returned every time.
+        """
+        if self._op is None:
+            op = linear_ops(self._stacked())
+            op.setflags(write=False)
+            self._op = op
+        return self._op
+
+    def _stacked(self) -> np.ndarray:
+        """The layers as one (depth, n, n, 8) array."""
+        arrays = [M.arr for M in self.layers]
+        return np.concatenate(arrays).reshape((-1,) + arrays[0].shape)
 
     def __repr__(self):
         return f"NestedMap(dim={self.dim}, depth={len(self.layers)})"
 
 
-def _act(layers, X: np.ndarray) -> np.ndarray:
-    """Layers applied inside out, X -> (M X) M^dagger for each M in turn.
+# right multiplication by a conjugated entry y of M, i.e. by an entry of
+# M^dagger, as one (8, 128) table contracted with y's coefficients J: columns
+# (I, K) of x -> x conj(y), then of x -> conj(x) conj(y), which is the first
+# with the sign of I
+_DAGGER_TABLES = np.concatenate(
+    (_TABLE_ON_RIGHT, (_TABLE_ON_RIGHT.reshape(8, 8, 8) * _CONJ_SIGNS[:, None]).reshape(8, 64)),
+    axis=1,
+) * _CONJ_SIGNS[:, None]
+_DAGGER_TABLES.setflags(write=False)
 
-    A stacked layer pairs with the items of X by omatmul's prefix rule.
+
+def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Layers (..., depth, n, n, 8) applied inside out to Hermitian X, X -> (M X) M^dagger.
+
+    X is (..., m, n, n, 8): item P of the layer stack acts on the m
+    matrices X[P], or on one stack of m shared by all items when X's
+    leading axes are all 1.  For Hermitian X, M X = (X M^dagger)^dagger,
+    so a layer takes two products with the table of M^dagger, R: X's rows
+    times R, a transpose, and the rows of that times R with its rows'
+    signs folded in (the conjugation).  One contraction gives both tables
+    of every layer; each product is one BLAS call per item P, with the m
+    matrices folded into its rows.
     """
-    for M in layers:
-        X = omatmul(omatmul(M, X), odagger(M))
-    return X
+    depth, n = layers.shape[-4:-2]
+    batch, k = layers.shape[:-4], 8 * n
+    # (P, d, b, c, table, I, K) -> per layer d and table, item P: rows (c, I), columns (b, K)
+    tables = (layers.reshape(-1, 8) @ _DAGGER_TABLES).reshape(-1, depth, n, n, 2, 8, 8)
+    tables = tables.transpose(1, 4, 0, 3, 5, 2, 6).reshape(depth, 2, -1, k, k)
+    p = tables.shape[2]
+    out = X.reshape(math.prod(X.shape[:len(batch)]), -1, k)
+    for right, right_conj in tables:
+        out = (out @ right).reshape(p, -1, n, n, 8).swapaxes(-3, -2).reshape(p, -1, k) @ right_conj
+    return out.reshape(batch + X.shape[len(batch):])
 
 
 def linear_ops(layers: np.ndarray) -> np.ndarray:
-    """27x27 operators of stacked nested maps, (..., depth, 3, 3, 8) -> (..., 27, 27).
+    """Operators of stacked nested maps, (..., depth, n, n, 8) -> (..., dim, dim).
 
     Item P of the stack is the map whose layers are ``layers[P]``; its
-    operator's column t is the image of Jordan basis element t.  All maps
-    act on the 27 basis matrices together, one omatmul per side per layer.
+    operator's column t is the image of coordinate basis element t (dim
+    is 27 for 3x3 layers, 10 for 2x2).  All maps act on the basis
+    matrices together, by ``_act``.
     """
-    if layers.shape[-3:] != (3, 3, 8):
-        raise ValueError("the 27-coordinate operator needs 3x3 layers")
-    basis = np.broadcast_to(_hermitian_basis(3), layers.shape[:-4] + (27, 3, 3, 8))
-    X = _act([layers[..., d, :, :, :] for d in range(layers.shape[-4])], basis)
-    return np.swapaxes(hermitian_vectors(X), -1, -2)
+    n = layers.shape[-2]
+    basis = _hermitian_basis(n)
+    images = _act(layers, basis.reshape((1,) * (layers.ndim - 4) + basis.shape))
+    return images.reshape(images.shape[:-4] + (-1,)).take(_operator_positions(n), axis=-1)
+
+
+@functools.cache
+def _operator_positions(n: int) -> np.ndarray:
+    """Where the operator's entries sit in the flattened stack of basis images.
+
+    Entry [s, t] is the position of coordinate s of the image of basis
+    element t, so one take reads the operator, rows first.
+    """
+    dim = len(_hermitian_basis(n))
+    return hermitian_vectors(np.arange(dim * n * n * 8).reshape(dim, n, n, 8)).T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -242,14 +313,38 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def is_welldefined(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
-    """Whether M(X M^dagger) = (M X) M^dagger on a basis of Hermitian X."""
-    Ma, Mh = M.arr, odagger(M.arr)
-    X = _hermitian_basis(M.n)
+def _arrays(M) -> np.ndarray:
+    """The (..., n, n, 8) array of an OctMatrix or of a stack of matrix arrays."""
+    return M.arr if isinstance(M, OctMatrix) else np.asarray(M, dtype=float)
+
+
+def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float):
+    """Per item M of arr: the largest |diff| and whether it is <= tol * max(1, |M|^2).
+
+    (bool, float) for one matrix, arrays for a stack.
+    """
+    batch = arr.shape[:-3]
+    residual = np.abs(diff).reshape(batch + (-1,)).max(axis=-1)
+    norms = np.sqrt(np.sum(np.square(arr).reshape(batch + (-1,)), axis=-1))
+    ok = residual <= tol * np.maximum(1.0, norms**2)
+    if arr.ndim == 3:
+        return bool(ok), float(residual)
+    return ok, residual
+
+
+def is_welldefined(M, tol: float = 1e-9):
+    """Whether M(X M^dagger) = (M X) M^dagger on a basis of Hermitian X.
+
+    Returns (verdict, largest residual) for an OctMatrix or one (n, n, 8)
+    array, and arrays of both for a (..., n, n, 8) stack, one per item.
+    """
+    Ma = _arrays(M)
+    Mh, batch = odagger(Ma), Ma.shape[:-3]
+    basis = _hermitian_basis(Ma.shape[-2])
+    X = np.broadcast_to(basis, batch + basis.shape)
     left = omatmul(Ma, omatmul(X, Mh))
     right = omatmul(omatmul(Ma, X), Mh)
-    residual = float(np.abs(left - right).max())
-    return residual <= tol * max(1.0, M.norm**2), residual
+    return _verdicts(Ma, left - right, tol)
 
 
 @functools.cache
@@ -267,49 +362,60 @@ def _spinor_samples() -> tuple[np.ndarray, np.ndarray]:
     return columns, squares
 
 
-def is_compatible(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
+def is_compatible(M, tol: float = 1e-9):
     """Whether (Mv)(Mv)^dagger = M(v v^dagger)M^dagger over sampled spinors v.
 
     Samples the 16 standard basis columns plus 32 seeded unit columns.
+    Returns (verdict, largest residual) for one 2x2 matrix, arrays of both
+    for a (..., 2, 2, 8) stack.
     """
-    if M.n != 2:
+    Ma = _arrays(M)
+    if Ma.shape[-3:] != (2, 2, 8):
         raise ValueError("compatibility is a predicate on 2x2 matrices")
-    columns, squares = _spinor_samples()
-    Ma, Mh = M.arr, odagger(M.arr)
+    Mh, batch = odagger(Ma), Ma.shape[:-3]
+    columns, squares = (np.broadcast_to(a, batch + a.shape) for a in _spinor_samples())
     W = omatmul(Ma, columns)
     lhs = omul(W, odagger(W))
     rhs = omatmul(omatmul(Ma, squares), Mh)
-    residual = float(np.abs(lhs - rhs).max())
-    return residual <= tol * max(1.0, M.norm**2), residual
+    return _verdicts(Ma, lhs - rhs, tol)
 
 
-def is_complex(M: OctMatrix, rel_tol: float = 1e-9) -> bool:
-    """Whether all entries lie in one complex subalgebra of the octonions."""
-    return imaginary_rank(M.arr.reshape(-1, 8), rel_tol) <= 1
+def is_complex(M, rel_tol: float = 1e-9):
+    """Whether all entries lie in one complex subalgebra of the octonions.
+
+    A bool for one matrix, a bool array for a (..., n, n, 8) stack.
+    """
+    Ma = _arrays(M)
+    ims = Ma.reshape(Ma.shape[:-3] + (-1, 8))[..., 1:]
+    ranks = _numerical_rank(np.linalg.svd(ims, compute_uv=False), rel_tol)
+    return ranks <= 1 if Ma.ndim > 3 else bool(ranks <= 1)
 
 
-def complex_det(M: OctMatrix, tol: float = 1e-9) -> tuple[Octonion, bool]:
+def complex_det(M, tol: float = 1e-9):
     """Classical determinant of a complex matrix, with a realness verdict.
 
     The entries are mapped into the complex plane spanned by 1 and their
     shared imaginary direction; the determinant is computed there and
-    mapped back.  Raises on non-complex input.
+    mapped back.  Raises on non-complex input.  Returns (Octonion, bool)
+    for one matrix, and a (..., 8) array of determinants with a bool array
+    for a (..., n, n, 8) stack.
     """
-    if not is_complex(M, tol):
+    Ma = _arrays(M)
+    if not np.all(is_complex(Ma, tol)):
         raise ValueError("complex_det requires a complex matrix")
-    ims = M.arr.reshape(-1, 8)[:, 1:]
-    norms = np.linalg.norm(ims, axis=1)
-    if norms.max() == 0.0:
-        direction = np.zeros(7)
-        direction[0] = 1.0
-    else:
-        direction = ims[int(np.argmax(norms))]
-        direction = direction / np.linalg.norm(direction)
-    plane = M.arr[..., 0] + 1j * (M.arr[..., 1:] @ direction)
-    det = complex(np.linalg.det(plane))
-    coeffs = np.concatenate(([det.real], det.imag * direction))
-    is_real = abs(det.imag) <= tol * max(1.0, abs(det))
-    return Octonion(coeffs), is_real
+    ims = Ma.reshape(Ma.shape[:-3] + (-1, 8))[..., 1:]
+    widest = np.argmax(np.linalg.norm(ims, axis=-1), axis=-1)[..., None, None]
+    direction = np.take_along_axis(ims, widest, axis=-2)[..., 0, :]
+    # all entries real: any direction will do, take i
+    direction = direction + (np.abs(direction).max(axis=-1, keepdims=True) == 0.0) * np.eye(7)[0]
+    direction = direction / np.linalg.norm(direction, axis=-1, keepdims=True)
+    plane = Ma[..., 0] + 1j * (Ma[..., 1:] @ direction[..., None, :, None])[..., 0]
+    det = np.linalg.det(plane)
+    coeffs = np.concatenate((det.real[..., None], det.imag[..., None] * direction), axis=-1)
+    is_real = np.abs(det.imag) <= tol * np.maximum(1.0, np.abs(det))
+    if Ma.ndim == 3:
+        return Octonion(coeffs), bool(is_real)
+    return coeffs, is_real
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,27 @@ class TestPSquareDecomposition:
         for A in cases:
             assert psquare_decompose(A).p == classify(A)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-30, 1e-8, 1e-3, 1.0, 1e30, 1e150, 1e300])
+    def test_class_agrees_with_classify_at_every_scale(self, t):
+        # p was 0 at 1e-30 and 1e-150 while classify said 1 and 2: absolute floors
+        rng = np.random.default_rng(SEED)
+        one = random_quaternionic_spinor(rng).square()
+        two = one + random_quaternionic_spinor(rng).square()
+        for A, expected in ((one, 1), (two, 2), (random_jordan(rng), 3)):
+            dec = psquare_decompose(A * t)
+            assert dec.p == classify(A * t) == expected
+            rebuilt = dec.reconstruct().to_vector() / t
+            assert np.abs(rebuilt - A.to_vector()).max() <= 1e-12 * np.abs(A.to_vector()).max()
+
+    def test_unit_scale_output_is_unchanged_by_power_of_two_scaling(self):
+        rng = np.random.default_rng(SEED)
+        for A in (random_jordan(rng) * 3.0, random_quaternionic_spinor(rng).square() * 40.0):
+            dec = psquare_decompose(A)
+            scaled = psquare_decompose(JordanMatrix.from_vector(np.ldexp(A.to_vector(), -60)))
+            assert np.array_equal(np.ldexp(scaled.lambdas, 60), dec.lambdas)
+            for P, Q in zip(dec.projectors, scaled.projectors):
+                assert np.array_equal(P.to_vector(), Q.to_vector())
+
 
 class TestClassify:
     @pytest.mark.parametrize("matrix,expected", [

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import octe6
+from octe6 import generators, transform
 from octe6.cli import main
-from octe6.octonion import signed_table
+from octe6.octonion import Octonion, signed_table
+from octe6.transform import OctMatrix
 
 
 def run_cli(capsys, *argv):
@@ -67,6 +69,37 @@ class TestVerify:
         _, first, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
         _, second, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
         assert first == second
+
+    @pytest.mark.parametrize("group, slot", [("E6", 0), ("F4", 0), ("SO91", 1), ("G2", 2)])
+    def test_layer_predicates_match_block_loop(self, group, slot):
+        from octe6.cli import _layer_residual
+        curves = generators.roster(group, slot=slot)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            sample = [curves[t] for t in rng.choice(len(curves), size=6, replace=False)]
+            assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9)
+
+    def test_layer_predicates_flag_a_failing_block(self):
+        from octe6.cli import _layer_residual
+        mixed = generators.GeneratorCurve(
+            "mixed", 1, lambda theta: [OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j"))])
+        sample = generators.roster("SO8")[:3] + [mixed]
+        assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9) == np.inf
+
+
+def _layer_residual_loop(curves, tol):
+    """The per-block loop that the stacked layer-predicate pass replaced, kept as an oracle."""
+    res = 0.0
+    for curve in curves:
+        for block in curve.blocks(0.37):
+            if not transform.is_complex(block):
+                res = np.inf
+                break
+            res = max(res, 0.0 if transform.complex_det(block)[1] else np.inf)
+            for ok, r in (transform.is_welldefined(transform.embed(block, curve.slot), tol),
+                          transform.is_compatible(block, tol)):
+                res = max(res, r if ok else np.inf)
+    return res
 
 
 class TestDecompose:

@@ -282,6 +282,24 @@ class TestEigenvalueScale:
         X = random_quaternionic_spinor(np.random.default_rng(SEED)).square() * 1e-30
         assert eigenvalues(X)[0] == pytest.approx(X.trace, rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-120, 1e-60, 1e60, 1e120, 1e150, 1e300])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_generic_spectrum_at_extreme_scales(self, t, seed):
+        # NaN at 1e-120 and 1e-150, a false triple root at 1e-300 and
+        # OverflowError from 1e120 up, before the power-of-two scaling
+        X = random_jordan(np.random.default_rng(seed))
+        ref = eigenvalues(X)
+        got = eigenvalues(X * t)
+        assert np.isfinite(got).all()
+        assert np.abs(got / t - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("exponent", [-1000, -400, -1, 1, 400, 900])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        rng = np.random.default_rng(SEED)
+        for X in list(_eigen_samples(rng).values()) + [random_jordan(rng) for _ in range(4)]:
+            scaled = JordanMatrix.from_vector(np.ldexp(X.to_vector(), exponent))
+            assert np.array_equal(eigenvalues(scaled), np.ldexp(eigenvalues(X), exponent))
+
 
 class TestBlocks:
     def test_lorentz_inner_of_identity(self):

@@ -197,6 +197,43 @@ class TestPredicateOracles:
         assert verdicts == {True, False}
 
 
+class TestStackedPredicates:
+    """A stack runs each predicate once; every item equals the one-matrix call bitwise."""
+
+    def test_items_match_single_calls(self):
+        blocks = _oracle_blocks()
+        stack = np.stack([M.arr for M in blocks])
+        for predicate, items in ((is_welldefined, stack), (is_compatible, stack),
+                                 (is_welldefined, np.stack([embed(M, 2).arr for M in blocks]))):
+            ok, res = predicate(items)
+            assert ok.shape == res.shape == (len(blocks),)
+            for item, verdict, residual in zip(items, ok, res):
+                assert (bool(verdict), float(residual)) == predicate(OctMatrix(item))
+        complex_items = is_complex(stack)
+        assert complex_items.tolist() == [is_complex(M) for M in blocks]
+        assert not complex_items.all()
+        dets, real = complex_det(stack[complex_items])
+        for M, det, verdict in zip(np.array(blocks)[complex_items], dets, real):
+            single, single_real = complex_det(M)
+            assert verdict == single_real
+            assert np.allclose(det, single.coefficients, rtol=0.0, atol=1e-14)
+
+    def test_complex_det_rejects_a_stack_with_a_non_complex_item(self):
+        stack = np.stack([phase_diag("i", 0.3).arr,
+                          OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j")).arr])
+        with pytest.raises(ValueError):
+            complex_det(stack)
+
+    def test_real_stack_takes_a_default_direction(self):
+        rng = np.random.default_rng(SEED)
+        arr = np.zeros((3, 2, 2, 8))
+        arr[..., 0] = rng.standard_normal((3, 2, 2))
+        dets, real = complex_det(arr)
+        assert real.all()
+        assert np.allclose(dets[:, 0], np.linalg.det(arr[..., 0]), rtol=1e-14, atol=0.0)
+        assert not dets[:, 1:].any()
+
+
 class TestWellDefined:
     def test_complex_matrix(self):
         ok, res = is_welldefined(phase_diag("il", 0.7))
@@ -328,6 +365,73 @@ class TestLinearOp:
         lhs = a.compose(b).as_linear_op()
         rhs = b.as_linear_op() @ a.as_linear_op()
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+def _word(rng, curves, layers: int) -> NestedMap:
+    """Random roster curves at angles in [-1, 1], composed to exactly `layers` layers."""
+    word = None
+    while layers > 0:
+        step = curves[int(rng.integers(len(curves)))](float(rng.uniform(-1.0, 1.0)))
+        if len(step.layers) <= layers:
+            word = step if word is None else word.compose(step)
+            layers -= len(step.layers)
+    return word
+
+
+class TestOperatorReuse:
+    """apply multiplies by the operator built on first use."""
+
+    def test_second_apply_is_bitwise_equal(self):
+        rng = np.random.default_rng(SEED)
+        nm = _word(rng, roster("E6"), 5)
+        X = random_jordan(rng)
+        first = nm.apply(X).to_vector()
+        assert np.array_equal(nm.apply(X).to_vector(), first)
+        assert np.array_equal(nm.as_linear_op() @ X.to_vector(), first)
+
+    @pytest.mark.parametrize("group", ["E6", "F4"])
+    def test_apply_matches_layered_array_action(self, group):
+        rng = np.random.default_rng(SEED)
+        curves = roster(group)
+        for layers in range(1, 13):
+            nm = _word(rng, curves, layers)
+            X = random_jordan(rng, scale=10.0 ** rng.uniform(-3, 3))
+            layered = JordanMatrix.from_array(nm.apply_array(X.to_array()), check=False)
+            diff = np.abs(nm.apply(X).to_vector() - layered.to_vector()).max()
+            assert diff <= 1e-12 * max(1.0, X.norm), layers
+
+    def test_two_by_two_maps_on_hermitian2(self):
+        rng = np.random.default_rng(SEED)
+        blocks = [b for c in roster("SO91") for b in c.blocks(float(rng.uniform(-1, 1)))]
+        for depth in (1, 3, 6):
+            nm = NestedMap([blocks[t] for t in rng.choice(len(blocks), size=depth)])
+            op = nm.as_linear_op()
+            assert op.shape == (10, 10)
+            for t, B in enumerate(Hermitian2.basis()):
+                assert np.array_equal(op[:, t], nm.apply(B).to_vector())
+            X = Hermitian2(*rng.standard_normal(2), rng.standard_normal(8))
+            layered = Hermitian2.from_array(nm.apply_array(X.to_array()), check=False)
+            diff = np.abs(nm.apply(X).to_vector() - layered.to_vector()).max()
+            assert diff <= 1e-12 * max(1.0, X.norm)
+
+    def test_operator_is_kept_and_read_only(self):
+        nm = NestedMap.single(embed(phase_diag("k", 0.4), 2))
+        op = nm.as_linear_op()
+        assert nm.as_linear_op() is op
+        with pytest.raises(ValueError):
+            op[0, 0] = 2.0
+        nm.apply(JordanMatrix.identity())
+        assert nm.as_linear_op() is op
+
+    def test_composition_builds_its_own_operator(self):
+        a = NestedMap.single(embed(phase_diag("i", 0.3), 0))
+        b = NestedMap.single(embed(phase_diag("j", 0.9), 1))
+        a_op = a.as_linear_op()
+        both = a.compose(b)
+        assert both.as_linear_op() is not a_op
+        assert not np.allclose(both.as_linear_op(), a_op)
+        assert np.allclose(both.as_linear_op(), b.as_linear_op() @ a_op, atol=1e-12)
+        assert a.as_linear_op() is a_op
 
 
 class TestJsonForm:
