@@ -70,7 +70,7 @@ def _layer_residual(curves, tol: float) -> float:
     inf when a block is not complex, has a non-real determinant or fails
     either predicate.  All blocks go through each predicate in one pass.
     """
-    blocks = [np.array([M.arr for M in curve.blocks(0.37)]) for curve in curves]
+    blocks = [curve.layer_arrays([0.37])[0] for curve in curves]
     layers = np.concatenate([transform._embed_arrays(b, c.slot) for b, c in zip(blocks, curves)])
     blocks = np.concatenate(blocks)
     if not transform.is_complex(blocks).all():
@@ -146,7 +146,7 @@ def cmd_decompose(args) -> dict:
     dec = cayley.psquare_decompose(A)
     residual = (dec.reconstruct() - A).norm
     checks += [
-        _bound("reconstruction-residual", residual, args.tol * 100 * max(1.0, A.norm)),
+        _bound("reconstruction-residual", residual, args.tol * 100 * A.norm),
         _check("class-vs-cascade", dec.p, cayley.classify(A)),
     ]
     report.update({
@@ -167,7 +167,7 @@ def cmd_dirac(args) -> dict:
     sign = 1.0 if P.trace > 0 else -1.0
     square = jordan.spinor_square(theta)
     residual = (square - P * sign).norm
-    checks = [_bound("factorization-residual", residual, args.tol * 100 * max(1.0, P.norm))]
+    checks = [_bound("factorization-residual", residual, args.tol * 100 * P.norm)]
     return {
         "suite": "dirac",
         "theta": [theta[0].tolist(), theta[1].tolist()],

@@ -1,20 +1,35 @@
 """Generator curves for E6 and its subgroups, with numerical rank machinery.
 
-Per 2x2 block slot the determinant-preserving roster holds 45 one-parameter
-curves:
+A roster curve is data.  Its layer d at angle t is the 2x2 octonionic
+matrix
+
+    c(r_d t) A_d + s(r_d t) B_d
+
+for fixed arrays A and B of shape (depth, 2, 2, 8), one rate r_d per
+layer, and one pair (c, s) per curve, its ``kind``:
+
+* ``trig``: (cos, sin), for rotations, transverse phases, flip pairs and
+  four-flips.  A constant layer has rate 0, since cos 0 A + sin 0 B = A.
+* ``hyperbolic``: (cosh, sinh), for the off-diagonal boosts.
+* ``exponential``: (exp x, exp -x), for the diagonal boost, with
+  A = diag(1, 0) and B = diag(0, 1).
+
+Per 2x2 block slot the determinant-preserving roster holds 45 curves:
 
 * 1 diagonal boost  diag(e^{t/2}, e^{-t/2})
 * 8 off-diagonal boosts  cosh(t/2) I + sinh(t/2) offdiag(e, conj(e)),
   one per basis unit e
 * 8 rotations  cos(t/2) I + sin(t/2) offdiag(e, -conj(e))
-* 7 transverse rotations  diag(e^{st}, e^{-st}), one per imaginary unit s
+* 7 transverse rotations  cos t I + sin t diag(s, conj(s)), i.e.
+  diag(e^{st}, e^{-st}), one per imaginary unit s
 * 21 flip pairs  [s I, (s cos t + u sin t) I] over unordered pairs {s, u}
   of distinct imaginary units (each layer an imaginary multiple of the
   identity, determinant -1)
 
-A curve carries its slot and its 2x2 blocks: ``blocks(theta)`` returns the
-2x2 layers, and calling the curve embeds them in the slot's 3x3 block.
-Group rosters are assembled from these families: all three slots give E6
+``layer_arrays(thetas)`` evaluates a curve at many angles in one array
+expression; ``blocks(theta)`` gives the 2x2 layers as matrices, and
+calling the curve embeds them in the slot's 3x3 block.  ``ROSTERS``
+assembles the group rosters from these families: all three slots give E6
 (135 curves, rank 78); dropping boosts gives the rotation subgroups.  The
 automorphism subgroup uses four-flip curves
 
@@ -46,13 +61,13 @@ more than 8 curves are not faster.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .jordan import JordanMatrix
-from .octonion import Octonion, _as_coeffs, _numerical_rank, oconj, omul, onorm
+from .octonion import _as_coeffs, _numerical_rank, oconj, omul, onorm
 from .transform import NestedMap, OctMatrix, _embed_arrays, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
@@ -78,116 +93,107 @@ LIE_STEP = 1e-5
 # curves per stacked pass of lie_elements; bounds the pass's arrays and so the peak RSS
 LIE_CHUNK = 8
 
+# (c, s) of each curve kind: layer d at angle t is c(r_d t) A_d + s(r_d t) B_d
+KINDS = {
+    "trig": (np.cos, np.sin),
+    "hyperbolic": (np.cosh, np.sinh),
+    "exponential": (np.exp, lambda x: np.exp(-x)),
+}
+
 
 @dataclass(frozen=True)
 class GeneratorCurve:
     """A labeled one-parameter family of nested maps in one 2x2 block slot.
 
-    ``blocks(theta)`` gives the 2x2 layers; calling the curve embeds each of
-    them in ``slot`` and returns the 3x3 nested map.
+    Layer d at angle t is ``c(rates[d] t) A[d] + s(rates[d] t) B[d]`` with
+    (c, s) = ``KINDS[kind]``; A and B are (depth, 2, 2, 8) arrays, made
+    read-only, and left out of equality and hashing.  ``blocks(theta)``
+    gives the 2x2 layers; calling the curve embeds each of them in
+    ``slot`` and returns the 3x3 nested map.
     """
 
     label: str
     slot: int
-    blocks: Callable[[float], list[OctMatrix]] = field(repr=False)
+    kind: str
+    rates: tuple[float, ...]
+    A: np.ndarray = field(repr=False, compare=False)
+    B: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.A.setflags(write=False)
+        self.B.setflags(write=False)
+
+    def layer_arrays(self, thetas) -> np.ndarray:
+        """The 2x2 layers at every angle, a (len(thetas), depth, 2, 2, 8) array."""
+        c, s = KINDS[self.kind]
+        x = np.multiply.outer(np.asarray(thetas, dtype=float), self.rates)[..., None, None, None]
+        return c(x) * self.A + s(x) * self.B
+
+    def blocks(self, theta: float) -> list[OctMatrix]:
+        return [OctMatrix(M) for M in self.layer_arrays([theta])[0]]
 
     def __call__(self, theta: float) -> NestedMap:
-        return NestedMap([embed(M, self.slot) for M in self.blocks(theta)])
+        return NestedMap([OctMatrix(M) for M in
+                          _embed_arrays(self.layer_arrays([theta])[0], self.slot)])
 
 
-def _unit(name: str) -> np.ndarray:
-    return Octonion.unit(name).coefficients
+_UNITS = np.eye(8)  # row k is the basis unit BASIS_UNITS[k]
+_UNITS.setflags(write=False)
 
 
-def _offdiag(upper: np.ndarray, lower: np.ndarray) -> OctMatrix:
-    arr = np.zeros((2, 2, 8))
-    arr[0, 1] = upper
-    arr[1, 0] = lower
-    return OctMatrix(arr)
+def _times_identity(values: np.ndarray) -> np.ndarray:
+    """values I for a (..., 8) stack of octonions, as a (..., 2, 2, 8) stack."""
+    out = np.zeros(values.shape[:-1] + (2, 2, 8))
+    out[..., 0, 0, :] = out[..., 1, 1, :] = values
+    return out
 
 
-def _scalar2(value: np.ndarray) -> OctMatrix:
-    """value * I2 for an octonion value."""
-    arr = np.zeros((2, 2, 8))
-    arr[0, 0] = value
-    arr[1, 1] = value
-    return OctMatrix(arr)
+def _family(name: str, keys, slot: int, kind: str, rates: tuple, A, B) -> list[GeneratorCurve]:
+    """One curve per key, labeled name[key,slotN], with layers from A[k] and B[k]."""
+    return [GeneratorCurve(f"{name}[{key},slot{slot}]", slot, kind, rates, a, b)
+            for key, a, b in zip(keys, A, B)]
 
 
-def _phase_diag(s: np.ndarray, theta: float) -> OctMatrix:
-    """diag(e^{s theta}, e^{-s theta})."""
-    q = np.sin(theta) * s
-    q[0] = np.cos(theta)
-    arr = np.zeros((2, 2, 8))
-    arr[0, 0] = q
-    arr[1, 1] = oconj(q)
-    return OctMatrix(arr)
+def _identity_and_offdiagonal(sign: float) -> tuple[np.ndarray, np.ndarray]:
+    """A = I and B = offdiag(e, sign conj(e)) for each basis unit e: depth 1."""
+    A, B = np.zeros((2, 8, 1, 2, 2, 8))
+    A[..., 0, 0, 0] = A[..., 1, 1, 0] = 1.0
+    B[:, 0, 0, 1] = _UNITS
+    B[:, 0, 1, 0] = sign * oconj(_UNITS)
+    return A, B
 
 
 def boost_curves(slot: int) -> list[GeneratorCurve]:
     """The 9 boost curves of one slot: Hermitian layers, determinant +1."""
-    out = []
-
-    def diag_boost(theta: float) -> list[OctMatrix]:
-        arr = np.zeros((2, 2, 8))
-        arr[0, 0, 0] = np.exp(theta / 2.0)
-        arr[1, 1, 0] = np.exp(-theta / 2.0)
-        return [OctMatrix(arr)]
-
-    out.append(GeneratorCurve(f"boost-diag[slot{slot}]", slot, diag_boost))
-    for name in BASIS_UNITS:
-        e = _unit(name)
-
-        def curve(theta: float, e=e) -> list[OctMatrix]:
-            return [np.cosh(theta / 2.0) * OctMatrix.identity(2)
-                    + np.sinh(theta / 2.0) * _offdiag(e, oconj(e))]
-
-        out.append(GeneratorCurve(f"boost[{name},slot{slot}]", slot, curve))
-    return out
+    A, B = np.zeros((2, 1, 2, 2, 8))
+    A[0, 0, 0, 0] = B[0, 1, 1, 0] = 1.0
+    diagonal = GeneratorCurve(f"boost-diag[slot{slot}]", slot, "exponential", (0.5,), A, B)
+    return [diagonal] + _family("boost", BASIS_UNITS, slot, "hyperbolic", (0.5,),
+                                *_identity_and_offdiagonal(1.0))
 
 
 def rotation_curves(slot: int) -> list[GeneratorCurve]:
     """The 8 off-diagonal rotation curves: unitary layers, determinant +1."""
-    out = []
-    for name in BASIS_UNITS:
-        e = _unit(name)
-
-        def curve(theta: float, e=e) -> list[OctMatrix]:
-            return [np.cos(theta / 2.0) * OctMatrix.identity(2)
-                    + np.sin(theta / 2.0) * _offdiag(e, -oconj(e))]
-
-        out.append(GeneratorCurve(f"rotation[{name},slot{slot}]", slot, curve))
-    return out
+    return _family("rotation", BASIS_UNITS, slot, "trig", (0.5,), *_identity_and_offdiagonal(-1.0))
 
 
 def transverse_curves(slot: int) -> list[GeneratorCurve]:
     """The 7 diagonal-phase curves diag(e^{st}, e^{-st}); diagonal-preserving."""
-    out = []
-    for name in IMAGINARY_UNITS:
-        s = _unit(name)
-
-        def curve(theta: float, s=s) -> list[OctMatrix]:
-            return [_phase_diag(s, theta)]
-
-        out.append(GeneratorCurve(f"transverse[{name},slot{slot}]", slot, curve))
-    return out
+    A, B = np.zeros((2, 7, 1, 2, 2, 8))
+    A[..., 0, 0, 0] = A[..., 1, 1, 0] = 1.0
+    B[:, 0, 0, 0] = _UNITS[1:]
+    B[:, 0, 1, 1] = oconj(_UNITS[1:])
+    return _family("transverse", IMAGINARY_UNITS, slot, "trig", (1.0,), A, B)
 
 
 def flip_pair_curves(slot: int) -> list[GeneratorCurve]:
     """The 21 nested flip pairs over unordered pairs of imaginary units."""
-    out = []
-    for idx_s in range(len(IMAGINARY_UNITS)):
-        for idx_t in range(idx_s + 1, len(IMAGINARY_UNITS)):
-            s = _unit(IMAGINARY_UNITS[idx_s])
-            t = _unit(IMAGINARY_UNITS[idx_t])
-
-            def curve(theta: float, s=s, t=t) -> list[OctMatrix]:
-                u = np.cos(theta) * s + np.sin(theta) * t
-                return [_scalar2(s), _scalar2(u)]
-
-            label = f"flip-pair[{IMAGINARY_UNITS[idx_s]},{IMAGINARY_UNITS[idx_t]},slot{slot}]"
-            out.append(GeneratorCurve(label, slot, curve))
-    return out
+    s, u = np.triu_indices(len(IMAGINARY_UNITS), 1)
+    S, U = _UNITS[1 + s], _UNITS[1 + u]
+    A = _times_identity(np.stack([S, S], axis=1))
+    B = _times_identity(np.stack([np.zeros_like(U), U], axis=1))
+    keys = [f"{IMAGINARY_UNITS[a]},{IMAGINARY_UNITS[b]}" for a, b in zip(s, u)]
+    return _family("flip-pair", keys, slot, "trig", (0.0, 1.0), A, B)
 
 
 def g2_curves(slot: int = 0) -> list[GeneratorCurve]:
@@ -198,25 +204,16 @@ def g2_curves(slot: int = 0) -> list[GeneratorCurve]:
     imaginary units): 210 curves whose tangents span the full automorphism
     algebra.
     """
-    out = []
-    for sname in IMAGINARY_UNITS:
-        for uname in IMAGINARY_UNITS:
-            if sname == uname:
-                continue
-            for wname in IMAGINARY_UNITS:
-                if wname in (sname, uname):
-                    continue
-                s, u, w = _unit(sname), _unit(uname), _unit(wname)
-                sw, uw = omul(s, w), omul(u, w)
-
-                def curve(theta: float, s=s, u=u, sw=sw, uw=uw) -> list[OctMatrix]:
-                    q2 = np.cos(theta) * s + np.sin(theta) * sw
-                    q4 = np.cos(theta) * u - np.sin(theta) * uw
-                    return [_scalar2(s), _scalar2(q2), _scalar2(u), _scalar2(q4)]
-
-                label = f"four-flip[{sname},{uname};w={wname},slot{slot}]"
-                out.append(GeneratorCurve(label, slot, curve))
-    return out
+    n = len(IMAGINARY_UNITS)
+    triples = [(s, u, w) for s in range(n) for u in range(n) if u != s
+               for w in range(n) if w not in (s, u)]
+    S, U, W = _UNITS[1 + np.array(triples).T]
+    A = _times_identity(np.stack([S, S, U, U], axis=1))
+    zero = np.zeros_like(S)
+    B = _times_identity(np.stack([zero, omul(S, W), zero, -omul(U, W)], axis=1))
+    keys = [f"{IMAGINARY_UNITS[s]},{IMAGINARY_UNITS[u]};w={IMAGINARY_UNITS[w]}"
+            for s, u, w in triples]
+    return _family("four-flip", keys, slot, "trig", (0.0, 1.0, 0.0, 1.0), A, B)
 
 
 def normalize_group(group: str) -> str:
@@ -225,6 +222,18 @@ def normalize_group(group: str) -> str:
     if name not in GROUPS:
         raise ValueError(f"unknown group {group!r}; expected one of {', '.join(GROUPS)}")
     return name
+
+
+# each group's families, in roster order; E6 and F4 repeat them over slots 0, 1, 2
+ROSTERS = {
+    "E6": (boost_curves, rotation_curves, transverse_curves, flip_pair_curves),
+    "F4": (rotation_curves, transverse_curves, flip_pair_curves),
+    "SO91": (boost_curves, rotation_curves, transverse_curves, flip_pair_curves),
+    "SO9": (rotation_curves, transverse_curves, flip_pair_curves),
+    "SO8": (transverse_curves, flip_pair_curves),
+    "SO7": (flip_pair_curves,),
+    "G2": (g2_curves,),
+}
 
 
 def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
@@ -236,27 +245,8 @@ def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
     name = normalize_group(group)
     if name in SLOT_GROUPS and slot not in (0, 1, 2):
         raise ValueError("slot must be 0, 1 or 2")
-    if name == "SO91":
-        return (boost_curves(slot) + rotation_curves(slot)
-                + transverse_curves(slot) + flip_pair_curves(slot))
-    if name == "SO9":
-        return rotation_curves(slot) + transverse_curves(slot) + flip_pair_curves(slot)
-    if name == "SO8":
-        return transverse_curves(slot) + flip_pair_curves(slot)
-    if name == "SO7":
-        return flip_pair_curves(slot)
-    if name == "G2":
-        return g2_curves(slot)
-    if name == "F4":
-        out = []
-        for sl in range(3):
-            out += rotation_curves(sl) + transverse_curves(sl) + flip_pair_curves(sl)
-        return out
-    out = []
-    for sl in range(3):
-        out += (boost_curves(sl) + rotation_curves(sl)
-                + transverse_curves(sl) + flip_pair_curves(sl))
-    return out
+    slots = (slot,) if name in SLOT_GROUPS else (0, 1, 2)
+    return [curve for sl in slots for family in ROSTERS[name] for curve in family(sl)]
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +266,10 @@ def lie_elements(curves: Sequence) -> list[np.ndarray]:
     pending: dict[tuple, list] = {}  # (depth, slot) -> [(index, (3, depth, n, n, 8) layers)]
     for index, curve in enumerate(curves):
         if isinstance(curve, GeneratorCurve):
-            slot, maps = curve.slot, [curve.blocks(t) for t in (h, -h, 0.0)]
+            slot, layers = curve.slot, curve.layer_arrays((h, -h, 0.0))
         else:  # an opaque callable: its maps' 3x3 layers
-            slot, maps = None, [curve(t).layers for t in (h, -h, 0.0)]
-        layers = np.array([[M.arr for M in layer_list] for layer_list in maps])
+            slot = None
+            layers = np.array([[M.arr for M in curve(t).layers] for t in (h, -h, 0.0)])
         if slot is None and layers.shape[-3:] != (3, 3, 8):
             raise ValueError("Lie elements need 3x3 layers")
         key = (layers.shape[1], slot)

@@ -172,14 +172,20 @@ class _Hermitian:
 
     @property
     def norm(self) -> float:
-        """Frobenius norm (off-diagonal octonions counted twice)."""
-        v = self._v
+        """Frobenius norm (off-diagonal octonions counted twice).
+
+        Summed on X scaled by the exact power of two of ``_binary_scaled``, so
+        no square under- or overflows and norm(2^k X) = 2^k norm(X) exactly;
+        only a norm beyond the largest float raises OverflowError.
+        """
+        scaled, exponent = _binary_scaled(self)
+        v = scaled._v
         diag = v[:self.SIZE].tolist()
         quad = diag[0] ** 2
         for x in diag[1:]:
             quad += x**2
         off = [v[s:s + 8] @ v[s:s + 8] for s in range(self.SIZE, self.DIM, 8)]
-        return float(np.sqrt(quad + 2.0 * sum(off[1:], off[0])))
+        return math.ldexp(math.sqrt(quad + 2.0 * sum(off[1:], off[0])), exponent)
 
     def __add__(self, other):
         if isinstance(other, type(self)):
@@ -329,15 +335,16 @@ def char_residual(X: JordanMatrix) -> JordanMatrix:
     return out - JordanMatrix.identity() * det3(X)
 
 
-def _binary_scaled(X: JordanMatrix) -> tuple[JordanMatrix, int]:
+def _binary_scaled(X: _Hermitian) -> tuple[_Hermitian, int]:
     """X / 2^e and e, for the e that brings X's largest coordinate into [1/2, 1).
 
-    The division is exact, so results computed on X / 2^e and scaled back
-    by 2^e keep every bit wherever nothing under- or overflows.
+    X is a JordanMatrix or a Hermitian2, and so is X / 2^e.  The division
+    is exact, so results computed on X / 2^e and scaled back by 2^e keep
+    every bit wherever nothing under- or overflows.
     """
     v = X.to_vector()
     exponent = math.frexp(float(np.abs(v).max()))[1]
-    return JordanMatrix._wrap(np.ldexp(v, -exponent)), exponent
+    return X._wrap(np.ldexp(v, -exponent)), exponent
 
 
 def eigenvalues(X: JordanMatrix) -> np.ndarray:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import octe6
-from octe6 import generators, transform
+from octe6 import cayley, generators, transform
 from octe6.cli import main
 from octe6.octonion import Octonion, signed_table
 from octe6.transform import OctMatrix
@@ -81,8 +81,9 @@ class TestVerify:
 
     def test_layer_predicates_flag_a_failing_block(self):
         from octe6.cli import _layer_residual
-        mixed = generators.GeneratorCurve(
-            "mixed", 1, lambda theta: [OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j"))])
+        # one constant layer diag(i, j), which is not complex
+        A = OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j")).arr[None]
+        mixed = generators.GeneratorCurve("mixed", 1, "trig", (0.0,), A, np.zeros_like(A))
         sample = generators.roster("SO8")[:3] + [mixed]
         assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9) == np.inf
 
@@ -142,6 +143,25 @@ class TestDecompose:
         report = json.loads(out)
         assert report["p"] == 3 and report["pass"] is True
 
+    def test_corrupted_decomposition_of_small_matrix_fails(self, capsys, tmp_path, monkeypatch):
+        # the residual bound is relative to |A|, so a wrong projector fails at any scale
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps(
+            {"diag": [3e-8, 2e-8, 1e-8], "a": [0.0] * 8, "b": [0.0] * 8, "c": [0.0] * 8}))
+        assert run_cli(capsys, "decompose", str(path))[0] == 0
+        honest = cayley.psquare_decompose
+
+        def corrupted(A):
+            dec = honest(A)
+            (lam, proj), *rest = dec.terms
+            return cayley.PSquareDecomposition([(lam, proj * 0.5)] + rest, dec.p)
+
+        monkeypatch.setattr(cayley, "psquare_decompose", corrupted)
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 1
+        checks = {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+        assert checks == {"reconstruction-residual": False, "class-vs-cascade": True}
+
     def test_parse_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -172,6 +192,16 @@ class TestDirac:
         assert report["theta"][0] == [1.0] + [0.0] * 7
         assert report["theta"][1] == [0.0] * 8
         assert report["residual"] == 0.0
+
+    def test_wrong_factor_of_small_momentum_fails(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"P": {"diag": [1e-8, 0.0], "a": [0.0] * 8}}))
+        assert run_cli(capsys, "dirac", str(path))[0] == 0
+        honest = cayley.dirac_solve
+        monkeypatch.setattr(cayley, "dirac_solve", lambda P, tol: honest(P, tol=tol) * 1.1)
+        code, out, _ = run_cli(capsys, "dirac", str(path))
+        assert code == 1
+        assert json.loads(out)["checks"][0]["pass"] is False
 
     def test_full_rank_momentum_rejected(self, capsys, tmp_path):
         payload = {"P": {"diag": [1.0, 1.0], "a": [0.0] * 8}}

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from octe6.generators import (
+    BASIS_UNITS,
     EXPECTED_DIMENSION,
     GROUPS,
+    IMAGINARY_UNITS,
     LIE_STEP,
     SLOT_GROUPS,
     GeneratorCurve,
@@ -104,6 +106,145 @@ def _opaque(curve):
 
 def _degenerate(theta):
     return NestedMap.single(OctMatrix.zero(3) * (1.0 + theta))
+
+
+# ---------------------------------------------------------------------------
+# The per-curve closures that the data-form rosters replaced, kept as an oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_THETAS = (0.0, 1e-5, -1e-5, 0.37, -0.9, 1.1)
+
+
+def _unit(name):
+    return Octonion.unit(name).coefficients
+
+
+def _offdiag(upper, lower):
+    arr = np.zeros((2, 2, 8))
+    arr[0, 1] = upper
+    arr[1, 0] = lower
+    return OctMatrix(arr)
+
+
+def _scalar2(value):
+    arr = np.zeros((2, 2, 8))
+    arr[0, 0] = value
+    arr[1, 1] = value
+    return OctMatrix(arr)
+
+
+def _phase_diag(s, theta):
+    q = np.sin(theta) * s
+    q[0] = np.cos(theta)
+    arr = np.zeros((2, 2, 8))
+    arr[0, 0] = q
+    arr[1, 1] = oconj(q)
+    return OctMatrix(arr)
+
+
+def _reference_boosts(slot):
+    def diag_boost(theta):
+        arr = np.zeros((2, 2, 8))
+        arr[0, 0, 0] = np.exp(theta / 2.0)
+        arr[1, 1, 0] = np.exp(-theta / 2.0)
+        return [OctMatrix(arr)]
+
+    out = [(f"boost-diag[slot{slot}]", diag_boost)]
+    for name in BASIS_UNITS:
+        def curve(theta, e=_unit(name)):
+            return [np.cosh(theta / 2.0) * OctMatrix.identity(2)
+                    + np.sinh(theta / 2.0) * _offdiag(e, oconj(e))]
+        out.append((f"boost[{name},slot{slot}]", curve))
+    return out
+
+
+def _reference_rotations(slot):
+    out = []
+    for name in BASIS_UNITS:
+        def curve(theta, e=_unit(name)):
+            return [np.cos(theta / 2.0) * OctMatrix.identity(2)
+                    + np.sin(theta / 2.0) * _offdiag(e, -oconj(e))]
+        out.append((f"rotation[{name},slot{slot}]", curve))
+    return out
+
+
+def _reference_transverse(slot):
+    return [(f"transverse[{name},slot{slot}]", lambda theta, s=_unit(name): [_phase_diag(s, theta)])
+            for name in IMAGINARY_UNITS]
+
+
+def _reference_flip_pairs(slot):
+    out = []
+    for idx_s, sname in enumerate(IMAGINARY_UNITS):
+        for tname in IMAGINARY_UNITS[idx_s + 1:]:
+            def curve(theta, s=_unit(sname), t=_unit(tname)):
+                return [_scalar2(s), _scalar2(np.cos(theta) * s + np.sin(theta) * t)]
+            out.append((f"flip-pair[{sname},{tname},slot{slot}]", curve))
+    return out
+
+
+def _reference_four_flips(slot):
+    out = []
+    for sname in IMAGINARY_UNITS:
+        for uname in IMAGINARY_UNITS:
+            for wname in IMAGINARY_UNITS:
+                if sname == uname or wname in (sname, uname):
+                    continue
+                s, u, w = _unit(sname), _unit(uname), _unit(wname)
+
+                def curve(theta, s=s, u=u, sw=omul(s, w), uw=omul(u, w)):
+                    q2 = np.cos(theta) * s + np.sin(theta) * sw
+                    q4 = np.cos(theta) * u - np.sin(theta) * uw
+                    return [_scalar2(s), _scalar2(q2), _scalar2(u), _scalar2(q4)]
+                out.append((f"four-flip[{sname},{uname};w={wname},slot{slot}]", curve))
+    return out
+
+
+def _reference_roster(group, slot):
+    """(label, blocks) pairs in the order of the closure-based roster."""
+    rotations = [_reference_rotations, _reference_transverse, _reference_flip_pairs]
+    families = {"SO91": [_reference_boosts] + rotations, "SO9": rotations,
+                "SO8": rotations[1:], "SO7": rotations[2:], "G2": [_reference_four_flips]}
+    if group in families:
+        return [c for family in families[group] for c in family(slot)]
+    families = rotations if group == "F4" else [_reference_boosts] + rotations
+    return [c for sl in range(3) for family in families for c in family(sl)]
+
+
+ALL_ROSTERS = [(group, slot) for group in GROUPS for slot in (0, 1, 2)]
+
+
+class TestRosterOracle:
+    @pytest.mark.parametrize("group, slot", ALL_ROSTERS)
+    def test_layers_match_closures(self, group, slot):
+        curves = roster(group, slot=slot)
+        reference = _reference_roster(group, slot)
+        assert [c.label for c in curves] == [label for label, _ in reference]
+        for curve, (_, blocks) in zip(curves, reference):
+            expected = np.array([[M.arr for M in blocks(t)] for t in ORACLE_THETAS])
+            assert np.array_equal(curve.layer_arrays(ORACLE_THETAS), expected), curve.label
+            for t, layers in zip(ORACLE_THETAS, expected):
+                assert np.array_equal([M.arr for M in curve.blocks(t)], layers), curve.label
+                assert np.array_equal([M.arr for M in curve(t).layers],
+                                      [embed(OctMatrix(M), curve.slot).arr for M in layers])
+
+    @pytest.mark.parametrize("group, slot", ALL_ROSTERS)
+    def test_lie_elements_match_closures(self, group, slot):
+        # the closures as opaque callables, on the embedded-layer path
+        curves = roster(group, slot=slot)
+        opaque = [lambda t, blocks=blocks, sl=c.slot: NestedMap([embed(M, sl) for M in blocks(t)])
+                  for c, (_, blocks) in zip(curves, _reference_roster(group, slot))]
+        for got, want in zip(lie_elements(curves), lie_elements(opaque), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_arrays_read_only_and_curves_hash(self):
+        curves = roster("E6") + roster("G2", slot=1)
+        for curve in curves:
+            assert not curve.A.flags.writeable and not curve.B.flags.writeable
+        with pytest.raises(ValueError):
+            curves[0].A[...] = 0.0
+        assert len(set(curves)) == len(curves)
+        assert set(roster("E6")) == set(curves[:135])
 
 
 class TestLieElements:
@@ -221,13 +362,11 @@ class TestSpans:
         # reversing (s, t) in the nested pair stays inside the same span
         fwd = [lie_element(c) for c in flip_pair_curves(0)]
         i, j = Octonion.unit("i").coefficients, Octonion.unit("j").coefficients
-        from octe6.generators import _scalar2
-
-        def blocks(theta):
-            u = np.cos(theta) * j + np.sin(theta) * i
-            return [_scalar2(j), _scalar2(u)]
-
-        reversed_curve = GeneratorCurve("flip-pair[j,i,slot0]", 0, blocks)
+        # layers [j I, (j cos t + i sin t) I]
+        A, B = np.zeros((2, 2, 2, 2, 8))
+        A[:, 0, 0] = A[:, 1, 1] = j
+        B[1, 0, 0] = B[1, 1, 1] = i
+        reversed_curve = GeneratorCurve("flip-pair[j,i,slot0]", 0, "trig", (0.0, 1.0), A, B)
         assert span_equal(fwd, fwd + [lie_element(reversed_curve)])
 
 

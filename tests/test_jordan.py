@@ -517,6 +517,18 @@ class TestCoordinateLayer:
             negated = _arith_fieldwise(lambda x, _: x * -1.0, X, X).to_vector()
             assert _bits((-X).to_vector()) == _bits(negated)
 
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_norm_at_extreme_scales(self, cls, scale):
+        # squaring the raw coordinates under- or overflows at these scales
+        v = np.random.default_rng(SEED).standard_normal(cls.DIM)
+        X = cls.from_vector(v * scale)
+        assert np.isfinite(X.norm) and X.norm > 0.0
+        assert X.norm == pytest.approx(cls.from_vector(v).norm * scale, rel=1e-14)
+        for k in (1, 16, 600):
+            t = 2.0 ** (k if scale < 1.0 else -k)
+            assert (X * t).norm / t == X.norm
+
     def test_sizes_do_not_mix(self):
         with pytest.raises(TypeError):
             JordanMatrix.identity() + Hermitian2.identity()
