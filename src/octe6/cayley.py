@@ -17,17 +17,24 @@ psquare_decompose splits any Jordan matrix into eigenmatrix projections
 A = sum lambda_i P_i with P_i o P_j = 0; the class p counts nonzero
 eigenvalues and is read off the determinant / second-invariant / trace
 cascade, which every determinant-preserving transformation leaves fixed.
+
+classify, psquare_decompose and dirac_solve read the matrix's memoised
+scaled invariants (``jordan._scaled_invariants``: the trace, sigma, det
+and norm of the matrix divided by a power of two), so every threshold
+they apply is relative to |A| and no test depends on the input's scale.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .jordan import (
     Hermitian2,
     JordanMatrix,
-    _binary_scaled,
     _cubic_roots,
+    _scaled_invariants,
     block_split,
     det3,
     freudenthal,
@@ -103,15 +110,19 @@ def dirac_residual(P: Hermitian2, psi) -> float:
 def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
     """Factor a null 2x2 momentum as theta theta^dagger = sign(tr P) P.
 
-    Requires det(P) = 0 and P != 0.  The returned theta lies in the complex
-    subalgebra of P's off-diagonal entry; the gauge is fixed by rotating
-    the first nonzero component real and nonnegative with a right phase.
+    Requires P != 0 and det(P) = 0 relative to |P|^2, both tested on P's
+    scaled invariants, so neither test depends on P's scale.  The
+    returned theta lies in the complex subalgebra of P's off-diagonal
+    entry; the gauge is fixed by rotating the first nonzero component
+    real and nonnegative with a right phase.
     """
-    scale = P.norm
-    if scale <= tol:
+    exponent, _, _, det, norm = _scaled_invariants(P)
+    peak = math.ldexp(float(np.abs(P.to_vector()).max()), -exponent)
+    if peak == 0.0 or norm <= tol * peak:
         raise ValueError("dirac_solve requires a nonzero momentum")
-    if abs(P.det) > tol * max(1.0, scale**2):
+    if abs(det) > tol * norm**2:
         raise ValueError(f"no rank-1 factorization: det(P) = {P.det:g} is not 0")
+    scale = P.norm
     sign = 1.0 if P.trace > 0 else -1.0
     q1, q2 = sign * P.x1, sign * P.x2
     a = sign * P.a
@@ -201,18 +212,23 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
 
     Every tolerance is relative: the decomposition runs on A times the
     power of two that brings its largest coordinate into [1/2, 1), which
-    is exact, and the eigenvalues are scaled back.
+    is exact, with the eigenvalues and |A| read from A's scaled
+    invariants, and the eigenvalues are scaled back.
     """
-    A, exponent = _binary_scaled(A)
-    scale = A.norm
-    terms, lams = _psquare_terms(A, scale, merge_tol)
+    exponent, trace, sig, det, scale = _scaled_invariants(A)
+    A = JordanMatrix.from_vector(np.ldexp(A.to_vector(), -exponent))
+    lams = _cubic_roots(trace, sig, det, scale)
+    terms, lams = _psquare_terms(A, lams, scale, merge_tol)
     p = sum(1 for lam in lams if abs(lam) > CLASS_TOL * scale)
     return PSquareDecomposition([(np.ldexp(lam, exponent), P) for lam, P in terms], p)
 
 
-def _psquare_terms(A: JordanMatrix, scale: float, merge_tol: float) -> tuple[list, list]:
-    """Terms (lambda, projector) of psquare_decompose for a scaled A; its eigenvalues with multiplicity."""
-    lams = _cubic_roots(A)
+def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float,
+                   merge_tol: float) -> tuple[list, list]:
+    """Terms (lambda, projector) of psquare_decompose for a scaled A with eigenvalues lams.
+
+    Returns the terms and the eigenvalues with multiplicity.
+    """
     off_norm = max(float(onorm(A.a)), float(onorm(A.b)), float(onorm(A.c)))
     if off_norm <= 1e-12 * scale:
         # diagonal: idempotents can be read off directly, even when degenerate
@@ -255,22 +271,19 @@ def _psquare_terms(A: JordanMatrix, scale: float, merge_tol: float) -> tuple[lis
 def classify(A: JordanMatrix) -> int:
     """Number of nonzero eigenvalues via the det / sigma / trace cascade.
 
-    The cascade runs on A / |A| against the fixed threshold CLASS_TOL, so
-    the class does not depend on A's scale and no invariant under- or
-    overflows.  A is first divided by its largest coordinate, which keeps
-    |A| finite for every finite input.
+    The cascade compares det/|A|^3, sigma/|A|^2 and tr/|A| with the fixed
+    threshold CLASS_TOL, so the class does not depend on A's scale.  All
+    of them are read from A's scaled invariants, where no invariant
+    under- or overflows for a finite A.
     """
-    v = A.to_vector()
-    peak = np.abs(v).max()
-    if peak == 0.0:
+    _, trace, sig, det, norm = _scaled_invariants(A)
+    if norm == 0.0:
         return 0
-    v = v / peak
-    unit = v / JordanMatrix.from_vector(v).norm
-    if abs(det3(unit)) > CLASS_TOL:
+    if abs(det / norm**3) > CLASS_TOL:
         return 3
-    if abs(sigma(unit)) > CLASS_TOL:
+    if abs(sig / norm**2) > CLASS_TOL:
         return 2
-    if abs(unit[:3].sum()) > CLASS_TOL:
+    if abs(trace / norm) > CLASS_TOL:
         return 1
     return 0
 

@@ -319,13 +319,25 @@ def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:
     return _numerical_rank(singular_values(items), rel_tol)
 
 
+def rank_cut(s: np.ndarray, rank: int) -> tuple[float | None, float | None]:
+    """(s[rank - 1], s[rank]): the smallest kept and the largest dropped singular value.
+
+    None stands for a side with no value: nothing kept at rank 0, nothing
+    dropped at full rank.
+    """
+    kept = float(s[rank - 1]) if rank > 0 else None
+    dropped = float(s[rank]) if rank < len(s) else None
+    return kept, dropped
+
+
 def rank_gap(items: Sequence, rel_tol: float = 1e-6) -> float:
     """Ratio of the smallest kept to the largest dropped singular value."""
     s = singular_values(items)
-    r = _numerical_rank(s, rel_tol)  # 0 when s[0] = 0, and then s[r] = 0
-    if r >= len(s) or s[r] == 0.0:
+    # rank 0 only when s[0] = 0, and then s[0] is dropped
+    kept, dropped = rank_cut(s, _numerical_rank(s, rel_tol))
+    if not dropped:
         return np.inf
-    return float(s[r - 1] / s[r])
+    return kept / dropped
 
 
 def span_equal(first: Sequence, second: Sequence, rel_tol: float = 1e-6) -> bool:

@@ -27,6 +27,18 @@ for one matrix or a ``(..., 27)`` stack, with no Jordan product:
 ``det3`` equals the triple-product form tr[X, X, X]/3 (``triple``) up to
 rounding.  Eigenvalues come from the trigonometric solution of the
 characteristic cubic, whose roots are real for every Hermitian input.
+
+One matrix's invariants are computed once, in one pass, and kept on the
+matrix: ``_scaled_invariants`` divides the coordinates by the power of two
+2^e that brings the largest one into [1/2, 1) and stores e with the trace,
+sigma, det and Frobenius norm of the scaled matrix.  ``det3``, ``sigma``,
+``norm``, ``Hermitian2.det`` and ``eigenvalues`` read that tuple and scale
+back by the matching power of 2^e, and the class cascade of
+``cayley.classify`` reads it as it is.  The division is exact, so the
+results keep every bit of the unscaled formulas wherever those do not
+under- or overflow, and stay finite and scale-exact where they would.
+The stored tuple cannot go stale: the coordinate vector is read-only and
+every arithmetic result is a new matrix.
 """
 
 from __future__ import annotations
@@ -99,7 +111,8 @@ def hermiticity_residual(arr: np.ndarray) -> float:
 class _Hermitian:
     """Read-only view over the coordinate vector of an n x n Hermitian matrix."""
 
-    __slots__ = ("_v",)
+    # _inv holds _scaled_invariants(self) once it has been asked for
+    __slots__ = ("_v", "_inv")
     SIZE = DIM = 0
 
     def __init__(self, reals, octonions):
@@ -111,6 +124,7 @@ class _Hermitian:
                 v[start:start + 8] = _as_coeffs(x)
         v.setflags(write=False)
         self._v = v
+        self._inv = None
 
     @classmethod
     def _wrap(cls, v: np.ndarray):
@@ -118,6 +132,7 @@ class _Hermitian:
         v.setflags(write=False)
         out = object.__new__(cls)
         out._v = v
+        out._inv = None
         return out
 
     @classmethod
@@ -174,18 +189,12 @@ class _Hermitian:
     def norm(self) -> float:
         """Frobenius norm (off-diagonal octonions counted twice).
 
-        Summed on X scaled by the exact power of two of ``_binary_scaled``, so
-        no square under- or overflows and norm(2^k X) = 2^k norm(X) exactly;
+        Read from the scaled invariants (``_scaled_invariants``), so no
+        square under- or overflows and norm(2^k X) = 2^k norm(X) exactly;
         only a norm beyond the largest float raises OverflowError.
         """
-        scaled, exponent = _binary_scaled(self)
-        v = scaled._v
-        diag = v[:self.SIZE].tolist()
-        quad = diag[0] ** 2
-        for x in diag[1:]:
-            quad += x**2
-        off = [v[s:s + 8] @ v[s:s + 8] for s in range(self.SIZE, self.DIM, 8)]
-        return math.ldexp(math.sqrt(quad + 2.0 * sum(off[1:], off[0])), exponent)
+        exponent, _, _, _, norm = _scaled_invariants(self)
+        return math.ldexp(norm, exponent)
 
     def __add__(self, other):
         if isinstance(other, type(self)):
@@ -232,7 +241,8 @@ class Hermitian2(_Hermitian):
     @property
     def det(self) -> float:
         """x1 x2 - |a|^2, the 2x2 Hermitian determinant (Lorentzian norm)."""
-        return self.x1 * self.x2 - float(self.a @ self.a)
+        exponent, _, _, det, _ = _scaled_invariants(self)
+        return _unscaled(det, 2 * exponent)
 
     def __repr__(self):
         return f"Hermitian2(x1={self.x1:g}, x2={self.x2:g}, a={Octonion(self.a)!r})"
@@ -283,45 +293,97 @@ def triple(X: JordanMatrix, Y: JordanMatrix, Z: JordanMatrix) -> JordanMatrix:
     return jordan_product(freudenthal(X, Y), Z)
 
 
-def _invariant_parts(X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal (p, m, n), octonions (a, b, c) and |a|^2, |b|^2, |c|^2 of X.
-
-    X is a JordanMatrix or a (..., 27) coordinate array.
-    """
-    v = X.to_vector() if isinstance(X, JordanMatrix) else np.asarray(X, dtype=float)
+def _invariant_parts(v) -> tuple[list, np.ndarray]:
+    """[p, m, n, |a|^2, |b|^2, |c|^2] and the octonions (a, b, c) of (..., 27) coordinates."""
+    v = np.asarray(v, dtype=float)
     off = v[..., 3:].reshape(v.shape[:-1] + (3, 8))
-    return v[..., :3], off, np.sum(off * off, axis=-1)
+    sq = np.sum(off * off, axis=-1)
+    return [v[..., 0], v[..., 1], v[..., 2], sq[..., 0], sq[..., 1], sq[..., 2]], off
+
+
+def _re_bac(off: np.ndarray) -> np.ndarray:
+    """Re((b a) c) = <b a, conj(c)> for octonions (..., 3, 8) = (a, b, c)."""
+    return np.sum(omul(off[..., 1, :], off[..., 0, :]) * oconj(off[..., 2, :]), axis=-1)
+
+
+# the closed forms, on floats for one matrix or on arrays for a stack
+def _sigma_form(p, m, n, aa, bb, cc):
+    return p * m + m * n + n * p - aa - bb - cc
+
+
+def _det_form(p, m, n, aa, bb, cc, re_bac):
+    return p * m * n - p * bb - m * cc - n * aa + 2.0 * re_bac
 
 
 def _scalar_or_array(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
+def _unscaled(x: float, exponent: int) -> float:
+    """x 2^exponent; an infinity of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _scaled_invariants(X: _Hermitian) -> tuple[int, float, float, float, float]:
+    """(e, trace, sigma, det, norm) of X / 2^e, computed once and kept on X.
+
+    e brings X's largest coordinate into [1/2, 1).  The division is exact,
+    so an invariant of degree k scaled back by 2^(k e) keeps every bit
+    wherever nothing under- or overflows, and no square or cube of the
+    scaled coordinates overflows.  For a Hermitian2, sigma and det are
+    both x1 x2 - |a|^2.  The tuple stays valid because X's coordinate
+    vector is read-only and every arithmetic result is a new matrix.
+    """
+    inv = X._inv
+    if inv is None:
+        v = X._v
+        exponent = math.frexp(float(np.abs(v).max()))[1]
+        s = np.ldexp(v, -exponent)
+        diag = s[:X.SIZE].tolist()
+        trace = sum(diag[1:], diag[0])
+        quad = diag[0] ** 2
+        for x in diag[1:]:
+            quad += x**2
+        off = [s[k:k + 8] @ s[k:k + 8] for k in range(X.SIZE, X.DIM, 8)]
+        norm = math.sqrt(quad + 2.0 * sum(off[1:], off[0]))
+        if X.SIZE == 3:
+            octs = s[3:].reshape(3, 8)
+            parts = diag + np.sum(octs * octs, axis=-1).tolist()
+            sig, det = _sigma_form(*parts), _det_form(*parts, float(_re_bac(octs)))
+        else:
+            sig = det = diag[0] * diag[1] - float(off[0])
+        inv = X._inv = (exponent, trace, sig, det, norm)
+    return inv
+
+
 def det3(X):
     """Cubic determinant pmn - p|b|^2 - m|c|^2 - n|a|^2 + 2 Re((b a) c).
 
-    Closed form on the coordinates of a JordanMatrix (a float) or of a
-    (..., 27) stack (an array); equal to tr[X, X, X]/3 from ``triple`` up
-    to rounding.
+    Closed form on the coordinates of a JordanMatrix (a float, read from
+    its scaled invariants) or of a (..., 27) stack (an array); equal to
+    tr[X, X, X]/3 from ``triple`` up to rounding.
     """
-    d, off, sq = _invariant_parts(X)
-    p, m, n = d[..., 0], d[..., 1], d[..., 2]
-    # Re(x y) = <x, conj(y)>
-    re_bac = np.sum(omul(off[..., 1, :], off[..., 0, :]) * oconj(off[..., 2, :]), axis=-1)
-    out = p * m * n - p * sq[..., 1] - m * sq[..., 2] - n * sq[..., 0] + 2.0 * re_bac
-    return _scalar_or_array(out)
+    if isinstance(X, JordanMatrix):
+        exponent, _, _, det, _ = _scaled_invariants(X)
+        return _unscaled(det, 3 * exponent)
+    parts, off = _invariant_parts(X)
+    return _scalar_or_array(_det_form(*parts, _re_bac(off)))
 
 
 def sigma(X):
     """Second invariant pm + mn + np - |a|^2 - |b|^2 - |c|^2.
 
-    Equal to ((tr X)^2 - tr(X o X))/2; a float for a JordanMatrix, an
-    array for a (..., 27) stack.
+    Equal to ((tr X)^2 - tr(X o X))/2; a float for a JordanMatrix (read
+    from its scaled invariants), an array for a (..., 27) stack.
     """
-    d, _, sq = _invariant_parts(X)
-    p, m, n = d[..., 0], d[..., 1], d[..., 2]
-    out = p * m + m * n + n * p - sq[..., 0] - sq[..., 1] - sq[..., 2]
-    return _scalar_or_array(out)
+    if isinstance(X, JordanMatrix):
+        exponent, _, sig, _, _ = _scaled_invariants(X)
+        return _unscaled(sig, 2 * exponent)
+    parts, _ = _invariant_parts(X)
+    return _scalar_or_array(_sigma_form(*parts))
 
 
 def char_residual(X: JordanMatrix) -> JordanMatrix:
@@ -335,53 +397,44 @@ def char_residual(X: JordanMatrix) -> JordanMatrix:
     return out - JordanMatrix.identity() * det3(X)
 
 
-def _binary_scaled(X: _Hermitian) -> tuple[_Hermitian, int]:
-    """X / 2^e and e, for the e that brings X's largest coordinate into [1/2, 1).
-
-    X is a JordanMatrix or a Hermitian2, and so is X / 2^e.  The division
-    is exact, so results computed on X / 2^e and scaled back by 2^e keep
-    every bit wherever nothing under- or overflows.
-    """
-    v = X.to_vector()
-    exponent = math.frexp(float(np.abs(v).max()))[1]
-    return X._wrap(np.ldexp(v, -exponent)), exponent
-
-
 def eigenvalues(X: JordanMatrix) -> np.ndarray:
     """Real roots of the characteristic cubic, descending.
+
+    The cubic is solved from X's scaled invariants (``_scaled_invariants``)
+    and the roots are scaled back by 2^e: the scaling is exact, so no
+    invariant under- or overflows and the roots scale exactly with X.
+    """
+    exponent, trace, sig, det, norm = _scaled_invariants(X)
+    return np.ldexp(_cubic_roots(trace, sig, det, norm), exponent)
+
+
+_ROOT_PHASES = 2.0 * np.pi * np.arange(3) / 3.0
+
+
+def _cubic_roots(c2: float, c1: float, c0: float, scale: float) -> np.ndarray:
+    """Roots, descending, of l^3 - c2 l^2 + c1 l - c0 for a Hermitian matrix of norm scale.
 
     Trigonometric solution of the depressed cubic; the acos argument is
     clamped to [-1, 1] to absorb roundoff, and a nearly triple root falls
     back to the real cube root.  "Nearly" is relative: the depressed
-    cubic's linear coefficient lies within 1e-14 |X|^2 of zero.  The
+    cubic's linear coefficient lies within 1e-14 scale^2 of zero.  The
     fallback clamps the constant coefficient by the same real-root bound
-    as the acos argument.  The cubic is solved for X times the power of
-    two that brings its largest coordinate into [1/2, 1), and the roots
-    are scaled back: the scaling is exact, so no invariant under- or
-    overflows and the roots scale exactly with X.
+    as the acos argument.
     """
-    X, exponent = _binary_scaled(X)
-    return np.ldexp(_cubic_roots(X), exponent)
-
-
-def _cubic_roots(X: JordanMatrix) -> np.ndarray:
-    """The eigenvalues of X, descending, without the scaling (see eigenvalues)."""
-    c2, c1, c0 = X.trace, sigma(X), det3(X)
     shift = c2 / 3.0
     pdep = c1 - c2 * c2 / 3.0
     qdep = -2.0 * c2**3 / 27.0 + c1 * c2 / 3.0 - c0
-    scale = X.norm
     pdep = min(pdep, 0.0)
     if -pdep <= 1e-14 * scale * scale:
         # three real roots need |qdep| <= 2 (-pdep/3)^(3/2); the rest of
         # qdep is rounding, which the cube root would magnify
         bound = 2.0 * (-pdep / 3.0) ** 1.5
-        roots = np.full(3, shift + np.cbrt(-np.clip(qdep, -bound, bound)))
+        roots = np.full(3, shift + np.cbrt(-min(max(qdep, -bound), bound)))
     else:
         amp = 2.0 * np.sqrt(-pdep / 3.0)
-        arg = np.clip(3.0 * qdep / (pdep * amp), -1.0, 1.0)
+        arg = min(max(3.0 * qdep / (pdep * amp), -1.0), 1.0)
         phi = np.arccos(arg) / 3.0
-        roots = shift + amp * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0)
+        roots = shift + amp * np.cos(phi - _ROOT_PHASES)
     return np.sort(roots)[::-1]
 
 

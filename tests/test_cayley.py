@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octe6.cayley import (
     CayleySpinor,
@@ -165,6 +167,25 @@ class TestDiracSolve:
                 span = np.vstack([P.a[1:], got[0, 1:], got[1, 1:]])
                 sv = np.linalg.svd(span, compute_uv=False)
                 assert sv[1] <= 1e-9 * max(1.0, sv[0])
+
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-30, 1e-10, 1e-5, 1.0, 1e30, 1e150, 1e300])
+    def test_null_momenta_factor_at_every_scale(self, t):
+        # |P| <= tol and |det P| <= tol max(1, |P|^2) were absolute floors:
+        # a small null P was "zero", and 1e150 overflowed |P|^2
+        rng = np.random.default_rng(SEED)
+        for sign in (1.0, -1.0):
+            theta = np.zeros((2, 8))
+            theta[:, [0, 5]] = rng.standard_normal((2, 2))
+            P = spinor_square(theta) * (sign * t)
+            got = dirac_solve(P)
+            assert (spinor_square(got) - P * sign).norm <= 1e-12 * P.norm
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-10, 1e-5, 1.0, 1e150, 1e300])
+    def test_full_rank_rejected_at_every_scale(self, t):
+        for P in (Hermitian2(1.0, 1.0), Hermitian2(1.0, -2.0, np.eye(8)[3])):
+            with pytest.raises(ValueError, match="no rank-1 factorization"):
+                dirac_solve(P * t)
 
 
 class TestDiracEquivalence:
@@ -366,6 +387,29 @@ class TestClassify:
             for A, expected in ((one, 1), (two, 2), (random_jordan(rng), 3)):
                 assert classify(A) == expected
                 assert classify(A * t) == expected
+
+
+def _class_sample(kind: str, seed: int) -> tuple[JordanMatrix, int]:
+    rng = np.random.default_rng(seed)
+    if kind == "generic":
+        return random_jordan(rng), 3
+    one = random_quaternionic_spinor(rng).square()
+    if kind == "rank-1":
+        return one, 1
+    return one + random_quaternionic_spinor(rng).square(), 2
+
+
+class TestClassScaleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["rank-1", "rank-2", "generic"]),
+           seed=st.integers(0, 2**32 - 1),
+           log_t=st.floats(-150.0, 150.0))
+    def test_class_and_p_do_not_depend_on_scale(self, kind, seed, log_t):
+        A, expected = _class_sample(kind, seed)
+        tA = A * 10.0**log_t
+        assert classify(A) == expected
+        assert classify(tA) == classify(A)
+        assert psquare_decompose(tA).p == classify(A)
 
 
 class TestClassPreservation:

@@ -33,7 +33,23 @@ class TestTable:
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--format", "csv")
         assert code == 0
-        assert out.splitlines()[0] == "name,expected,observed,tolerance,pass"
+        assert out.splitlines()[0] == "suite,name,expected,observed,tolerance,pass"
+
+
+class TestCsv:
+    def test_report_all_rows_name_their_suite(self, capsys):
+        from octe6.cli import _emit
+        code, out, _ = run_cli(capsys, "report-all", "--seed", "3")
+        assert code == 0
+        report = json.loads(out)
+        _emit(report, "csv")
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header == "suite,name,expected,observed,tolerance,pass"
+        suites = [row.split(",")[0] for row in rows]
+        expected = [f"verify-{g}" for g in generators.GROUPS] + ["triality"]
+        assert list(dict.fromkeys(suites)) == expected
+        checks = [(sub["suite"], c["name"]) for sub in report["reports"] for c in sub["checks"]]
+        assert [tuple(row.split(",")[:2]) for row in rows] == checks
 
 
 class TestVerify:
@@ -45,6 +61,25 @@ class TestVerify:
         assert report["curve_count"] == 210
         assert report["pass"] is True
         assert len(report["singular_values_head"]) == 8
+
+    @pytest.mark.parametrize("group, full_rank", [("E6", False), ("SO9", True)])
+    def test_rank_evidence_from_the_reported_svd(self, capsys, monkeypatch, group, full_rank):
+        svds = []
+        real = generators.singular_values
+        monkeypatch.setattr(generators, "singular_values", lambda items: svds.append(1) or real(items))
+        code, out, _ = run_cli(capsys, "verify", group)
+        assert code == 0 and len(svds) == 1
+        report = json.loads(out)
+        sv = real(generators.roster(group))
+        r = report["rank"]
+        kept, dropped = report["singular_values_at_cut"]
+        assert kept == sv[r - 1] and report["singular_values_head"][0] == sv[0]
+        if full_rank:
+            # every curve is independent: nothing is dropped at the cut
+            assert r == len(sv) and dropped is None and report["rank_gap"] is None
+        else:
+            assert dropped == sv[r]
+            assert report["rank_gap"] == kept / dropped > 1e9
 
     def test_so7_rank_other_slot(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "SO7", "--slot", "2")
@@ -202,6 +237,23 @@ class TestDirac:
         code, out, _ = run_cli(capsys, "dirac", str(path))
         assert code == 1
         assert json.loads(out)["checks"][0]["pass"] is False
+
+    def test_small_null_momentum_factors(self, capsys, tmp_path):
+        # the zero test |P| <= tol was absolute: this exited 2 as "zero"
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"P": {"diag": [1e-10, 0.0], "a": [0.0] * 8}}))
+        code, out, err = run_cli(capsys, "dirac", str(path))
+        assert code == 0, err
+        assert json.loads(out)["theta"][0] == [1e-5] + [0.0] * 7
+
+    def test_small_full_rank_momentum_rejected(self, capsys, tmp_path):
+        # the null test |det P| <= tol max(1, |P|^2) passed diag(1e-5, 1e-5),
+        # which then exited 1 on its factorization residual
+        path = tmp_path / "full.json"
+        path.write_text(json.dumps({"P": {"diag": [1e-5, 1e-5], "a": [0.0] * 8}}))
+        code, out, err = run_cli(capsys, "dirac", str(path))
+        assert code == 2 and out == ""
+        assert "no rank-1 factorization" in err
 
     def test_full_rank_momentum_rejected(self, capsys, tmp_path):
         payload = {"P": {"diag": [1.0, 1.0], "a": [0.0] * 8}}

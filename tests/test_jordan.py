@@ -1,8 +1,11 @@
 """H3(O) products, invariants, characteristic equation, block identities."""
 
+import math
+
 import numpy as np
 import pytest
 
+from octe6 import jordan
 from octe6.jordan import (
     Hermitian2,
     JordanMatrix,
@@ -299,6 +302,121 @@ class TestEigenvalueScale:
         for X in list(_eigen_samples(rng).values()) + [random_jordan(rng) for _ in range(4)]:
             scaled = JordanMatrix.from_vector(np.ldexp(X.to_vector(), exponent))
             assert np.array_equal(eigenvalues(scaled), np.ldexp(eigenvalues(X), exponent))
+
+
+def _scaled_oracle(X):
+    """X divided by the power of two that brings its largest coordinate into [1/2, 1), and that power."""
+    v = X.to_vector()
+    exponent = math.frexp(float(np.abs(v).max()))[1]
+    return type(X).from_vector(np.ldexp(v, -exponent)), exponent
+
+
+def _norm_oracle(X) -> float:
+    """Reference norm: squares of the scaled coordinates summed in order, scaled back."""
+    S, exponent = _scaled_oracle(X)
+    v = S.to_vector()
+    diag = v[:S.SIZE].tolist()
+    quad = diag[0] ** 2
+    for x in diag[1:]:
+        quad += x**2
+    off = [v[k:k + 8] @ v[k:k + 8] for k in range(S.SIZE, S.DIM, 8)]
+    return math.ldexp(math.sqrt(quad + 2.0 * sum(off[1:], off[0])), exponent)
+
+
+def _eigenvalues_oracle(X: JordanMatrix) -> np.ndarray:
+    """Reference eigenvalues: the trigonometric cubic on the scaled X, from the stacked closed forms."""
+    S, exponent = _scaled_oracle(X)
+    v = S.to_vector()[None]
+    c2, c1, c0, scale = S.trace, float(sigma(v)[0]), float(det3(v)[0]), _norm_oracle(S)
+    shift = c2 / 3.0
+    pdep = min(c1 - c2 * c2 / 3.0, 0.0)
+    qdep = -2.0 * c2**3 / 27.0 + c1 * c2 / 3.0 - c0
+    if -pdep <= 1e-14 * scale * scale:
+        bound = 2.0 * (-pdep / 3.0) ** 1.5
+        roots = np.full(3, shift + np.cbrt(-np.clip(qdep, -bound, bound)))
+    else:
+        amp = 2.0 * np.sqrt(-pdep / 3.0)
+        phi = np.arccos(np.clip(3.0 * qdep / (pdep * amp), -1.0, 1.0)) / 3.0
+        roots = shift + amp * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0)
+    return np.ldexp(np.sort(roots)[::-1], exponent)
+
+
+def _ldexp_or_inf(x: float, exponent: int) -> float:
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _invariant_samples() -> list:
+    rng = np.random.default_rng(SEED)
+    return list(_eigen_samples(rng).values()) + [random_jordan(rng) for _ in range(3)]
+
+
+class TestScaledInvariants:
+    """det3, sigma, norm and eigenvalues read one tuple computed once per matrix."""
+
+    @pytest.mark.parametrize("k", [-1000, -600, -340, -300, -100, -1, 0, 1, 100, 300, 340, 600, 900])
+    def test_fresh_matrices_match_the_formulas(self, k):
+        for X in _invariant_samples():
+            v = np.ldexp(X.to_vector(), k)
+            Y = JordanMatrix.from_vector(v)
+            assert _bits(Y.norm) == _bits(_norm_oracle(Y))
+            assert _bits(eigenvalues(Y)) == _bits(_eigenvalues_oracle(Y))
+            # exactly 2^(3k) det and 2^(2k) sigma of the unit-scale matrix ...
+            unit = X.to_vector()[None]
+            assert _bits(det3(Y)) == _bits(_ldexp_or_inf(float(det3(unit)[0]), 3 * k))
+            assert _bits(sigma(Y)) == _bits(_ldexp_or_inf(float(sigma(unit)[0]), 2 * k))
+            # ... which is the stacked closed form wherever its products stay normal
+            if abs(k) <= 300:
+                assert _bits(det3(Y)) == _bits(det3(v[None])[0])
+            if abs(k) <= 340:
+                assert _bits(sigma(Y)) == _bits(sigma(v[None])[0])
+
+    def test_invariants_are_computed_once(self, monkeypatch):
+        from octe6.cayley import classify, psquare_decompose
+        passes = []
+        real = jordan._re_bac
+        monkeypatch.setattr(jordan, "_re_bac", lambda off: passes.append(1) or real(off))
+        X = random_jordan(np.random.default_rng(SEED))
+        det3(X), sigma(X), X.norm, eigenvalues(X), classify(X), psquare_decompose(X)
+        assert len(passes) == 1
+
+    def test_results_do_not_inherit_invariants(self):
+        from octe6.generators import boost_curves
+        rng = np.random.default_rng(SEED)
+        X, Y = random_jordan(rng), random_jordan(rng)
+        for M in (X, Y):
+            det3(M), eigenvalues(M)
+        boost = boost_curves(0)[0](0.9)
+        for Z in (X + Y, X - Y, X * 3.0, 0.5 * X, -X, boost.apply(X),
+                  JordanMatrix.from_vector(X.to_vector())):
+            v = Z.to_vector()
+            assert _bits(det3(Z)) == _bits(det3(v[None])[0])
+            assert _bits(sigma(Z)) == _bits(sigma(v[None])[0])
+            assert _bits(Z.norm) == _bits(_norm_oracle(Z))
+            assert _bits(eigenvalues(Z)) == _bits(_eigenvalues_oracle(Z))
+        P = Hermitian2(1.0, 2.0, np.arange(8.0))
+        Q = Hermitian2(-3.0, 0.5, np.ones(8))
+        P.det, Q.det
+        for R in (P + Q, P - Q, P * 3.0, -P):
+            assert _bits(R.det) == _bits(R.x1 * R.x2 - float(R.a @ R.a))
+            assert _bits(R.norm) == _bits(_norm_oracle(R))
+
+    @pytest.mark.parametrize("make", [
+        lambda X: X,
+        lambda X: X + X,
+        lambda X: X * 2.0,
+        lambda X: JordanMatrix.from_vector(X.to_vector()),
+        lambda X: JordanMatrix.from_array(X.to_array()),
+        lambda X: NestedMap.single(cyclic_permutation()).apply(X),
+    ], ids=["read", "sum", "scaled", "from_vector", "from_array", "apply"])
+    def test_coordinates_stay_read_only(self, make):
+        X = make(random_jordan(np.random.default_rng(SEED)))
+        before = det3(X), sigma(X), X.norm
+        with pytest.raises(ValueError):
+            X.to_vector()[3] = 7.0
+        assert (det3(X), sigma(X), X.norm) == before
 
 
 class TestBlocks:
