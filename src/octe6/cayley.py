@@ -199,13 +199,16 @@ class PSquareDecomposition:
 # A / |A| with it, psquare_decompose the eigenvalues over |A|
 CLASS_TOL = 1e-8
 
+# eigenvalues of psquare_decompose closer than MERGE_TOL * |A| are merged
+MERGE_TOL = 1e-7
 
-def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomposition:
+
+def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     """Decompose A into eigenmatrix projections via Lagrange interpolation.
 
     Distinct eigenvalues give primitive trace-1 projections from the
     quadratic interpolant in Jordan powers.  Eigenvalues that agree within
-    merge_tol * |A| are merged: the linear interpolant on the distinct
+    MERGE_TOL * |A| are merged: the linear interpolant on the distinct
     values yields the (non-primitive) group projection, except that a
     numerically diagonal A is split directly into its diagonal idempotents.
     p counts the eigenvalues, with multiplicity, above CLASS_TOL * |A|.
@@ -218,13 +221,12 @@ def psquare_decompose(A: JordanMatrix, merge_tol: float = 1e-7) -> PSquareDecomp
     exponent, trace, sig, det, scale = _scaled_invariants(A)
     A = JordanMatrix.from_vector(np.ldexp(A.to_vector(), -exponent))
     lams = _cubic_roots(trace, sig, det, scale)
-    terms, lams = _psquare_terms(A, lams, scale, merge_tol)
+    terms, lams = _psquare_terms(A, lams, scale)
     p = sum(1 for lam in lams if abs(lam) > CLASS_TOL * scale)
     return PSquareDecomposition([(np.ldexp(lam, exponent), P) for lam, P in terms], p)
 
 
-def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float,
-                   merge_tol: float) -> tuple[list, list]:
+def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float) -> tuple[list, list]:
     """Terms (lambda, projector) of psquare_decompose for a scaled A with eigenvalues lams.
 
     Returns the terms and the eigenvalues with multiplicity.
@@ -238,7 +240,7 @@ def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float,
         return terms, [d for d, _ in terms]
 
     identity = JordanMatrix.identity()
-    tol = merge_tol * scale
+    tol = MERGE_TOL * scale
     clusters: list[list[float]] = [[lams[0]]]
     for lam in lams[1:]:
         if abs(lam - clusters[-1][-1]) <= tol:

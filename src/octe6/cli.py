@@ -97,7 +97,7 @@ def cmd_verify(args) -> dict:
     sample = [curves[idx] for idx in rng.choice(len(curves), size=min(6, len(curves)), replace=False)]
     checks.append(_bound("layer-predicates", _layer_residual(sample, args.tol), args.tol * 10))
 
-    pairs = []
+    pairs, norms = [], []
     for _ in range(10):
         picks = rng.choice(len(curves), size=3, replace=False)
         nm = curves[picks[0]](rng.uniform(-1, 1))
@@ -105,10 +105,12 @@ def cmd_verify(args) -> dict:
             nm = nm.compose(curves[t](rng.uniform(-1, 1)))
         X = jordan.random_jordan(rng)
         pairs.append((X.to_vector(), nm.apply(X).to_vector()))
-    # the 10 samples and their images in one stacked closed form
+        norms.append(X.norm)
+    # the 10 samples and their images in one stacked closed form, each
+    # change relative to |X|^3 as in classify
     dets = jordan.det3(np.array(pairs))
     before, after = dets[:, 0], dets[:, 1]
-    det_res = max([0.0] + (np.abs(after - before) / np.maximum(1.0, np.abs(before))).tolist())
+    det_res = float((np.abs(after - before) / np.array(norms) ** 3).max())
     checks.append(_bound("determinant-preservation", det_res, 1e-7))
 
     if group in ("F4", "SO9", "SO8", "SO7", "G2"):

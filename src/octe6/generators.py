@@ -133,8 +133,7 @@ class GeneratorCurve:
         return [OctMatrix(M) for M in self.layer_arrays([theta])[0]]
 
     def __call__(self, theta: float) -> NestedMap:
-        return NestedMap([OctMatrix(M) for M in
-                          _embed_arrays(self.layer_arrays([theta])[0], self.slot)])
+        return NestedMap(_embed_arrays(self.layer_arrays([theta])[0], self.slot))
 
 
 _UNITS = np.eye(8)  # row k is the basis unit BASIS_UNITS[k]
@@ -269,7 +268,7 @@ def lie_elements(curves: Sequence) -> list[np.ndarray]:
             slot, layers = curve.slot, curve.layer_arrays((h, -h, 0.0))
         else:  # an opaque callable: its maps' 3x3 layers
             slot = None
-            layers = np.array([[M.arr for M in curve(t).layers] for t in (h, -h, 0.0)])
+            layers = np.array([curve(t).stack for t in (h, -h, 0.0)])
         if slot is None and layers.shape[-3:] != (3, 3, 8):
             raise ValueError("Lie elements need 3x3 layers")
         key = (layers.shape[1], slot)

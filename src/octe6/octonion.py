@@ -15,9 +15,10 @@ data for cross-implementation checks.
 
 Array-level helpers (``omul``, ``oconj``, ``omatmul``, ...) operate on
 plain float arrays whose last axis has length 8, so matrices of octonions
-are ``(n, n, 8)`` arrays, stacked as ``(..., n, n, 8)``.  The
-:class:`Octonion` class wraps a single 8-vector for scalar work.  All
-values are immutable after construction.
+are ``(n, n, 8)`` arrays, stacked as ``(..., n, n, 8)``; ``omatmul``
+contracts the table with its right operand only.  The :class:`Octonion`
+class wraps a single 8-vector for scalar work.  All values are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -65,12 +66,10 @@ def _build_mul_tensor() -> np.ndarray:
 
 
 MUL_TENSOR = _build_mul_tensor()
-# the table as a (8, 64) matrix for omatmul: rows J, columns (I, K) when it
-# is contracted with the right factor's coefficients, rows I, columns (J, K)
-# when with the left factor's
+# the table as a (8, 64) matrix for omatmul, contracted with the right
+# factor's coefficients: rows J, columns (I, K)
 _TABLE_ON_RIGHT = MUL_TENSOR.transpose(1, 0, 2).reshape(8, 64)
 _TABLE_ON_RIGHT.setflags(write=False)
-_TABLE_ON_LEFT = MUL_TENSOR.reshape(8, 64)
 # the table as a (64, 8) matrix for omul: rows (I, J), columns K
 _TABLE_ON_PAIRS = MUL_TENSOR.reshape(64, 8)
 _CONJ_SIGNS = np.array([1.0] + [-1.0] * 7)
@@ -119,36 +118,27 @@ def omatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     operand may carry a leading batch; when both do, the shorter batch must
     be a leading prefix of the longer one, and item ``P`` of the shorter
     batch multiplies every item ``(P, ...)`` of the longer.  The table is
-    contracted with the operand with the shorter batch (with the right
-    operand when the batches are equal), by one product with a fixed
-    ``(8, 64)`` matrix, into one real matrix per item; the longer operand's
-    extra axes fold into the rows or columns of one BLAS product per item.
-    (On the longer side the table would be contracted once per extra item.)
-    Each table column has one nonzero entry, +-1, so the contraction is
-    exact.
+    contracted with the right operand, by one product with a fixed
+    ``(8, 64)`` matrix, into one real matrix per item; the left operand's
+    extra axes fold into the rows of one BLAS product per item.  When the
+    right operand's batch is the longer one, conjugation reverses products,
+    (A B)^dagger = B^dagger A^dagger, and the product is formed as that
+    dagger.  Each table column has one nonzero entry, +-1, so the
+    contraction is exact.
     """
     a_batch, b_batch = A.shape[:-3], B.shape[:-3]
+    if len(b_batch) > len(a_batch):
+        return odagger(omatmul(odagger(B), odagger(A)))
+    if a_batch[:len(b_batch)] != b_batch:
+        raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
     n, k, _ = A.shape[-3:]
     m = B.shape[-2]
-    if len(b_batch) <= len(a_batch):
-        if a_batch[:len(b_batch)] != b_batch:
-            raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
-        # table on B per item: (P, c, b, I, K) -> rows (c, I), columns (b, K);
-        # A's extra axes join its rows
-        right = (B.reshape(-1, 8) @ _TABLE_ON_RIGHT).reshape(-1, k, m, 8, 8)
-        right = right.transpose(0, 1, 3, 2, 4).reshape(-1, 8 * k, 8 * m)
-        rows = A.reshape(right.shape[0], -1, 8 * k)
-        return (rows @ right).reshape(a_batch + (n, m, 8))
-    if b_batch[:len(a_batch)] != a_batch:
-        raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
-    # table on A per item: (P, a, c, J, K) -> rows (a, K), columns (c, J);
-    # B's extra axes join its columns
-    left = (A.reshape(-1, 8) @ _TABLE_ON_LEFT).reshape(-1, n, k, 8, 8)
-    p = left.shape[0]
-    left = left.transpose(0, 1, 4, 2, 3).reshape(p, 8 * n, 8 * k)
-    cols = B.reshape(p, -1, k, m, 8).transpose(0, 2, 4, 1, 3).reshape(p, 8 * k, -1)
-    out = (left @ cols).reshape(p, n, 8, -1, m)
-    return out.transpose(0, 3, 1, 4, 2).reshape(b_batch + (n, m, 8))
+    # table on B per item: (P, c, b, I, K) -> rows (c, I), columns (b, K);
+    # A's extra axes join its rows
+    right = (B.reshape(-1, 8) @ _TABLE_ON_RIGHT).reshape(-1, k, m, 8, 8)
+    right = right.transpose(0, 1, 3, 2, 4).reshape(-1, 8 * k, 8 * m)
+    rows = A.reshape(right.shape[0], -1, 8 * k)
+    return (rows @ right).reshape(a_batch + (n, m, 8))
 
 
 def odagger(A: np.ndarray) -> np.ndarray:
@@ -156,15 +146,15 @@ def odagger(A: np.ndarray) -> np.ndarray:
     return oconj(np.swapaxes(A, -3, -2))
 
 
-def imaginary_rank(entries: np.ndarray, rel_tol: float = 1e-9) -> int:
+def imaginary_rank(entries: np.ndarray, rel_tol: float = 1e-9):
     """Numerical rank of the stacked imaginary parts of a set of octonions.
 
     Rank 0 means all entries are real; rank 1 means the imaginary parts are
-    pairwise parallel, i.e. the entries lie in one complex subalgebra.
+    pairwise parallel, i.e. the entries lie in one complex subalgebra.  An
+    int for one (m, 8) set, an array of counts for a (..., m, 8) stack of
+    sets.
     """
-    ims = np.asarray(entries, dtype=float).reshape(-1, 8)[:, 1:]
-    if not ims.size:
-        return 0
+    ims = np.asarray(entries, dtype=float)[..., 1:]
     return _numerical_rank(np.linalg.svd(ims, compute_uv=False), rel_tol)
 
 

@@ -1,7 +1,8 @@
 """Octonionic matrices as transformations of Hermitian matrices and spinors.
 
 Because octonionic matrices do not associate, a group element is kept as a
-:class:`NestedMap`, an ordered list of layers applied strictly inside out:
+:class:`NestedMap`, an ordered stack of layers, one (depth, n, n, 8) array,
+applied strictly inside out:
 
     apply(X) = M_k ( ... (M_1 X M_1^dagger) ... ) M_k^dagger
 
@@ -21,8 +22,10 @@ M X = (X M^dagger)^dagger, so a layer is two products with the real table
 of M^dagger around a transpose; one contraction gives the tables of every
 layer, and ``linear_ops`` runs a whole stack of maps of one depth at once,
 each map on the basis stack folded into the rows of its BLAS products.
-The predicates take one matrix or a stack, and run on stacked Hermitian
-bases and spinor columns through the batched ``omatmul``.
+The predicates take one matrix or a stack, with bounds relative to |M|^2
+(|M|^n for an n x n determinant); well-definedness runs ``_act`` on the
+Hermitian basis, compatibility the batched ``omatmul`` on sampled spinor
+columns.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .octonion import (
     _TABLE_ON_RIGHT,
     Octonion,
     _as_coeffs,
-    _numerical_rank,
+    imaginary_rank,
     odagger,
     omatmul,
     omul,
@@ -157,21 +160,24 @@ def cyclic_permutation() -> OctMatrix:
 class NestedMap:
     """Ordered layers of octonionic matrices applied inside out.
 
-    The action on Hermitian matrices is real-linear in the coordinates, so
-    ``apply`` multiplies by the map's real operator (27x27 for 3x3 layers,
-    10x10 for 2x2), built on first use and kept read-only.
+    The layers are held as one read-only (depth, n, n, 8) array, ``stack``;
+    the constructor takes OctMatrix layers or such an array.  The action on
+    Hermitian matrices is real-linear in the coordinates, so ``apply``
+    multiplies by the map's real operator (27x27 for 3x3 layers, 10x10 for
+    2x2), built on first use and kept read-only.
     """
 
-    __slots__ = ("layers", "_op")
+    __slots__ = ("stack", "_op")
 
     def __init__(self, layers):
-        layers = tuple(layers)
-        if not layers:
-            raise ValueError("a nested map needs at least one layer")
-        dim = layers[0].n
-        if any(layer.n != dim for layer in layers):
-            raise ValueError("all layers must share one dimension")
-        self.layers = layers
+        if not isinstance(layers, np.ndarray):
+            layers = [M.arr for M in layers]
+        stack = np.array(layers, dtype=float)
+        if (stack.ndim != 4 or not stack.size or stack.shape[1] != stack.shape[2]
+                or stack.shape[3] != 8):
+            raise ValueError(f"expected a (depth, n, n, 8) layer array, got shape {stack.shape}")
+        stack.setflags(write=False)
+        self.stack = stack
         self._op = None
 
     @classmethod
@@ -179,14 +185,19 @@ class NestedMap:
         return cls((M,))
 
     @property
+    def layers(self) -> tuple[OctMatrix, ...]:
+        """The layers as matrices, innermost first."""
+        return tuple(OctMatrix(M) for M in self.stack)
+
+    @property
     def dim(self) -> int:
-        return self.layers[0].n
+        return self.stack.shape[1]
 
     def compose(self, other: "NestedMap") -> "NestedMap":
         """This map first, then the other: concatenation of layers."""
         if other.dim != self.dim:
             raise ValueError("cannot compose maps of different dimension")
-        return NestedMap(self.layers + other.layers)
+        return NestedMap(np.concatenate((self.stack, other.stack)))
 
     def apply_array(self, X: np.ndarray) -> np.ndarray:
         """Layered action on a (..., n, n, 8) stack of Hermitian matrices, no read-off.
@@ -198,7 +209,7 @@ class NestedMap:
         X = np.asarray(X, dtype=float)
         if X.shape[-3:] != (self.dim, self.dim, 8):
             raise ValueError("operand dimension does not match the map")
-        return _act(self._stacked(), X)
+        return _act(self.stack, X)
 
     def apply(self, X):
         """Act on a JordanMatrix (3x3 maps) or Hermitian2 (2x2 maps) through the operator."""
@@ -216,8 +227,8 @@ class NestedMap:
         if self.dim != 2:
             raise ValueError("the spinor action needs 2x2 layers")
         v = np.asarray(v, dtype=float).reshape(2, 1, 8)
-        for M in self.layers:
-            v = omatmul(M.arr, v)
+        for M in self.stack:
+            v = omatmul(M, v)
         return v[:, 0]
 
     def as_linear_op(self) -> np.ndarray:
@@ -227,18 +238,13 @@ class NestedMap:
         read-only array is returned every time.
         """
         if self._op is None:
-            op = linear_ops(self._stacked())
+            op = linear_ops(self.stack)
             op.setflags(write=False)
             self._op = op
         return self._op
 
-    def _stacked(self) -> np.ndarray:
-        """The layers as one (depth, n, n, 8) array."""
-        arrays = [M.arr for M in self.layers]
-        return np.concatenate(arrays).reshape((-1,) + arrays[0].shape)
-
     def __repr__(self):
-        return f"NestedMap(dim={self.dim}, depth={len(self.layers)})"
+        return f"NestedMap(dim={self.dim}, depth={len(self.stack)})"
 
 
 # right multiplication by a conjugated entry y of M, i.e. by an entry of
@@ -319,14 +325,14 @@ def _arrays(M) -> np.ndarray:
 
 
 def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float):
-    """Per item M of arr: the largest |diff| and whether it is <= tol * max(1, |M|^2).
+    """Per item M of arr: the largest |diff| and whether it is <= tol * |M|^2.
 
     (bool, float) for one matrix, arrays for a stack.
     """
     batch = arr.shape[:-3]
     residual = np.abs(diff).reshape(batch + (-1,)).max(axis=-1)
     norms = np.sqrt(np.sum(np.square(arr).reshape(batch + (-1,)), axis=-1))
-    ok = residual <= tol * np.maximum(1.0, norms**2)
+    ok = residual <= tol * norms**2
     if arr.ndim == 3:
         return bool(ok), float(residual)
     return ok, residual
@@ -335,16 +341,16 @@ def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float):
 def is_welldefined(M, tol: float = 1e-9):
     """Whether M(X M^dagger) = (M X) M^dagger on a basis of Hermitian X.
 
-    Returns (verdict, largest residual) for an OctMatrix or one (n, n, 8)
-    array, and arrays of both for a (..., n, n, 8) stack, one per item.
+    For Hermitian X, M(X M^dagger) = ((M X) M^dagger)^dagger, so the
+    residual is |Z^dagger - Z| for Z = (M X) M^dagger, the action kernel's
+    image of the basis.  Returns (verdict, largest residual) for an
+    OctMatrix or one (n, n, 8) array, and arrays of both for a
+    (..., n, n, 8) stack, one per item.
     """
     Ma = _arrays(M)
-    Mh, batch = odagger(Ma), Ma.shape[:-3]
     basis = _hermitian_basis(Ma.shape[-2])
-    X = np.broadcast_to(basis, batch + basis.shape)
-    left = omatmul(Ma, omatmul(X, Mh))
-    right = omatmul(omatmul(Ma, X), Mh)
-    return _verdicts(Ma, left - right, tol)
+    Z = _act(Ma[..., None, :, :, :], basis.reshape((1,) * (Ma.ndim - 3) + basis.shape))
+    return _verdicts(Ma, odagger(Z) - Z, tol)
 
 
 @functools.cache
@@ -386,8 +392,7 @@ def is_complex(M, rel_tol: float = 1e-9):
     A bool for one matrix, a bool array for a (..., n, n, 8) stack.
     """
     Ma = _arrays(M)
-    ims = Ma.reshape(Ma.shape[:-3] + (-1, 8))[..., 1:]
-    ranks = _numerical_rank(np.linalg.svd(ims, compute_uv=False), rel_tol)
+    ranks = imaginary_rank(Ma.reshape(Ma.shape[:-3] + (-1, 8)), rel_tol)
     return ranks <= 1 if Ma.ndim > 3 else bool(ranks <= 1)
 
 
@@ -412,7 +417,8 @@ def complex_det(M, tol: float = 1e-9):
     plane = Ma[..., 0] + 1j * (Ma[..., 1:] @ direction[..., None, :, None])[..., 0]
     det = np.linalg.det(plane)
     coeffs = np.concatenate((det.real[..., None], det.imag[..., None] * direction), axis=-1)
-    is_real = np.abs(det.imag) <= tol * np.maximum(1.0, np.abs(det))
+    norms = np.linalg.norm(Ma.reshape(Ma.shape[:-3] + (-1,)), axis=-1)
+    is_real = np.abs(det.imag) <= tol * norms ** Ma.shape[-2]
     if Ma.ndim == 3:
         return Octonion(coeffs), bool(is_real)
     return coeffs, is_real
@@ -447,21 +453,8 @@ def _embed_arrays(blocks: np.ndarray, slot: int) -> np.ndarray:
 
 def nested_map_to_json(nm: NestedMap) -> list:
     """Layer list; each layer is an n x n grid of 8-coefficient lists."""
-    return [
-        [[layer.arr[r, c].tolist() for c in range(layer.n)] for r in range(layer.n)]
-        for layer in nm.layers
-    ]
+    return nm.stack.tolist()
 
 
 def nested_map_from_json(data: list) -> NestedMap:
-    layers = []
-    for layer in data:
-        n = len(layer)
-        arr = np.zeros((n, n, 8))
-        for r in range(n):
-            if len(layer[r]) != n:
-                raise ValueError("nested map layers must be square")
-            for c in range(n):
-                arr[r, c] = np.asarray(layer[r][c], dtype=float)
-        layers.append(OctMatrix(arr))
-    return NestedMap(layers)
+    return NestedMap(np.array(data, dtype=float))

@@ -100,6 +100,19 @@ class TestVerify:
         assert report["pass"] is False
         assert report["rank"] > report["expected"]
 
+    def test_determinant_bound_is_relative_below_unit_scale(self, capsys, monkeypatch):
+        # a map that scales every image by 1.5 multiplies det by 3.375; on
+        # samples scaled by 1e-3 the change was 5.4e-8 of max(1, |det X|)
+        from octe6 import jordan
+        honest_random, honest_apply = jordan.random_jordan, transform.NestedMap.apply
+        monkeypatch.setattr(jordan, "random_jordan", lambda rng: honest_random(rng) * 1e-3)
+        monkeypatch.setattr(transform.NestedMap, "apply", lambda nm, X: honest_apply(nm, X) * 1.5)
+        code, out, _ = run_cli(capsys, "verify", "SO8", "--seed", "1")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["determinant-preservation"]["pass"] is False
+        assert checks["determinant-preservation"]["observed"] > 1e-3
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
         _, second, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
@@ -324,6 +337,35 @@ class TestOverflowInput:
         code, out, _ = run_cli(capsys, command, str(path))
         assert code == 0
         assert json.loads(out)["pass"] is True
+
+
+ONE8 = [1.0] + [0.0] * 7
+I2_JSON = [[ONE8, ZERO8], [ZERO8, ONE8]]
+I3_JSON = [[ONE8 if r == c else ZERO8 for c in range(3)] for r in range(3)]
+
+
+class TestMalformedMap:
+    @pytest.mark.parametrize("nm", [
+        [],
+        [[]],
+        [[[ONE8, ZERO8, ZERO8], [ZERO8, ONE8]]],
+        [[[ONE8, ZERO8, ZERO8], [ZERO8, ONE8, ZERO8]]],
+        [I3_JSON, I2_JSON],
+        [[[[1.0] + [0.0] * 6] * 2] * 2],
+        [[[ONE8, "i"], [ZERO8, ONE8]]],
+        {"layers": [I3_JSON]},
+        5,
+        [I2_JSON],
+    ], ids=["empty", "empty-layer", "ragged-row", "non-square", "mixed-sizes",
+            "seven-coefficients", "string-entry", "object", "number", "2x2-on-3x3"])
+    def test_rejected(self, capsys, tmp_path, nm):
+        path, map_path = tmp_path / "matrix.json", tmp_path / "map.json"
+        path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}))
+        map_path.write_text(json.dumps(nm))
+        code, out, err = run_cli(capsys, "decompose", str(path), "--apply", str(map_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestTriality:

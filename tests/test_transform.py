@@ -141,7 +141,7 @@ def _welldefined_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
         left = omatmul(Ma, omatmul(X, Mh))
         right = omatmul(omatmul(Ma, X), Mh)
         residual = max(residual, float(np.abs(left - right).max()))
-    return residual <= tol * max(1.0, M.norm**2), residual
+    return residual <= tol * M.norm**2, residual
 
 
 def _compatible_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
@@ -154,7 +154,7 @@ def _compatible_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
         vv = omul(v[:, None, :], oconj(v)[None, :, :])
         rhs = omatmul(omatmul(Ma, vv), Mh)
         residual = max(residual, float(np.abs(lhs - rhs).max()))
-    return residual <= tol * max(1.0, M.norm**2), residual
+    return residual <= tol * M.norm**2, residual
 
 
 def _oracle_blocks() -> list[OctMatrix]:
@@ -195,6 +195,26 @@ class TestPredicateOracles:
             assert abs(res - ref_res) <= 1e-13 * max(1.0, M.norm**2)
             verdicts.add(ok)
         assert verdicts == {True, False}
+
+
+class TestScaleFreeBounds:
+    """A layer's verdicts do not depend on its scale; below 1 the bounds were absolute."""
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6])
+    def test_failing_layers_fail_at_small_scale(self, scale):
+        i, j = Octonion.unit("i"), Octonion.unit("j")
+        mixed = OctMatrix.diag(i, j) * scale
+        independent = OctMatrix.diag(i, oconj(j.coefficients)) * scale
+        assert is_welldefined(mixed)[0] is _welldefined_loop(mixed)[0] is False
+        assert is_compatible(independent)[0] is _compatible_loop(independent)[0] is False
+        assert complex_det(OctMatrix.diag(i, 1.0) * scale)[1] is False
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-6])
+    def test_passing_layers_pass_at_small_scale(self, scale):
+        M = phase_diag("jl", 0.8) * scale
+        assert is_welldefined(M)[0] is _welldefined_loop(M)[0] is True
+        assert is_compatible(M)[0] is _compatible_loop(M)[0] is True
+        assert complex_det(M)[1] is True
 
 
 class TestStackedPredicates:
