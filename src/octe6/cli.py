@@ -246,13 +246,25 @@ def _reject_constant(name: str):
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle, parse_constant=_reject_constant)
+            data = json.load(handle, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise CliInputError(f"no such file: {path}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except CliInputError as exc:
         raise CliInputError(f"{path}: {exc}")
+    if not _numeric(data):
+        raise CliInputError(f"{path}: a value is not a number")
+    return data
+
+
+def _numeric(node) -> bool:
+    """Whether every leaf of a parsed JSON value is a number (bool is not)."""
+    if type(node) is list:
+        return set(map(type, node)) <= {float, int} or all(map(_numeric, node))
+    if type(node) is dict:
+        return all(map(_numeric, node.values()))
+    return type(node) in (float, int)
 
 
 class CliInputError(Exception):

@@ -41,22 +41,17 @@ triples (s, u, w) are enumerated over all ordered pairs of distinct
 imaginary basis units and every admissible basis w; that enumeration
 saturates the 14-dimensional span.
 
-A curve's Lie algebra element is the central difference (step
-``LIE_STEP``) of its 27x27 operator, right-translated to the identity;
-dimensions are numerical ranks of the flattened elements.
-
-``lie_elements`` computes the elements of a whole curve list in stacked
-passes.  Curves are grouped by (depth, slot), an opaque callable's already
-embedded 3x3 layers forming groups of their own.  Each curve's layers are
-evaluated at +h, -h and 0; a group's pass runs as soon as it holds
-``LIE_CHUNK`` curves, and the partly filled groups run at the end.  A pass
-embeds its 2x2 blocks in one index shift, and ``linear_ops`` acts on the
-27 Jordan basis matrices one layer at a time for all its maps together;
-one batched inverse and one batched product finish it.  The chunk bounds
-the peak memory: the 210 G2 curves allocate at most 3.3 MB at a time in
-passes of 8 curves (24 maps), against 1.6 MB one curve at a time and 55 MB
-in a single pass, whose stacked basis images alone take 10 MB.  Passes of
-more than 8 curves are not faster.
+A curve's Lie algebra element is the tangent of its 27x27 operator at
+t = 0, right-translated to the identity; dimensions are numerical ranks
+of the flattened elements.  Roster layers have entries in {0, +-1} and
+rates in {0, 1/2, 1}, so the elements are exact half-integer matrices.
+``lie_elements`` runs the curves of one (kind, rates, slot) in passes of
+``LIE_CHUNK`` layers.  One ``linear_ops`` call gives the operator L_d of
+each layer M_d at t = 0 and, where r_d != 0, those of M_d +- M'_d (from
+``JETS``).  A layer is quadratic in M_d, so its tangent L'_d is exactly
+half their difference.  The chain rule T <- L_d T + L'_d P, P <- L_d P
+gives the map's tangent T and its base P, a signed permutation, and the
+element is T P^T.
 """
 
 from __future__ import annotations
@@ -87,11 +82,8 @@ EXPECTED_DIMENSION = {
 # groups whose roster lives in a single 2x2 block slot
 SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
 
-# central-difference step of lie_elements
-LIE_STEP = 1e-5
-
-# curves per stacked pass of lie_elements; bounds the pass's arrays and so the peak RSS
-LIE_CHUNK = 8
+# layers (curves x depth) per stacked pass of lie_elements; bounds the pass's arrays
+LIE_CHUNK = 16
 
 # (c, s) of each curve kind: layer d at angle t is c(r_d t) A_d + s(r_d t) B_d
 KINDS = {
@@ -99,6 +91,9 @@ KINDS = {
     "hyperbolic": (np.cosh, np.sinh),
     "exponential": (np.exp, lambda x: np.exp(-x)),
 }
+
+# ((c, s)(0), (c', s')(0)) of each curve kind
+JETS = {"trig": ((1, 0), (0, 1)), "hyperbolic": ((1, 0), (0, 1)), "exponential": ((1, 1), (1, -1))}
 
 
 @dataclass(frozen=True)
@@ -252,47 +247,43 @@ def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
 # Lie elements and ranks
 # ---------------------------------------------------------------------------
 
-def lie_elements(curves: Sequence) -> list[np.ndarray]:
+def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
     """Lie elements of many curves, in stacked passes; see the module docstring.
 
     Element t is the tangent of curves[t] at 0, right-translated to the
-    identity: the central difference (op(c(h)) - op(c(-h)))/2h with
-    h = LIE_STEP, times op(c(0))^-1.  The base operator is a group element
-    and hence invertible; a singular one raises ValueError.
+    identity.  A base op(curves[t](0)) that is not orthogonal bit for bit
+    raises ValueError, an item that is not a GeneratorCurve TypeError.
     """
-    h = LIE_STEP
-    out = [None] * len(curves)
-    pending: dict[tuple, list] = {}  # (depth, slot) -> [(index, (3, depth, n, n, 8) layers)]
+    groups: dict[tuple, list[int]] = {}
     for index, curve in enumerate(curves):
-        if isinstance(curve, GeneratorCurve):
-            slot, layers = curve.slot, curve.layer_arrays((h, -h, 0.0))
-        else:  # an opaque callable: its maps' 3x3 layers
-            slot = None
-            layers = np.array([curve(t).stack for t in (h, -h, 0.0)])
-        if slot is None and layers.shape[-3:] != (3, 3, 8):
-            raise ValueError("Lie elements need 3x3 layers")
-        key = (layers.shape[1], slot)
-        pending.setdefault(key, []).append((index, layers))
-        if len(pending[key]) == LIE_CHUNK:
-            _lie_pass(pending.pop(key), slot, out)
-    for (_, slot), chunk in pending.items():
-        _lie_pass(chunk, slot, out)
-    return out
+        if not isinstance(curve, GeneratorCurve):
+            raise TypeError(f"Lie elements need GeneratorCurve items, not {type(curve).__name__}")
+        groups.setdefault((curve.kind, curve.rates, curve.slot), []).append(index)
+    out = {}
+    for key, indices in groups.items():
+        step = -(-LIE_CHUNK // len(key[1]))  # curves per pass: curves x depth >= LIE_CHUNK
+        for chunk in (indices[i:i + step] for i in range(0, len(indices), step)):
+            out.update(zip(chunk, _lie_pass([curves[i] for i in chunk], *key)))
+    return [out[index] for index in range(len(curves))]
 
 
-def _lie_pass(chunk: list, slot: int | None, out: list) -> None:
-    """One stacked pass of lie_elements over curves of one depth and slot."""
-    stack = np.stack([layers for _, layers in chunk], axis=1)  # (3, C, depth, n, n, 8)
-    if slot is not None:
-        stack = _embed_arrays(stack, slot)
-    plus, minus, base = linear_ops(stack)
-    try:
-        base_inv = np.linalg.inv(base)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("curve(0) is singular; the roster is broken") from exc
-    elements = (plus - minus) / (2.0 * LIE_STEP) @ base_inv
-    for (index, _), element in zip(chunk, elements):
-        out[index] = element
+def _lie_pass(curves: list, kind: str, rates: tuple, slot: int) -> np.ndarray:
+    """The (C, 27, 27) Lie elements of curves that share kind, rates and slot."""
+    (c0, s0), (c1, s1) = JETS[kind]
+    A, B = np.stack([c.A for c in curves]), np.stack([c.B for c in curves])
+    depth, moving = len(rates), np.flatnonzero(rates)
+    M = c0 * A + s0 * B
+    dM = (np.array(rates)[:, None, None, None] * (c1 * A + s1 * B))[:, moving]
+    layers = np.concatenate([M, M[:, moving] + dM, M[:, moving] - dM], axis=1)
+    ops = linear_ops(_embed_arrays(layers, slot)[..., None, :, :, :])  # one map per layer
+    L, dL = ops[:, :depth], np.zeros_like(ops[:, :depth])
+    dL[:, moving] = np.subtract(*np.split(ops[:, depth:], 2, axis=1)) / 2.0
+    P, T = L[:, 0], dL[:, 0]
+    for d in range(1, depth):
+        T, P = L[:, d] @ T + dL[:, d] @ P, L[:, d] @ P
+    if not (P @ P.swapaxes(-1, -2) == np.eye(P.shape[-1])).all():
+        raise ValueError("op(curve(0)) is not orthogonal; the roster is broken")
+    return T @ P.swapaxes(-1, -2)
 
 
 def lie_element(curve) -> np.ndarray:
@@ -308,8 +299,7 @@ def _as_elements(items: Sequence) -> list[np.ndarray]:
 
 def singular_values(items: Sequence) -> np.ndarray:
     """Singular values of the stacked, flattened Lie elements."""
-    elements = _as_elements(items)
-    stacked = np.stack([el.ravel() for el in elements])
+    stacked = np.stack([el.ravel() for el in _as_elements(items)])
     return np.linalg.svd(stacked, compute_uv=False)
 
 
@@ -334,18 +324,13 @@ def rank_gap(items: Sequence, rel_tol: float = 1e-6) -> float:
     s = singular_values(items)
     # rank 0 only when s[0] = 0, and then s[0] is dropped
     kept, dropped = rank_cut(s, _numerical_rank(s, rel_tol))
-    if not dropped:
-        return np.inf
-    return kept / dropped
+    return kept / dropped if dropped else np.inf
 
 
 def span_equal(first: Sequence, second: Sequence, rel_tol: float = 1e-6) -> bool:
     """Whether two collections of Lie elements span the same subspace."""
-    a = _as_elements(first)
-    b = _as_elements(second)
-    ra = lie_rank(a, rel_tol)
-    rb = lie_rank(b, rel_tol)
-    return ra == rb == lie_rank(a + b, rel_tol)
+    a, b = _as_elements(first), _as_elements(second)
+    return lie_rank(a, rel_tol) == lie_rank(b, rel_tol) == lie_rank(a + b, rel_tol)
 
 
 def so8_action_check(q, X: JordanMatrix) -> float:

@@ -33,6 +33,7 @@ from octe6.generators import roster
 from octe6.transform import NestedMap
 
 SEED = 14142
+E6_CURVES = roster("E6")
 
 I3 = JordanMatrix.identity()
 E11 = JordanMatrix.diag(1, 0, 0)
@@ -433,6 +434,21 @@ class TestClassPreservation:
         rng = np.random.default_rng(SEED)
         nm = NestedMap.single(_identity3())
         assert e6_preserves_class_check(nm, random_jordan(rng))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["rank-1", "rank-2", "generic"]),
+           seed=st.integers(0, 2**32 - 1),
+           word=st.lists(st.tuples(st.integers(0, len(E6_CURVES) - 1), st.floats(-1.0, 1.0)),
+                         min_size=1, max_size=4))
+    def test_class_and_p_survive_e6_words(self, kind, seed, word):
+        A, expected = _class_sample(kind, seed)
+        nm = E6_CURVES[word[0][0]](word[0][1])
+        for pick, theta in word[1:]:
+            nm = nm.compose(E6_CURVES[pick](theta))
+        image = nm.apply(A)
+        assert classify(A) == expected
+        assert classify(image) == expected
+        assert psquare_decompose(image).p == expected
 
 
 def _identity3():

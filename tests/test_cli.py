@@ -81,6 +81,14 @@ class TestVerify:
             assert dropped == sv[r]
             assert report["rank_gap"] == kept / dropped > 1e9
 
+    @pytest.mark.parametrize("group", ["E6", "F4", "G2"])
+    def test_exact_lie_elements_give_a_wide_rank_gap(self, capsys, group):
+        # the dropped singular values are rounding noise of the SVD alone
+        code, out, _ = run_cli(capsys, "verify", group)
+        report = json.loads(out)
+        assert code == 0 and report["rank"] == report["expected"]
+        assert report["rank_gap"] >= 1e14
+
     def test_so7_rank_other_slot(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "SO7", "--slot", "2")
         assert code == 0
@@ -356,8 +364,14 @@ class TestMalformedMap:
         {"layers": [I3_JSON]},
         5,
         [I2_JSON],
+        [[[["1"] + ["0"] * 7, ZERO8, ZERO8], I3_JSON[1], I3_JSON[2]]],
+        [[[[True] + [False] * 7, ZERO8, ZERO8], I3_JSON[1], I3_JSON[2]]],
+        [[[[1.0, True] + [0.0] * 6, ZERO8, ZERO8], I3_JSON[1], I3_JSON[2]]],
+        [[[[None] + [0.0] * 7, ZERO8, ZERO8], I3_JSON[1], I3_JSON[2]]],
     ], ids=["empty", "empty-layer", "ragged-row", "non-square", "mixed-sizes",
-            "seven-coefficients", "string-entry", "object", "number", "2x2-on-3x3"])
+            "seven-coefficients", "string-entry", "object", "number", "2x2-on-3x3",
+            "string-coefficients", "boolean-coefficients", "boolean-in-float-list",
+            "null-coefficient"])
     def test_rejected(self, capsys, tmp_path, nm):
         path, map_path = tmp_path / "matrix.json", tmp_path / "map.json"
         path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}))
@@ -366,6 +380,29 @@ class TestMalformedMap:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestNonNumericInput:
+    @pytest.mark.parametrize("command,payload", [
+        ("decompose", {"diag": ["1", 2, 3], "a": ZERO8, "b": ZERO8, "c": ZERO8}),
+        ("decompose", {"diag": [1.0, 2.0, 3.0], "a": [True] + [0] * 7, "b": ZERO8, "c": ZERO8}),
+        ("decompose", {"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": [1.0, True] + [0.0] * 6,
+                       "c": ZERO8}),
+        ("decompose", {"diag": [False, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}),
+        ("dirac", {"P": {"diag": [1.0, "0"], "a": ZERO8}}),
+        ("dirac", {"P": {"diag": [True, False], "a": ZERO8}}),
+        ("dirac", {"P": {"diag": [1.0, 0.0], "a": [0.0, True] + [0.0] * 6}}),
+    ], ids=["decompose-string-diag", "decompose-boolean-entry", "decompose-boolean-in-floats",
+            "decompose-boolean-diag", "dirac-string-diag", "dirac-boolean-diag",
+            "dirac-boolean-in-floats"])
+    def test_rejected(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert "typed.json" in err and "number" in err
+        assert "Traceback" not in err
 
 
 class TestTriality:

@@ -8,7 +8,8 @@ from octe6.generators import (
     EXPECTED_DIMENSION,
     GROUPS,
     IMAGINARY_UNITS,
-    LIE_STEP,
+    JETS,
+    KINDS,
     SLOT_GROUPS,
     GeneratorCurve,
     _as_elements,
@@ -90,22 +91,27 @@ class TestRosterStructure:
                     -1.0 if "flip" in curve.label else 1.0, abs=1e-9)
 
 
+FD_STEP = 1e-5
+
+
 def _lie_element_per_curve(curve):
-    """The per-curve formula that the stacked passes replaced, kept as an oracle."""
+    """Central difference of theta -> NestedMap at 0, right-translated: an oracle to 1e-9."""
 
     def op(theta):
         return hermitian_vectors(curve(theta).apply_array(_hermitian_basis(3))).T
 
-    return (op(LIE_STEP) - op(-LIE_STEP)) / (2.0 * LIE_STEP) @ np.linalg.inv(op(0.0))
+    return (op(FD_STEP) - op(-FD_STEP)) / (2.0 * FD_STEP) @ np.linalg.inv(op(0.0))
 
 
-def _opaque(curve):
-    """The same curve as a plain callable, so that it takes the embedded-layer path."""
-    return lambda theta: curve(theta)
+def _assert_exact(element, fd, label):
+    """element is the half-integer matrix that the finite difference fd approximates."""
+    assert np.array_equal(element, np.round(2.0 * fd) / 2.0), label
+    assert np.abs(fd - element).max() <= 1e-9, label
 
 
-def _degenerate(theta):
-    return NestedMap.single(OctMatrix.zero(3) * (1.0 + theta))
+# a data-form curve whose every layer is zero: op(curve(0)) is singular
+_degenerate = GeneratorCurve("degenerate[slot0]", 0, "trig", (0.5,),
+                             np.zeros((1, 2, 2, 8)), np.zeros((1, 2, 2, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +236,14 @@ class TestRosterOracle:
 
     @pytest.mark.parametrize("group, slot", ALL_ROSTERS)
     def test_lie_elements_match_closures(self, group, slot):
-        # the closures as opaque callables, on the embedded-layer path
+        # the finite difference of each closure, independent of the data-form curves
         curves = roster(group, slot=slot)
-        opaque = [lambda t, blocks=blocks, sl=c.slot: NestedMap([embed(M, sl) for M in blocks(t)])
-                  for c, (_, blocks) in zip(curves, _reference_roster(group, slot))]
-        for got, want in zip(lie_elements(curves), lie_elements(opaque), strict=True):
-            assert np.array_equal(got, want)
+        reference = _reference_roster(group, slot)
+        elements = lie_elements(curves)
+        for curve, got, (label, blocks) in zip(curves, elements, reference, strict=True):
+            def closure(t, blocks=blocks, sl=curve.slot):
+                return NestedMap([embed(M, sl) for M in blocks(t)])
+            _assert_exact(got, _lie_element_per_curve(closure), label)
 
     def test_arrays_read_only_and_curves_hash(self):
         curves = roster("E6") + roster("G2", slot=1)
@@ -257,7 +265,7 @@ class TestLieElements:
         for t in range(8):
             expected[11 + t, 11 + t] = -0.5
             expected[19 + t, 19 + t] = 0.5
-        assert np.abs(L - expected).max() <= 1e-8
+        assert np.array_equal(L, expected)
 
     def test_transverse_annihilates_diagonal(self):
         for curve in transverse_curves(0):
@@ -278,39 +286,60 @@ class TestLieElements:
         with pytest.raises(ValueError):
             lie_element(_degenerate)
 
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_jets_are_the_kinds_at_zero(self, kind):
+        (c0, s0), (c1, s1) = JETS[kind]
+        c, s = KINDS[kind]
+        assert (c(0.0), s(0.0)) == (c0, s0)
+        h = 1e-6
+        assert abs((c(h) - c(-h)) / (2 * h) - c1) <= 1e-9
+        assert abs((s(h) - s(-h)) / (2 * h) - s1) <= 1e-9
+
+
+# each roster once: E6 and F4 ignore the slot
+DISTINCT_ROSTERS = [(group, slot) for group in GROUPS
+                    for slot in ((0, 1, 2) if group in SLOT_GROUPS else (0,))]
+
 
 class TestStackedLieElements:
-    @pytest.mark.parametrize("group, slot", [
-        (group, slot) for group in GROUPS
-        for slot in ((0, 1, 2) if group in SLOT_GROUPS else (0,))
-    ])
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
     def test_matches_per_curve_formula(self, group, slot):
         curves = roster(group, slot=slot)
         elements = lie_elements(curves)
         assert len(elements) == len(curves)
         for curve, element in zip(curves, elements):
-            assert np.array_equal(element, _lie_element_per_curve(curve)), curve.label
+            _assert_exact(element, _lie_element_per_curve(curve), curve.label)
 
-    def test_opaque_callables_match_generator_curves(self):
-        # mixed depths, more curves than one pass holds
-        curves = roster("SO9", slot=1)
-        opaque = lie_elements([_opaque(c) for c in curves])
-        for got, expected in zip(opaque, lie_elements(curves)):
-            assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
+    def test_half_integer_elements_and_signed_permutation_bases(self, group, slot):
+        curves = roster(group, slot=slot)
+        for curve, element in zip(curves, lie_elements(curves), strict=True):
+            assert np.array_equal(2.0 * element, np.round(2.0 * element)), curve.label
+            base = curve(0.0).as_linear_op()
+            assert np.array_equal(np.abs(base).sum(axis=0), np.ones(27)), curve.label
+            assert set(np.unique(base)) <= {-1.0, 0.0, 1.0}, curve.label
+            assert np.array_equal(base @ base.T, np.eye(27)), curve.label
 
     def test_singular_base_in_stack_rejected(self):
-        items = ([_opaque(c) for c in boost_curves(0)[:3]] + [_degenerate]
-                 + [_opaque(c) for c in rotation_curves(0)[:3]])
+        # the degenerate curve shares a pass with the rotations
+        items = boost_curves(0)[:3] + [_degenerate] + rotation_curves(0)[:3]
         with pytest.raises(ValueError):
             lie_elements(items)
 
-    def test_two_by_two_layers_rejected(self):
-        with pytest.raises(ValueError):
-            lie_element(lambda theta: NestedMap.single(OctMatrix.identity(2)))
+    @pytest.mark.parametrize("item", [
+        lambda theta: boost_curves(0)[0](theta),
+        boost_curves(0)[0](0.0),
+        "boost-diag[slot0]",
+    ], ids=["callable", "nested-map", "label"])
+    def test_items_other_than_curves_rejected(self, item):
+        with pytest.raises(TypeError):
+            lie_elements(rotation_curves(0)[:2] + [item])
 
     def test_mixed_items_keep_their_order(self):
         curves = roster("SO8", slot=2)[::6]
-        L = [_lie_element_per_curve(c) for c in curves]
+        fd = [_lie_element_per_curve(c) for c in curves]
+        L = [np.round(2.0 * f) / 2.0 for f in fd]
+        assert max(np.abs(f - el).max() for f, el in zip(fd, L)) <= 1e-9
         raw = [3.0 * lie_element(c) for c in roster("SO7")[:3]]
         items = [raw[0], curves[0], curves[1], raw[1], curves[2], raw[2], curves[3], curves[4]]
         expected = [raw[0], L[0], L[1], raw[1], L[2], raw[2], L[3], L[4]]
