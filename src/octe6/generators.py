@@ -45,13 +45,16 @@ A curve's Lie algebra element is the tangent of its 27x27 operator at
 t = 0, right-translated to the identity; dimensions are numerical ranks
 of the flattened elements.  Roster layers have entries in {0, +-1} and
 rates in {0, 1/2, 1}, so the elements are exact half-integer matrices.
-``lie_elements`` runs the curves of one (kind, rates, slot) in passes of
-``LIE_CHUNK`` layers.  One ``linear_ops`` call gives the operator L_d of
-each layer M_d at t = 0 and, where r_d != 0, those of M_d +- M'_d (from
-``JETS``).  A layer is quadratic in M_d, so its tangent L'_d is exactly
-half their difference.  The chain rule T <- L_d T + L'_d P, P <- L_d P
-gives the map's tangent T and its base P, a signed permutation, and the
-element is T P^T.
+``lie_elements`` takes each curve's layers M_d at t = 0 and, where
+r_d != 0, M_d +- M'_d (from ``JETS``), embedded in its slot.  Roster
+layers repeat heavily (G2's 1680 are 70 distinct maps), so one call keys
+every layer by its bytes and builds each distinct layer's operator once,
+``LIE_BLOCK`` single-layer maps per ``linear_ops`` call.  A layer is
+quadratic in M_d, so its tangent L'_d is exactly half the difference of
+the operators of M_d +- M'_d.  Over the curves of one (kind, rates, slot),
+in passes of ``LIE_CHUNK`` layers, the chain rule T <- L_d T + L'_d P,
+P <- L_d P reads those operators by index and gives the map's tangent T
+and its base P, a signed permutation; the element is T P^T.
 """
 
 from __future__ import annotations
@@ -82,8 +85,12 @@ EXPECTED_DIMENSION = {
 # groups whose roster lives in a single 2x2 block slot
 SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
 
-# layers (curves x depth) per stacked pass of lie_elements; bounds the pass's arrays
+# layers (curves x depth) per chain-rule pass of lie_elements
 LIE_CHUNK = 16
+
+# distinct single-layer maps per linear_ops call of lie_elements; from about
+# 16 maps on, a call costs two to three times as much per map
+LIE_BLOCK = 8
 
 # (c, s) of each curve kind: layer d at angle t is c(r_d t) A_d + s(r_d t) B_d
 KINDS = {
@@ -259,25 +266,42 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
         if not isinstance(curve, GeneratorCurve):
             raise TypeError(f"Lie elements need GeneratorCurve items, not {type(curve).__name__}")
         groups.setdefault((curve.kind, curve.rates, curve.slot), []).append(index)
+    distinct: dict[bytes, int] = {}  # each distinct embedded layer -> its operator's index
+    ids = {}
+    for key, indices in groups.items():
+        layers = _jet_layers([curves[i] for i in indices], *key)
+        data, size = layers.tobytes(), layers[0, 0].nbytes
+        ids[key] = np.array([distinct.setdefault(data[at:at + size], len(distinct))
+                             for at in range(0, len(data), size)]).reshape(layers.shape[:2])
+    maps = np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, 1, 3, 3, 8)
+    ops = np.empty((len(maps), 27, 27))
+    for start in range(0, len(maps), LIE_BLOCK):
+        ops[start:start + LIE_BLOCK] = linear_ops(maps[start:start + LIE_BLOCK])
     out = {}
     for key, indices in groups.items():
         step = -(-LIE_CHUNK // len(key[1]))  # curves per pass: curves x depth >= LIE_CHUNK
-        for chunk in (indices[i:i + step] for i in range(0, len(indices), step)):
-            out.update(zip(chunk, _lie_pass([curves[i] for i in chunk], *key)))
+        for start in range(0, len(indices), step):
+            chunk = slice(start, start + step)
+            out.update(zip(indices[chunk], _lie_pass(ops, ids[key][chunk], key[1])))
     return [out[index] for index in range(len(curves))]
 
 
-def _lie_pass(curves: list, kind: str, rates: tuple, slot: int) -> np.ndarray:
-    """The (C, 27, 27) Lie elements of curves that share kind, rates and slot."""
+def _jet_layers(curves: list, kind: str, rates: tuple, slot: int) -> np.ndarray:
+    """Each curve's layers M_d at 0, then M_d + M'_d and M_d - M'_d where rate d != 0, embedded."""
     (c0, s0), (c1, s1) = JETS[kind]
     A, B = np.stack([c.A for c in curves]), np.stack([c.B for c in curves])
-    depth, moving = len(rates), np.flatnonzero(rates)
+    moving = np.flatnonzero(rates)
     M = c0 * A + s0 * B
     dM = (np.array(rates)[:, None, None, None] * (c1 * A + s1 * B))[:, moving]
-    layers = np.concatenate([M, M[:, moving] + dM, M[:, moving] - dM], axis=1)
-    ops = linear_ops(_embed_arrays(layers, slot)[..., None, :, :, :])  # one map per layer
-    L, dL = ops[:, :depth], np.zeros_like(ops[:, :depth])
-    dL[:, moving] = np.subtract(*np.split(ops[:, depth:], 2, axis=1)) / 2.0
+    return _embed_arrays(np.concatenate([M, M[:, moving] + dM, M[:, moving] - dM], axis=1), slot)
+
+
+def _lie_pass(ops: np.ndarray, ids: np.ndarray, rates: tuple) -> np.ndarray:
+    """The (C, 27, 27) Lie elements of curves whose ``_jet_layers`` have operators ops[ids]."""
+    depth, moving = len(rates), np.flatnonzero(rates)
+    plus, minus = ids[:, depth:depth + len(moving)], ids[:, depth + len(moving):]
+    L, dL = ops[ids[:, :depth]], np.zeros((len(ids), depth) + ops.shape[1:])
+    dL[:, moving] = (ops[plus] - ops[minus]) / 2.0
     P, T = L[:, 0], dL[:, 0]
     for d in range(1, depth):
         T, P = L[:, d] @ T + dL[:, d] @ P, L[:, d] @ P

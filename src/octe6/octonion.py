@@ -219,11 +219,6 @@ class Octonion:
         return float(self._c[0])
 
     @property
-    def im(self) -> np.ndarray:
-        """The seven imaginary coefficients."""
-        return self._c[1:]
-
-    @property
     def norm(self) -> float:
         return float(np.sqrt(self._c @ self._c))
 
@@ -236,9 +231,6 @@ class Octonion:
         if n2 == 0.0:
             raise ZeroDivisionError("the zero octonion has no inverse")
         return Octonion(oconj(self._c) / n2)
-
-    def is_imaginary_unit(self, tol: float = 1e-9) -> bool:
-        return abs(self.re) <= tol and abs(self.norm - 1.0) <= tol
 
     def __add__(self, other):
         if isinstance(other, Octonion):

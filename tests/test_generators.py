@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import octe6.generators as generators
 from octe6.generators import (
     BASIS_UNITS,
     EXPECTED_DIMENSION,
@@ -10,6 +11,7 @@ from octe6.generators import (
     IMAGINARY_UNITS,
     JETS,
     KINDS,
+    LIE_BLOCK,
     SLOT_GROUPS,
     GeneratorCurve,
     _as_elements,
@@ -38,6 +40,7 @@ from octe6.transform import (
     is_compatible,
     is_complex,
     is_welldefined,
+    linear_ops,
 )
 
 SEED = 16180
@@ -107,6 +110,18 @@ def _assert_exact(element, fd, label):
     """element is the half-integer matrix that the finite difference fd approximates."""
     assert np.array_equal(element, np.round(2.0 * fd) / 2.0), label
     assert np.abs(fd - element).max() <= 1e-9, label
+
+
+def _spy_on_linear_ops(monkeypatch) -> list:
+    """The maps that lie_elements hands to linear_ops from now on, one array per call."""
+    built = []
+
+    def spy(layers):
+        built.append(layers.copy())
+        return linear_ops(layers)
+
+    monkeypatch.setattr(generators, "linear_ops", spy)
+    return built
 
 
 # a data-form curve whose every layer is zero: op(curve(0)) is singular
@@ -334,6 +349,38 @@ class TestStackedLieElements:
     def test_items_other_than_curves_rejected(self, item):
         with pytest.raises(TypeError):
             lie_elements(rotation_curves(0)[:2] + [item])
+
+    def test_empty_list(self):
+        assert lie_elements([]) == []
+
+    def test_degenerate_curve_sharing_rotation_layers_rejected(self, monkeypatch):
+        rotations = rotation_curves(0)
+        # its one layer is rotation 3's M + M' at 0, a map that is not orthogonal
+        A = rotations[3].A + 0.5 * rotations[3].B
+        shared = GeneratorCurve("shared[slot0]", 0, "trig", (0.5,), A, np.zeros_like(A))
+        built = _spy_on_linear_ops(monkeypatch)
+        lie_elements(rotations)
+        alone = len(np.concatenate(built))
+        built.clear()
+        with pytest.raises(ValueError):
+            lie_elements(rotations[:3] + [shared] + rotations[3:])
+        assert len(np.concatenate(built)) == alone  # no map of its own
+
+    @pytest.mark.parametrize("group, distinct", [("G2", 70), ("E6", 289)])
+    def test_each_distinct_layer_built_once(self, monkeypatch, group, distinct):
+        built = _spy_on_linear_ops(monkeypatch)
+        lie_elements(roster(group))
+        assert all(len(maps) <= LIE_BLOCK for maps in built)
+        maps = np.concatenate(built)
+        assert maps.shape == (distinct, 1, 3, 3, 8)
+        assert len({m.tobytes() for m in maps}) == distinct
+
+    def test_shuffled_curves_give_permuted_elements(self):
+        curves = roster("E6") + roster("G2") + roster("SO91", slot=2)
+        order = np.random.default_rng(SEED).permutation(len(curves))
+        elements = lie_elements(curves)
+        shuffled = lie_elements([curves[i] for i in order])
+        assert [el.tobytes() for el in shuffled] == [elements[i].tobytes() for i in order]
 
     def test_mixed_items_keep_their_order(self):
         curves = roster("SO8", slot=2)[::6]
