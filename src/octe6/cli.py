@@ -141,12 +141,11 @@ def cmd_verify(args) -> dict:
 
 
 def cmd_decompose(args) -> dict:
-    data = _load_json(args.file)
-    A = _finite_scale(jordan.jordan_from_dict(data), args.file, "matrix")
+    A = _finite_scale(_load_json(args.file, jordan.jordan_from_dict), args.file, "matrix")
     checks = []
     report = {"suite": "decompose"}
     if args.apply:
-        nm = transform.nested_map_from_json(_load_json(args.apply))
+        nm = _load_json(args.apply, transform.nested_map_from_json)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing image exits 2
             transformed = _finite_scale(nm.apply(A), args.apply, "image")
         checks.append(_check("class-invariance", cayley.classify(transformed),
@@ -171,8 +170,8 @@ def cmd_decompose(args) -> dict:
 
 
 def cmd_dirac(args) -> dict:
-    data = _load_json(args.file)
-    P = _finite_scale(jordan.hermitian2_from_dict(data["P"]), args.file, "matrix")
+    P = _load_json(args.file, lambda d: jordan.hermitian2_from_dict(jordan.json_field(d, "P")))
+    P = _finite_scale(P, args.file, "matrix")
     theta = cayley.dirac_solve(P, tol=args.tol)
     sign = 1.0 if P.trace > 0 else -1.0
     square = jordan.spinor_square(theta)
@@ -243,7 +242,8 @@ def _reject_constant(name: str):
     raise CliInputError(f"non-finite number {name}")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse):
+    """parse applied to the JSON file; its error on malformed data names the file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_constant=_reject_constant)
@@ -255,7 +255,10 @@ def _load_json(path: str) -> dict:
         raise CliInputError(f"{path}: {exc}")
     if not _numeric(data):
         raise CliInputError(f"{path}: a value is not a number")
-    return data
+    try:
+        return parse(data)
+    except (TypeError, ValueError) as exc:
+        raise CliInputError(f"{path}: {exc}") from None
 
 
 def _numeric(node) -> bool:
@@ -303,9 +306,10 @@ def _emit(report: dict, fmt: str) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
-    common.add_argument("--tol", type=float, default=1e-9, help="identity-residual tolerance")
+    common.add_argument("--tol", type=float, default=1e-9,
+                        help="identity-residual tolerance, a finite number >= 0")
     common.add_argument("--rank-tol", type=float, default=1e-6,
-                        help="relative singular-value cutoff for ranks")
+                        help="relative singular-value cutoff for ranks, in (0, 1)")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = argparse.ArgumentParser(
@@ -342,14 +346,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # NaN fails both comparisons; a rank cutoff below 1 keeps the largest singular value
+        if not 0.0 <= args.tol < math.inf:
+            parser.error(f"argument --tol: must be a finite number >= 0, got {args.tol}")
+        if not 0.0 < args.rank_tol < 1.0:
+            parser.error(f"argument --rank-tol: must be a number in (0, 1), got {args.rank_tol}")
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
-    if args.command == "verify":
-        try:
-            generators.normalize_group(args.group)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     start = time.perf_counter()
     try:
         report = COMMANDS[args.command](args)

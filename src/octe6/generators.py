@@ -346,8 +346,10 @@ def rank_cut(s: np.ndarray, rank: int) -> tuple[float | None, float | None]:
 def rank_gap(items: Sequence, rel_tol: float = 1e-6) -> float:
     """Ratio of the smallest kept to the largest dropped singular value."""
     s = singular_values(items)
-    # rank 0 only when s[0] = 0, and then s[0] is dropped
     kept, dropped = rank_cut(s, _numerical_rank(s, rel_tol))
+    # 0.0 when nothing is kept; inf when nothing, or only zeros, are dropped
+    if kept is None:
+        return 0.0
     return kept / dropped if dropped else np.inf
 
 

@@ -540,11 +540,25 @@ def jordan_to_dict(X: JordanMatrix) -> dict:
     }
 
 
+def json_field(d, name: str, size: int | None = None):
+    """Field ``name`` of a parsed JSON object, checked to be ``size`` numbers when size is given.
+
+    The ValueError for a non-object, a missing field or a wrong length names the field.
+    """
+    if not isinstance(d, dict):
+        raise ValueError("expected a JSON object")
+    if name not in d:
+        raise ValueError(f"missing field {name!r}")
+    value = d[name]
+    if size is not None and not (isinstance(value, list) and len(value) == size
+                                 and all(isinstance(x, (int, float)) for x in value)):
+        raise ValueError(f"field {name!r} must hold {size} numbers")
+    return value
+
+
 def jordan_from_dict(d: dict) -> JordanMatrix:
-    diag = d["diag"]
-    if len(diag) != 3:
-        raise ValueError("field 'diag' must hold 3 numbers")
-    return JordanMatrix(diag[0], diag[1], diag[2], d["a"], d["b"], d["c"])
+    diag = json_field(d, "diag", 3)
+    return JordanMatrix(*diag, *(json_field(d, name, 8) for name in "abc"))
 
 
 def hermitian2_to_dict(X: Hermitian2) -> dict:
@@ -552,7 +566,4 @@ def hermitian2_to_dict(X: Hermitian2) -> dict:
 
 
 def hermitian2_from_dict(d: dict) -> Hermitian2:
-    diag = d["diag"]
-    if len(diag) != 2:
-        raise ValueError("field 'diag' must hold 2 numbers")
-    return Hermitian2(diag[0], diag[1], d["a"])
+    return Hermitian2(*json_field(d, "diag", 2), json_field(d, "a", 8))

@@ -16,7 +16,7 @@ data for cross-implementation checks.
 Array-level helpers (``omul``, ``oconj``, ``omatmul``, ...) operate on
 plain float arrays whose last axis has length 8, so matrices of octonions
 are ``(n, n, 8)`` arrays, stacked as ``(..., n, n, 8)``; ``omatmul``
-contracts the table with its right operand only.  The :class:`Octonion`
+multiplies a stack on the left by one matrix.  The :class:`Octonion`
 class wraps a single 8-vector for scalar work.  All values are immutable
 after construction.
 """
@@ -29,7 +29,6 @@ from collections.abc import Iterable
 import numpy as np
 
 BASIS_NAMES = ("1", "i", "j", "k", "kl", "jl", "il", "l")
-IMAGINARY_NAMES = BASIS_NAMES[1:]
 
 
 def _build_mul_tensor() -> np.ndarray:
@@ -114,31 +113,20 @@ def onorm(x: np.ndarray) -> np.ndarray | float:
 def omatmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Product of octonionic matrices, entries paired left to right.
 
-    ``(..., n, k, 8) @ (..., k, m, 8)`` gives ``(..., n, m, 8)``.  Either
-    operand may carry a leading batch; when both do, the shorter batch must
-    be a leading prefix of the longer one, and item ``P`` of the shorter
-    batch multiplies every item ``(P, ...)`` of the longer.  The table is
-    contracted with the right operand, by one product with a fixed
-    ``(8, 64)`` matrix, into one real matrix per item; the left operand's
-    extra axes fold into the rows of one BLAS product per item.  When the
-    right operand's batch is the longer one, conjugation reverses products,
-    (A B)^dagger = B^dagger A^dagger, and the product is formed as that
-    dagger.  Each table column has one nonzero entry, +-1, so the
+    ``(..., n, k, 8) @ (k, m, 8)`` gives ``(..., n, m, 8)``: the left
+    operand may be a stack, the right operand is one matrix.  The table is
+    contracted with B, by one product with a fixed ``(8, 64)`` matrix, into
+    one real ``(8k, 8m)`` matrix; A's stack folds into the rows of one BLAS
+    product with it.  Each table column has one nonzero entry, +-1, so the
     contraction is exact.
     """
-    a_batch, b_batch = A.shape[:-3], B.shape[:-3]
-    if len(b_batch) > len(a_batch):
-        return odagger(omatmul(odagger(B), odagger(A)))
-    if a_batch[:len(b_batch)] != b_batch:
-        raise ValueError(f"omatmul batches {a_batch} and {b_batch}: neither is a prefix")
-    n, k, _ = A.shape[-3:]
-    m = B.shape[-2]
-    # table on B per item: (P, c, b, I, K) -> rows (c, I), columns (b, K);
-    # A's extra axes join its rows
-    right = (B.reshape(-1, 8) @ _TABLE_ON_RIGHT).reshape(-1, k, m, 8, 8)
-    right = right.transpose(0, 1, 3, 2, 4).reshape(-1, 8 * k, 8 * m)
-    rows = A.reshape(right.shape[0], -1, 8 * k)
-    return (rows @ right).reshape(a_batch + (n, m, 8))
+    if B.ndim != 3:
+        raise ValueError(f"omatmul takes one (k, m, 8) right operand, got shape {B.shape}")
+    k, m, _ = B.shape
+    # table on B: (c, b, I, K) -> rows (c, I), columns (b, K)
+    right = (B.reshape(-1, 8) @ _TABLE_ON_RIGHT).reshape(k, m, 8, 8)
+    right = right.transpose(0, 2, 1, 3).reshape(8 * k, 8 * m)
+    return (A.reshape(-1, 8 * k) @ right).reshape(A.shape[:-2] + (m, 8))
 
 
 def odagger(A: np.ndarray) -> np.ndarray:

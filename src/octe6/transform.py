@@ -21,17 +21,16 @@ layered kernel ``_act`` on the basis matrices.  For Hermitian X,
 M X = (X M^dagger)^dagger, so a layer is two products with the real table
 of M^dagger around a transpose; one contraction gives the tables of every
 layer, and ``linear_ops`` runs a whole stack of maps of one depth at once,
-each map on the basis stack folded into the rows of its BLAS products.
+the shared basis stack folded into the rows of each map's BLAS products.
 The predicates take one matrix or a stack, with bounds relative to |M|^2
 (|M|^n for an n x n determinant); well-definedness runs ``_act`` on the
-Hermitian basis, compatibility the batched ``omatmul`` on sampled spinor
-columns.
+Hermitian basis, compatibility one ``omatmul`` and one ``_act`` on sampled
+spinor columns.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 
 import numpy as np
@@ -71,10 +70,6 @@ class OctMatrix:
         for d in range(n):
             arr[d, d, 0] = 1.0
         return cls(arr)
-
-    @classmethod
-    def zero(cls, n: int) -> "OctMatrix":
-        return cls(np.zeros((n, n, 8)))
 
     @classmethod
     def from_rows(cls, rows) -> "OctMatrix":
@@ -261,25 +256,24 @@ _DAGGER_TABLES.setflags(write=False)
 def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Layers (..., depth, n, n, 8) applied inside out to Hermitian X, X -> (M X) M^dagger.
 
-    X is (..., m, n, n, 8): item P of the layer stack acts on the m
-    matrices X[P], or on one stack of m shared by all items when X's
-    leading axes are all 1.  For Hermitian X, M X = (X M^dagger)^dagger,
-    so a layer takes two products with the table of M^dagger, R: X's rows
-    times R, a transpose, and the rows of that times R with its rows'
-    signs folded in (the conjugation).  One contraction gives both tables
-    of every layer; each product is one BLAS call per item P, with the m
-    matrices folded into its rows.
+    Every map of the layer stack acts on the one shared (..., n, n, 8)
+    stack X; the result is the maps' batch followed by X's shape.  For
+    Hermitian X, M X = (X M^dagger)^dagger, so a layer takes two products
+    with the table of M^dagger, R: X's rows times R, a transpose, and the
+    rows of that times R with its rows' signs folded in (the conjugation).
+    One contraction gives both tables of every layer; each product is one
+    BLAS call per map, with all of X folded into its rows.
     """
     depth, n = layers.shape[-4:-2]
     batch, k = layers.shape[:-4], 8 * n
-    # (P, d, b, c, table, I, K) -> per layer d and table, item P: rows (c, I), columns (b, K)
+    # (P, d, b, c, table, I, K) -> per layer d and table, map P: rows (c, I), columns (b, K)
     tables = (layers.reshape(-1, 8) @ _DAGGER_TABLES).reshape(-1, depth, n, n, 2, 8, 8)
     tables = tables.transpose(1, 4, 0, 3, 5, 2, 6).reshape(depth, 2, -1, k, k)
     p = tables.shape[2]
-    out = X.reshape(math.prod(X.shape[:len(batch)]), -1, k)
+    out = X.reshape(-1, k)
     for right, right_conj in tables:
         out = (out @ right).reshape(p, -1, n, n, 8).swapaxes(-3, -2).reshape(p, -1, k) @ right_conj
-    return out.reshape(batch + X.shape[len(batch):])
+    return out.reshape(batch + X.shape)
 
 
 def linear_ops(layers: np.ndarray) -> np.ndarray:
@@ -291,8 +285,7 @@ def linear_ops(layers: np.ndarray) -> np.ndarray:
     matrices together, by ``_act``.
     """
     n = layers.shape[-2]
-    basis = _hermitian_basis(n)
-    images = _act(layers, basis.reshape((1,) * (layers.ndim - 4) + basis.shape))
+    images = _act(layers, _hermitian_basis(n))
     return images.reshape(images.shape[:-4] + (-1,)).take(_operator_positions(n), axis=-1)
 
 
@@ -348,14 +341,13 @@ def is_welldefined(M, tol: float = 1e-9):
     (..., n, n, 8) stack, one per item.
     """
     Ma = _arrays(M)
-    basis = _hermitian_basis(Ma.shape[-2])
-    Z = _act(Ma[..., None, :, :, :], basis.reshape((1,) * (Ma.ndim - 3) + basis.shape))
+    Z = _act(Ma[..., None, :, :, :], _hermitian_basis(Ma.shape[-2]))
     return _verdicts(Ma, odagger(Z) - Z, tol)
 
 
 @functools.cache
 def _spinor_samples() -> tuple[np.ndarray, np.ndarray]:
-    """The 48 sampled spinor columns v, (48, 2, 1, 8), and their squares v v^dagger.
+    """The 48 sampled spinor columns v, one (2, 48, 8) matrix, and their squares v v^dagger.
 
     Built on first use, so that importing the package does not load numpy.random.
     """
@@ -363,6 +355,7 @@ def _spinor_samples() -> tuple[np.ndarray, np.ndarray]:
     seeded /= onorm(seeded)[:, None]
     columns = np.concatenate((np.eye(16), seeded)).reshape(48, 2, 1, 8)
     squares = omul(columns, odagger(columns))
+    columns = np.ascontiguousarray(columns[:, :, 0].swapaxes(0, 1))
     columns.setflags(write=False)
     squares.setflags(write=False)
     return columns, squares
@@ -371,18 +364,19 @@ def _spinor_samples() -> tuple[np.ndarray, np.ndarray]:
 def is_compatible(M, tol: float = 1e-9):
     """Whether (Mv)(Mv)^dagger = M(v v^dagger)M^dagger over sampled spinors v.
 
-    Samples the 16 standard basis columns plus 32 seeded unit columns.
+    Samples the 16 standard basis columns plus 32 seeded unit columns; M v
+    is one ``omatmul`` for all of them, M(v v^dagger)M^dagger one ``_act``.
     Returns (verdict, largest residual) for one 2x2 matrix, arrays of both
     for a (..., 2, 2, 8) stack.
     """
     Ma = _arrays(M)
     if Ma.shape[-3:] != (2, 2, 8):
         raise ValueError("compatibility is a predicate on 2x2 matrices")
-    Mh, batch = odagger(Ma), Ma.shape[:-3]
-    columns, squares = (np.broadcast_to(a, batch + a.shape) for a in _spinor_samples())
-    W = omatmul(Ma, columns)
+    columns, squares = _spinor_samples()
+    # the images M v as a (..., 48, 2, 1, 8) stack of columns
+    W = np.swapaxes(omatmul(Ma, columns), -3, -2)[..., None, :]
     lhs = omul(W, odagger(W))
-    rhs = omatmul(omatmul(Ma, squares), Mh)
+    rhs = _act(Ma[..., None, :, :, :], squares)
     return _verdicts(Ma, lhs - rhs, tol)
 
 

@@ -108,6 +108,22 @@ class TestVerify:
         assert report["pass"] is False
         assert report["rank"] > report["expected"]
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--rank-tol", "1"), ("--rank-tol", "2"), ("--rank-tol", "inf"), ("--rank-tol", "0"),
+        ("--rank-tol", "-1"), ("--rank-tol", "nan"), ("--rank-tol", "x"),
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"), ("--tol", "-inf"), ("--tol", "x"),
+    ])
+    def test_tolerance_out_of_range_is_usage_error(self, capsys, flag, value):
+        # the joined form, since argparse reads a separate "-inf" as an option
+        code, out, err = run_cli(capsys, "verify", "SO7", f"{flag}={value}")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err and "Traceback" not in err
+
+    def test_zero_tol_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--tol", "0")
+        assert code == 0 and json.loads(out)["pass"] is True
+
     def test_determinant_bound_is_relative_below_unit_scale(self, capsys, monkeypatch):
         # a map that scales every image by 1.5 multiplies det by 3.375; on
         # samples scaled by 1e-3 the change was 5.4e-8 of max(1, |det X|)
@@ -380,6 +396,41 @@ class TestMalformedMap:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_object_map_error_names_the_file(self, capsys, tmp_path):
+        # a JSON object where the layer list belongs fails float(), a TypeError
+        path, map_path = tmp_path / "matrix.json", tmp_path / "map.json"
+        path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}))
+        map_path.write_text(json.dumps({"layers": [I3_JSON]}))
+        code, _, err = run_cli(capsys, "decompose", str(path), "--apply", str(map_path))
+        assert code == 2
+        assert err.startswith(f"error: {map_path}: ")
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("command, payload, message", [
+        ("decompose", {"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8}, "missing field 'c'"),
+        ("dirac", {"Q": {"diag": [1.0, 0.0], "a": ZERO8}}, "missing field 'P'"),
+        ("decompose", [1.0, 2.0, 3.0], "expected a JSON object"),
+        ("dirac", [1.0, 0.0], "expected a JSON object"),
+        ("decompose", {"diag": 5, "a": ZERO8, "b": ZERO8, "c": ZERO8},
+         "field 'diag' must hold 3 numbers"),
+        ("decompose", {"diag": [1.0, 2.0, 3.0], "a": {"x": 1}, "b": ZERO8, "c": ZERO8},
+         "field 'a' must hold 8 numbers"),
+        ("dirac", {"P": 5}, "expected a JSON object"),
+        ("dirac", {"P": {"diag": [1.0, 0.0], "a": [1.0, 2.0]}}, "field 'a' must hold 8 numbers"),
+        ("decompose", {"diag": [1.0, 2.0, 3.0], "a": [[1.0], [1.0, 2.0]] + ZERO8[2:], "b": ZERO8,
+                       "c": ZERO8}, "field 'a' must hold 8 numbers"),
+    ], ids=["decompose-missing-c", "dirac-missing-P", "decompose-list", "dirac-list",
+            "decompose-number-diag", "decompose-object-entry", "dirac-number-P",
+            "dirac-short-entry", "decompose-ragged-entry"])
+    def test_message_names_file_and_field(self, capsys, tmp_path, command, payload, message):
+        path = tmp_path / "fields.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
 
 
 class TestNonNumericInput:

@@ -406,6 +406,10 @@ class TestRanks:
         assert lie_rank(curves) == EXPECTED_DIMENSION[group]
         assert rank_gap(curves) >= 1e4
 
+    @pytest.mark.parametrize("rel_tol", [1.0, 2.0, np.inf])
+    def test_rank_gap_is_zero_when_nothing_is_kept(self, rel_tol):
+        assert rank_gap(roster("SO7"), rel_tol) == 0.0
+
     def test_rank_table_is_complete(self):
         assert set(EXPECTED_DIMENSION) == set(GROUPS)
 

@@ -19,7 +19,7 @@ from octe6.transform import (
     nested_map_from_json,
     nested_map_to_json,
 )
-from octe6.transform import _hermitian_basis, _spinor_samples
+from octe6.transform import _act, _hermitian_basis, _spinor_samples
 
 SEED = 27182
 
@@ -81,6 +81,18 @@ class TestVectorApply:
         got = nm.apply_array(stack)
         assert got.shape == stack.shape
         assert np.array_equal(got, np.stack([nm.apply_array(X) for X in stack]))
+
+    @pytest.mark.parametrize("batch, n", [((3,), 3), ((2, 2), 3), ((3,), 2)],
+                             ids=["3-maps-3x3", "2x2-maps-3x3", "3-maps-2x2"])
+    def test_map_stack_on_shared_stack_matches_each_map(self, batch, n):
+        # every map of the stack acts on the same operands; integer data keeps sums exact
+        rng = np.random.default_rng(SEED)
+        layers = rng.integers(-2, 3, batch + (2, n, n, 8)).astype(float)
+        stack = rng.integers(-2, 3, (4, n, n, 8)).astype(float)
+        got = _act(layers, stack)
+        assert got.shape == batch + stack.shape
+        for idx in np.ndindex(*batch):
+            assert np.array_equal(got[idx], NestedMap(layers[idx]).apply_array(stack))
 
     def test_stack_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -171,8 +183,8 @@ class TestPredicateOracles:
     def test_sample_columns_pinned(self):
         columns, squares = _spinor_samples()
         ref = np.stack(_sample_columns_loop())
-        assert columns.shape == (48, 2, 1, 8)
-        assert np.array_equal(columns[:, :, 0], ref)
+        assert columns.shape == (2, 48, 8)
+        assert np.array_equal(columns.swapaxes(0, 1), ref)
         assert np.array_equal(squares, np.stack([omul(v[:, None], oconj(v)[None]) for v in ref]))
 
     def test_welldefined_matches_loop(self):
