@@ -158,9 +158,12 @@ def dirac_equiv_check(psi: CayleySpinor) -> tuple[float, float]:
 
 
 def cayley_plane_check(P: JordanMatrix, tol: float = 1e-9) -> bool:
-    """Whether P o P = P and tr P = 1, i.e. P is a trace-1 idempotent."""
+    """Whether P o P = P and tr P = 1, i.e. P is a trace-1 idempotent.
+
+    |P o P - P| is bounded relative to |P|^2, like the layer predicates.
+    """
     idem = (jordan_product(P, P) - P).norm
-    return idem <= tol * max(1.0, P.norm**2) and abs(P.trace - 1.0) <= tol
+    return idem <= tol * P.norm**2 and abs(P.trace - 1.0) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -89,8 +89,7 @@ def cmd_verify(args) -> dict:
     curves = generators.roster(group, slot=args.slot)
     rng = np.random.default_rng(args.seed)
     sv = generators.singular_values(curves)
-    rank = octonion._numerical_rank(sv, args.rank_tol)
-    kept, dropped = generators.rank_cut(sv, rank)
+    rank, kept, dropped = generators.rank_cut(sv, args.rank_tol)
     expected = generators.EXPECTED_DIMENSION[group]
     checks = [_check("lie-rank", rank, expected)]
 
@@ -146,6 +145,8 @@ def cmd_decompose(args) -> dict:
     report = {"suite": "decompose"}
     if args.apply:
         nm = _load_json(args.apply, transform.nested_map_from_json)
+        if nm.dim != 3:
+            raise CliInputError(f"{args.apply}: a 3x3 matrix needs 3x3 layers, not {nm.dim}x{nm.dim}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing image exits 2
             transformed = _finite_scale(nm.apply(A), args.apply, "image")
         checks.append(_check("class-invariance", cayley.classify(transformed),

@@ -49,12 +49,13 @@ rates in {0, 1/2, 1}, so the elements are exact half-integer matrices.
 r_d != 0, M_d +- M'_d (from ``JETS``), embedded in its slot.  Roster
 layers repeat heavily (G2's 1680 are 70 distinct maps), so one call keys
 every layer by its bytes and builds each distinct layer's operator once,
-``LIE_BLOCK`` single-layer maps per ``linear_ops`` call.  A layer is
-quadratic in M_d, so its tangent L'_d is exactly half the difference of
-the operators of M_d +- M'_d.  Over the curves of one (kind, rates, slot),
-in passes of ``LIE_CHUNK`` layers, the chain rule T <- L_d T + L'_d P,
-P <- L_d P reads those operators by index and gives the map's tangent T
-and its base P, a signed permutation; the element is T P^T.
+all of them in one ``linear_ops`` call, which sizes its own kernel blocks.
+A layer is quadratic in M_d, so its tangent L'_d is exactly half the
+difference of the operators of M_d +- M'_d.  Over the curves of one
+(kind, rates, slot), in passes of ``LIE_CHUNK`` layers, the chain rule
+T <- L_d T + L'_d P, P <- L_d P reads those operators by index and gives
+the map's tangent T and its base P, a signed permutation; the element is
+T P^T.
 """
 
 from __future__ import annotations
@@ -87,10 +88,6 @@ SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
 
 # layers (curves x depth) per chain-rule pass of lie_elements
 LIE_CHUNK = 16
-
-# distinct single-layer maps per linear_ops call of lie_elements; from about
-# 16 maps on, a call costs two to three times as much per map
-LIE_BLOCK = 8
 
 # (c, s) of each curve kind: layer d at angle t is c(r_d t) A_d + s(r_d t) B_d
 KINDS = {
@@ -273,10 +270,7 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
         data, size = layers.tobytes(), layers[0, 0].nbytes
         ids[key] = np.array([distinct.setdefault(data[at:at + size], len(distinct))
                              for at in range(0, len(data), size)]).reshape(layers.shape[:2])
-    maps = np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, 1, 3, 3, 8)
-    ops = np.empty((len(maps), 27, 27))
-    for start in range(0, len(maps), LIE_BLOCK):
-        ops[start:start + LIE_BLOCK] = linear_ops(maps[start:start + LIE_BLOCK])
+    ops = linear_ops(np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, 1, 3, 3, 8))
     out = {}
     for key, indices in groups.items():
         step = -(-LIE_CHUNK // len(key[1]))  # curves per pass: curves x depth >= LIE_CHUNK
@@ -332,21 +326,22 @@ def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:
     return _numerical_rank(singular_values(items), rel_tol)
 
 
-def rank_cut(s: np.ndarray, rank: int) -> tuple[float | None, float | None]:
-    """(s[rank - 1], s[rank]): the smallest kept and the largest dropped singular value.
+def rank_cut(s: np.ndarray, rel_tol: float) -> tuple[int, float | None, float | None]:
+    """(rank, s[rank - 1], s[rank]) of descending singular values s cut at rel_tol.
 
-    None stands for a side with no value: nothing kept at rank 0, nothing
-    dropped at full rank.
+    The rank is ``octonion._numerical_rank``'s; the other two are the
+    smallest kept and the largest dropped singular value, None for a side
+    with no value: nothing kept at rank 0, nothing dropped at full rank.
     """
+    rank = _numerical_rank(s, rel_tol)
     kept = float(s[rank - 1]) if rank > 0 else None
     dropped = float(s[rank]) if rank < len(s) else None
-    return kept, dropped
+    return rank, kept, dropped
 
 
 def rank_gap(items: Sequence, rel_tol: float = 1e-6) -> float:
     """Ratio of the smallest kept to the largest dropped singular value."""
-    s = singular_values(items)
-    kept, dropped = rank_cut(s, _numerical_rank(s, rel_tol))
+    _, kept, dropped = rank_cut(singular_values(items), rel_tol)
     # 0.0 when nothing is kept; inf when nothing, or only zeros, are dropped
     if kept is None:
         return 0.0

@@ -165,16 +165,23 @@ class _Hermitian:
         return self._v
 
     @classmethod
-    def from_array(cls, arr: np.ndarray, tol: float = 1e-9, check: bool = True):
-        """Read the real diagonal and the stored entries of an (n, n, 8) array."""
+    def from_array(cls, arr: np.ndarray, tol: float = 1e-9):
+        """Read the real diagonal and the stored entries of a Hermitian (n, n, 8) array.
+
+        The array must be Hermitian relative to its largest entry:
+        ``hermiticity_residual(arr / peak) <= tol``, so it gets the same
+        verdict at every scale.  A zero array passes; a non-finite one
+        raises ValueError, as does a non-Hermitian one.
+        """
         arr = np.asarray(arr, dtype=float)
         n = cls.SIZE
         if arr.shape != (n, n, 8):
             raise ValueError(f"expected a ({n}, {n}, 8) array")
-        if check:
-            res = hermiticity_residual(arr)
-            if res == np.inf or res > tol * max(1.0, float(np.abs(arr).max())):
-                raise ValueError(f"array is not Hermitian (residual {res:g})")
+        peak = float(np.abs(arr).max())
+        if peak != 0.0:
+            res = hermiticity_residual(arr / peak) if math.isfinite(peak) else math.inf
+            if res > tol:
+                raise ValueError(f"array is not Hermitian (relative residual {res:g})")
         return cls._wrap(hermitian_vectors(arr))
 
     def to_array(self) -> np.ndarray:
@@ -276,7 +283,7 @@ def jordan_product(X: JordanMatrix, Y: JordanMatrix) -> JordanMatrix:
     """Symmetrized matrix product (XY + YX)/2; Hermitian for Hermitian inputs."""
     Xa, Ya = X.to_array(), Y.to_array()
     raw = 0.5 * (omatmul(Xa, Ya) + omatmul(Ya, Xa))
-    return JordanMatrix.from_array(raw, check=False)
+    return JordanMatrix._wrap(hermitian_vectors(raw))
 
 
 def freudenthal(X: JordanMatrix, Y: JordanMatrix) -> JordanMatrix:

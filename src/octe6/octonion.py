@@ -149,7 +149,9 @@ def imaginary_rank(entries: np.ndarray, rel_tol: float = 1e-9):
 def _numerical_rank(s: np.ndarray, rel_tol: float):
     """Count of the descending singular values s above rel_tol * s[0]; 0 when s[0] = 0.
 
-    An int for one list of values; an array of counts for a (..., k) stack.
+    The package's one rank rule: ``imaginary_rank``, ``subalgebra_dimension``
+    and the Lie ranks of ``generators`` all cut here.  An int for one list
+    of values; an array of counts for a (..., k) stack.
     """
     counts = np.sum(s > rel_tol * s[..., :1], axis=-1)
     return int(counts) if counts.ndim == 0 else counts
@@ -341,11 +343,16 @@ def subalgebra_dimension(generators: Iterable, tol: float = 1e-9) -> int:
     """Dimension of the smallest unital subalgebra containing the generators.
 
     Iterates span closure under multiplication until stable; for octonion
-    inputs the result is always 1, 2, 4 or 8.
+    inputs the result is always 1, 2, 4 or 8.  The span a generator adds
+    does not depend on its scale, so each nonzero generator is divided by
+    its largest coefficient first and the result is the same at every
+    scale.
     """
     vecs = [np.eye(8)[0]]
     for g in generators:
-        vecs.append(_as_coeffs(g))
+        g = _as_coeffs(g)
+        peak = np.abs(g).max()
+        vecs.append(g / peak if peak else g)
     basis = _orthonormal(np.stack(vecs), tol)
     while True:
         products = omul(basis[:, None, :], basis[None, :, :]).reshape(-1, 8)
@@ -356,9 +363,9 @@ def subalgebra_dimension(generators: Iterable, tol: float = 1e-9) -> int:
 
 
 def _orthonormal(rows: np.ndarray, tol: float) -> np.ndarray:
+    """An orthonormal basis of the rows' span, cut by ``_numerical_rank``."""
     _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    keep = s > tol * max(s[0], 1.0)
-    return vh[keep]
+    return vh[:_numerical_rank(s, tol)]
 
 
 # ---------------------------------------------------------------------------

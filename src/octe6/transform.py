@@ -20,10 +20,11 @@ built on the first call and kept read-only.  The operator comes from the
 layered kernel ``_act`` on the basis matrices.  For Hermitian X,
 M X = (X M^dagger)^dagger, so a layer is two products with the real table
 of M^dagger around a transpose; one contraction gives the tables of every
-layer, and ``linear_ops`` runs a whole stack of maps of one depth at once,
-the shared basis stack folded into the rows of each map's BLAS products.
-The predicates take one matrix or a stack, with bounds relative to |M|^2
-(|M|^n for an n x n determinant); well-definedness runs ``_act`` on the
+layer, and ``linear_ops`` runs a whole stack of maps of one depth, the
+shared basis stack folded into the rows of each map's BLAS products, in
+blocks whose images stay under ``_ACT_BYTES``.  The predicates take one
+matrix or a stack, with bounds relative to |M|^2 (|M|^n for an n x n
+determinant), all from ``_verdicts``; well-definedness runs ``_act`` on the
 Hermitian basis, compatibility one ``omatmul`` and one ``_act`` on sampled
 spinor columns.
 """
@@ -100,9 +101,6 @@ class OctMatrix:
     @property
     def n(self) -> int:
         return self.arr.shape[0]
-
-    def entry(self, r: int, c: int) -> Octonion:
-        return Octonion(self.arr[r, c])
 
     def dagger(self) -> "OctMatrix":
         return OctMatrix(odagger(self.arr))
@@ -276,17 +274,33 @@ def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out.reshape(batch + X.shape)
 
 
+# bytes of basis images per _act call of linear_ops: 8 maps of 3x3 layers,
+# 51 of 2x2.  A call's cost per map grows with its size once its
+# intermediates outgrow the memory the allocator keeps at hand: on a 2-core
+# Xeon VM with one BLAS thread, 16-22 us per 3x3 map up to 16 maps, 36-40 us
+# at 128 and 54-66 us for 289 at once, but 16-23 us at every size with
+# malloc's trimming and mmap turned off.  The BLAS calls are not the cost.
+_ACT_BYTES = 128 * 1024
+
+
 def linear_ops(layers: np.ndarray) -> np.ndarray:
     """Operators of stacked nested maps, (..., depth, n, n, 8) -> (..., dim, dim).
 
     Item P of the stack is the map whose layers are ``layers[P]``; its
     operator's column t is the image of coordinate basis element t (dim
-    is 27 for 3x3 layers, 10 for 2x2).  All maps act on the basis
-    matrices together, by ``_act``.
+    is 27 for 3x3 layers, 10 for 2x2).  The maps act on the basis
+    matrices by ``_act``, in blocks of at most ``_ACT_BYTES`` of images,
+    and each block's operators fill their rows of one output array.
     """
-    n = layers.shape[-2]
-    images = _act(layers, _hermitian_basis(n))
-    return images.reshape(images.shape[:-4] + (-1,)).take(_operator_positions(n), axis=-1)
+    depth, n = layers.shape[-4:-2]
+    basis, positions = _hermitian_basis(n), _operator_positions(n)
+    maps = layers.reshape((-1, depth, n, n, 8))
+    out = np.empty((len(maps),) + positions.shape)
+    step = max(1, _ACT_BYTES // basis.nbytes)
+    for start in range(0, len(maps), step):
+        images = _act(maps[start:start + step], basis)
+        out[start:start + step] = images.reshape(len(images), -1).take(positions, axis=-1)
+    return out.reshape(layers.shape[:-4] + positions.shape)
 
 
 @functools.cache
@@ -317,15 +331,17 @@ def _arrays(M) -> np.ndarray:
     return M.arr if isinstance(M, OctMatrix) else np.asarray(M, dtype=float)
 
 
-def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float):
-    """Per item M of arr: the largest |diff| and whether it is <= tol * |M|^2.
+def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float, degree: int = 2):
+    """Per item M of arr: the largest |diff| and whether it is <= tol * |M|^degree.
 
-    (bool, float) for one matrix, arrays for a stack.
+    The predicates' one relative bound: a residual of that degree in M
+    gets the same verdict at every scale of M.  (bool, float) for one matrix,
+    arrays for a stack.
     """
     batch = arr.shape[:-3]
     residual = np.abs(diff).reshape(batch + (-1,)).max(axis=-1)
     norms = np.sqrt(np.sum(np.square(arr).reshape(batch + (-1,)), axis=-1))
-    ok = residual <= tol * norms**2
+    ok = residual <= tol * norms**degree
     if arr.ndim == 3:
         return bool(ok), float(residual)
     return ok, residual
@@ -411,10 +427,9 @@ def complex_det(M, tol: float = 1e-9):
     plane = Ma[..., 0] + 1j * (Ma[..., 1:] @ direction[..., None, :, None])[..., 0]
     det = np.linalg.det(plane)
     coeffs = np.concatenate((det.real[..., None], det.imag[..., None] * direction), axis=-1)
-    norms = np.linalg.norm(Ma.reshape(Ma.shape[:-3] + (-1,)), axis=-1)
-    is_real = np.abs(det.imag) <= tol * norms ** Ma.shape[-2]
+    is_real, _ = _verdicts(Ma, det.imag, tol, degree=Ma.shape[-2])
     if Ma.ndim == 3:
-        return Octonion(coeffs), bool(is_real)
+        return Octonion(coeffs), is_real
     return coeffs, is_real
 
 

@@ -207,6 +207,23 @@ class TestDiracEquivalence:
         psi = CayleySpinor(np.zeros((2, 8)), np.zeros(8))
         assert dirac_equiv_check(psi) == (0.0, 0.0)
 
+    def test_small_spinor_draw_returns(self, monkeypatch):
+        # the redraw loop waits for dimension 8, which a spinor scaled by
+        # 1e-10 never had while the closure's cut was absolute
+        calls = []
+        real = CayleySpinor.subalgebra_dim
+
+        def counted(psi, *args):
+            calls.append(psi)
+            assert len(calls) <= 8, "the redraw loop does not end"
+            return real(psi, *args)
+
+        monkeypatch.setattr(CayleySpinor, "subalgebra_dim", counted)
+        psi = random_octonionic_spinor(np.random.default_rng(SEED), scale=1e-10)
+        ref = random_octonionic_spinor(np.random.default_rng(SEED))
+        assert np.array_equal(psi.theta, ref.theta * 1e-10)
+        assert np.array_equal(psi.xi, ref.xi * 1e-10)
+
     def test_equivalence_tracks_subalgebra_dimension(self):
         rng = np.random.default_rng(SEED)
         for _ in range(16):

@@ -395,7 +395,7 @@ class TestMalformedMap:
         code, out, err = run_cli(capsys, "decompose", str(path), "--apply", str(map_path))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith(f"error: {map_path}: ") and "Traceback" not in err
 
     def test_object_map_error_names_the_file(self, capsys, tmp_path):
         # a JSON object where the layer list belongs fails float(), a TypeError

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import octe6.generators as generators
+import octe6.transform as transform
 from octe6.generators import (
     BASIS_UNITS,
     EXPECTED_DIMENSION,
@@ -11,7 +12,6 @@ from octe6.generators import (
     IMAGINARY_UNITS,
     JETS,
     KINDS,
-    LIE_BLOCK,
     SLOT_GROUPS,
     GeneratorCurve,
     _as_elements,
@@ -21,6 +21,7 @@ from octe6.generators import (
     lie_element,
     lie_elements,
     lie_rank,
+    rank_cut,
     rank_gap,
     roster,
     rotation_curves,
@@ -370,10 +371,31 @@ class TestStackedLieElements:
     def test_each_distinct_layer_built_once(self, monkeypatch, group, distinct):
         built = _spy_on_linear_ops(monkeypatch)
         lie_elements(roster(group))
-        assert all(len(maps) <= LIE_BLOCK for maps in built)
-        maps = np.concatenate(built)
+        assert len(built) == 1  # one linear_ops call, which sizes its own blocks
+        maps = built[0]
         assert maps.shape == (distinct, 1, 3, 3, 8)
         assert len({m.tobytes() for m in maps}) == distinct
+
+    def test_linear_ops_blocks_match_per_map_calls(self, monkeypatch):
+        built = _spy_on_linear_ops(monkeypatch)
+        lie_elements(roster("E6"))
+        maps = built[0]
+        assert len(maps) == 289
+        image_bytes, act = [], transform._act
+
+        def spy(layers, X):
+            images = act(layers, X)
+            image_bytes.append(images.nbytes)
+            return images
+
+        monkeypatch.setattr(transform, "_act", spy)
+        ops = linear_ops(maps)
+        assert len(image_bytes) == -(-289 // 8)
+        assert max(image_bytes) <= 128 * 1024
+        per_map = np.stack([linear_ops(m) for m in maps])
+        assert ops.shape == (289, 27, 27)
+        assert ops.tobytes() == per_map.tobytes()
+        assert linear_ops(maps.reshape(17, 17, 1, 3, 3, 8)).tobytes() == ops.tobytes()
 
     def test_shuffled_curves_give_permuted_elements(self):
         curves = roster("E6") + roster("G2") + roster("SO91", slot=2)
@@ -409,6 +431,16 @@ class TestRanks:
     @pytest.mark.parametrize("rel_tol", [1.0, 2.0, np.inf])
     def test_rank_gap_is_zero_when_nothing_is_kept(self, rel_tol):
         assert rank_gap(roster("SO7"), rel_tol) == 0.0
+
+    @pytest.mark.parametrize("s, rel_tol, expected", [
+        ([0.0, 0.0, 0.0], 1e-6, (0, None, 0.0)),
+        ([4.0, 2.0, 1.0], 1.0, (0, None, 4.0)),
+        ([4.0, 2.0, 1.0], 1e-6, (3, 1.0, None)),
+        ([4.0, 2.0, 1e-9, 0.0], 1e-6, (2, 2.0, 1e-9)),
+        ([4.0, 4e-6, 1e-9], 1e-6, (1, 4.0, 4e-6)),
+    ], ids=["zero", "nothing-kept", "full-rank", "gap", "cut-is-strict"])
+    def test_rank_cut(self, s, rel_tol, expected):
+        assert rank_cut(np.array(s), rel_tol) == expected
 
     def test_rank_table_is_complete(self):
         assert set(EXPECTED_DIMENSION) == set(GROUPS)

@@ -1,6 +1,7 @@
 """H3(O) products, invariants, characteristic equation, block identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -680,6 +681,26 @@ class TestCoordinateLayer:
             cls.from_array(arr)
         with pytest.raises(ValueError):
             cls.from_array(np.zeros((4, 4, 8)))
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+    def test_from_array_verdict_is_scale_free(self, cls, scale):
+        # at 1e-12 the negated mirror's residual, 4.4e-12, passed the absolute
+        # floor 1e-9 max(1, peak); at 1e300 its square overflowed
+        v = np.random.default_rng(SEED).standard_normal(cls.DIM)
+        arr = cls.from_vector(v * scale).to_array()
+        broken = arr.copy()
+        broken[0, 1] = -broken[0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.array_equal(cls.from_array(arr).to_vector(), v * scale)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                cls.from_array(broken)
+
+    @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
+    def test_zero_array_is_hermitian(self, cls):
+        assert np.array_equal(cls.from_array(np.zeros((cls.SIZE, cls.SIZE, 8))).to_vector(),
+                              np.zeros(cls.DIM))
 
     @pytest.mark.parametrize("cls", [Hermitian2, JordanMatrix])
     @pytest.mark.parametrize("entry", [(1, 1, 0), (1, 0, 3), (0, 1, 3)],

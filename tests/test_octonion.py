@@ -345,6 +345,16 @@ class TestSubalgebraDimension:
         x = random_octonion(rng)
         assert subalgebra_dimension([x]) == 2
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+    def test_dimension_does_not_depend_on_scale(self, scale):
+        # below about 1e-10 the closure's cut was absolute and gave 1
+        rng = np.random.default_rng(SEED)
+        pair = [random_octonion(rng, scale) for _ in range(2)]
+        assert subalgebra_dimension(pair) == 4
+        assert subalgebra_dimension(pair[:1]) == 2
+        assert subalgebra_dimension(pair + [L * scale]) == 8
+        assert subalgebra_dimension([ONE * scale, Octonion.zero()]) == 1
+
 
 class TestAlgebraLaws:
     def test_composition_law_bulk(self):

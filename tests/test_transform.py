@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from octe6.jordan import Hermitian2, JordanMatrix, hermiticity_residual, random_jordan
+from octe6.jordan import (
+    Hermitian2,
+    JordanMatrix,
+    hermiticity_residual,
+    hermitian_vectors,
+    random_jordan,
+)
 from octe6.generators import roster
 from octe6.octonion import Octonion, oconj, odagger, omatmul, omul
 from octe6.transform import (
@@ -428,7 +434,7 @@ class TestOperatorReuse:
         for layers in range(1, 13):
             nm = _word(rng, curves, layers)
             X = random_jordan(rng, scale=10.0 ** rng.uniform(-3, 3))
-            layered = JordanMatrix.from_array(nm.apply_array(X.to_array()), check=False)
+            layered = JordanMatrix.from_vector(hermitian_vectors(nm.apply_array(X.to_array())))
             diff = np.abs(nm.apply(X).to_vector() - layered.to_vector()).max()
             assert diff <= 1e-12 * max(1.0, X.norm), layers
 
@@ -442,7 +448,7 @@ class TestOperatorReuse:
             for t, B in enumerate(Hermitian2.basis()):
                 assert np.array_equal(op[:, t], nm.apply(B).to_vector())
             X = Hermitian2(*rng.standard_normal(2), rng.standard_normal(8))
-            layered = Hermitian2.from_array(nm.apply_array(X.to_array()), check=False)
+            layered = Hermitian2.from_vector(hermitian_vectors(nm.apply_array(X.to_array())))
             diff = np.abs(nm.apply(X).to_vector() - layered.to_vector()).max()
             assert diff <= 1e-12 * max(1.0, X.norm)
 
