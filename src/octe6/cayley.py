@@ -161,9 +161,16 @@ def cayley_plane_check(P: JordanMatrix, tol: float = 1e-9) -> bool:
     """Whether P o P = P and tr P = 1, i.e. P is a trace-1 idempotent.
 
     |P o P - P| is bounded relative to |P|^2, like the layer predicates.
+    Both sides are formed on S = P / 2^e, e as in ``_scaled_invariants``:
+    with a = 2^min(e, 0) and b = 2^-max(e, 0), both at most 1, the bound
+    reads |a S o S - b S| <= tol a |S|^2, and nothing in it overflows.
     """
-    idem = (jordan_product(P, P) - P).norm
-    return idem <= tol * P.norm**2 and abs(P.trace - 1.0) <= tol
+    if not abs(P.trace - 1.0) <= tol:
+        return False
+    e = _scaled_invariants(P)[0]
+    S = type(P).from_vector(np.ldexp(P.to_vector(), -e))
+    a, b = math.ldexp(1.0, min(e, 0)), math.ldexp(1.0, -max(e, 0))
+    return (a * jordan_product(S, S) - b * S).norm <= tol * a * S.norm**2
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ Per 2x2 block slot the determinant-preserving roster holds 45 curves:
 expression; ``blocks(theta)`` gives the 2x2 layers as matrices, and
 calling the curve embeds them in the slot's 3x3 block.  ``ROSTERS``
 assembles the group rosters from these families: all three slots give E6
-(135 curves, rank 78); dropping boosts gives the rotation subgroups.  The
+(135 curves, rank 78); dropping boosts gives the rotation subgroups.
+``roster`` builds each (group, slot) roster once per process, and
+``roster_singular_values`` computes each roster's spectrum once.  The
 automorphism subgroup uses four-flip curves
 
     [s I, (s cos t + sw sin t) I, u I, (u cos t - uw sin t) I]
@@ -60,6 +62,7 @@ T P^T.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -234,17 +237,31 @@ ROSTERS = {
 }
 
 
+def _roster_key(group: str, slot: int) -> tuple[str, int]:
+    """(canonical group, slot), slot 0 for E6 and F4, which span all three slots."""
+    name = normalize_group(group)
+    if name not in SLOT_GROUPS:
+        return name, 0
+    if slot not in (0, 1, 2):
+        raise ValueError("slot must be 0, 1 or 2")
+    return name, int(slot)
+
+
+@functools.cache
+def _roster_curves(name: str, slot: int) -> tuple[GeneratorCurve, ...]:
+    slots = (slot,) if name in SLOT_GROUPS else (0, 1, 2)
+    return tuple(curve for sl in slots for family in ROSTERS[name] for curve in family(sl))
+
+
 def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
     """Generator curves for one of E6, F4, SO91, SO9, SO8, SO7, G2.
 
     Slot selects the 2x2 block for the single-slot groups; E6 and F4 span
-    all three slots.
+    all three slots.  Each roster is built once per process; every call
+    returns a new list of the same curves, which are frozen with read-only
+    arrays.
     """
-    name = normalize_group(group)
-    if name in SLOT_GROUPS and slot not in (0, 1, 2):
-        raise ValueError("slot must be 0, 1 or 2")
-    slots = (slot,) if name in SLOT_GROUPS else (0, 1, 2)
-    return [curve for sl in slots for family in ROSTERS[name] for curve in family(sl)]
+    return list(_roster_curves(*_roster_key(group, slot)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +336,22 @@ def singular_values(items: Sequence) -> np.ndarray:
     """Singular values of the stacked, flattened Lie elements."""
     stacked = np.stack([el.ravel() for el in _as_elements(items)])
     return np.linalg.svd(stacked, compute_uv=False)
+
+
+@functools.cache
+def _roster_spectrum(name: str, slot: int) -> np.ndarray:
+    s = singular_values(roster(name, slot))
+    s.setflags(write=False)
+    return s
+
+
+def roster_singular_values(group: str, slot: int = 0) -> np.ndarray:
+    """``singular_values(roster(group, slot))``, computed once per roster, read-only.
+
+    The roster's Lie elements are exact constants, so its spectrum is too;
+    a rank cut (``rank_cut``) on it is left to the caller.
+    """
+    return _roster_spectrum(*_roster_key(group, slot))
 
 
 def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:

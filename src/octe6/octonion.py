@@ -346,11 +346,13 @@ def subalgebra_dimension(generators: Iterable, tol: float = 1e-9) -> int:
     inputs the result is always 1, 2, 4 or 8.  The span a generator adds
     does not depend on its scale, so each nonzero generator is divided by
     its largest coefficient first and the result is the same at every
-    scale.
+    scale.  A non-finite generator raises ValueError.
     """
     vecs = [np.eye(8)[0]]
     for g in generators:
         g = _as_coeffs(g)
+        if not np.isfinite(g).all():
+            raise ValueError("subalgebra_dimension needs finite generators")
         peak = np.abs(g).max()
         vecs.append(g / peak if peak else g)
     basis = _orthonormal(np.stack(vecs), tol)

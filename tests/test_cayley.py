@@ -255,6 +255,17 @@ class TestCayleyPlane:
         psi = random_quaternionic_spinor(rng)
         assert not cayley_plane_check(psi.square() * (2.0 / psi.norm_sq))
 
+    def test_huge_entries_with_trace_one_fail(self):
+        # P o P would overflow; the check is formed on P over its largest coordinate
+        assert not cayley_plane_check(JordanMatrix.diag(1e200, -1e200, 1))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_scaled_idempotents_fail(self, scale):
+        psi = random_quaternionic_spinor(np.random.default_rng(SEED))
+        for P in (E11, psi.square() * (1.0 / psi.norm_sq)):
+            assert cayley_plane_check(P)
+            assert not cayley_plane_check(P * scale)
+
     def test_normalized_octonionic_squares_fail(self):
         rng = np.random.default_rng(SEED)
         for _ in range(8):

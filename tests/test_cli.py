@@ -64,12 +64,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("group, full_rank", [("E6", False), ("SO9", True)])
     def test_rank_evidence_from_the_reported_svd(self, capsys, monkeypatch, group, full_rank):
+        # the roster's spectrum is computed on the first verify call and read after that
+        generators._roster_spectrum.cache_clear()
         svds = []
         real = generators.singular_values
         monkeypatch.setattr(generators, "singular_values", lambda items: svds.append(1) or real(items))
-        code, out, _ = run_cli(capsys, "verify", group)
-        assert code == 0 and len(svds) == 1
-        report = json.loads(out)
+        runs = [run_cli(capsys, "verify", group) for _ in range(2)]
+        assert [code for code, _, _ in runs] == [0, 0] and len(svds) == 1
+        assert runs[0][1] == runs[1][1]
+        report = json.loads(runs[1][1])
         sv = real(generators.roster(group))
         r = report["rank"]
         kept, dropped = report["singular_values_at_cut"]
@@ -501,6 +504,19 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestRepeatedCalls:
+    def test_usage_errors_leave_no_state_behind(self, capsys):
+        # the parser, the rosters and their spectra are built once per process
+        valid = ["verify", "SO7", "--slot", "1", "--seed", "3"]
+        env = dict(os.environ, PYTHONPATH=str(Path(octe6.__file__).parents[1]))
+        alone = subprocess.run([sys.executable, "-m", "octe6.cli", *valid], env=env,
+                               capture_output=True, text=True)
+        assert alone.returncode == 0
+        assert run_cli(capsys, "verify", "bogus")[0] == 2
+        assert run_cli(capsys, "verify", "SO7", "--rank-tol", "1")[0] == 2
+        assert run_cli(capsys, *valid)[:2] == (0, alone.stdout)
 
 
 class TestImport:

@@ -24,6 +24,7 @@ from octe6.generators import (
     rank_cut,
     rank_gap,
     roster,
+    roster_singular_values,
     rotation_curves,
     singular_values,
     so8_action_check,
@@ -63,6 +64,31 @@ class TestRosterStructure:
 
     def test_group_name_normalization(self):
         assert len(roster("so(9,1)")) == 45
+
+    def test_each_call_returns_a_new_list_of_the_same_curves(self):
+        first = roster("SO8")
+        first.append(first.pop(0))
+        second, third = roster("SO8"), roster("SO8")
+        assert second is not third and second[0].label == "transverse[i,slot0]"
+        assert all(a is b for a, b in zip(second, third)) and len(second) == 28
+
+    @pytest.mark.parametrize("group", ["E6", "F4"])
+    def test_e6_and_f4_share_one_entry_for_every_slot(self, group):
+        assert all(a is b for a, b in zip(roster(group, 0), roster(group, 2)))
+        assert roster_singular_values(group, 1) is roster_singular_values(group, 0)
+
+    def test_slot_groups_keep_one_entry_per_slot(self):
+        assert {c.slot for c in roster("SO7", 2)} == {2}
+        assert not np.array_equal(lie_element(roster("SO7", 2)[0]), lie_element(roster("SO7", 0)[0]))
+        with pytest.raises(ValueError, match="slot"):
+            roster_singular_values("SO7", 3)
+
+    def test_roster_spectrum_is_read_only_and_keyed_on_the_group(self):
+        sv = roster_singular_values("so(9,1)")
+        assert sv is roster_singular_values("SO91")
+        assert np.array_equal(sv, singular_values(roster("SO91")))
+        with pytest.raises(ValueError, match="read-only"):
+            sv[0] = 0.0
 
     @pytest.mark.parametrize("family,det_value", [
         (boost_curves(0), 1.0),

@@ -355,6 +355,13 @@ class TestSubalgebraDimension:
         assert subalgebra_dimension(pair + [L * scale]) == 8
         assert subalgebra_dimension([ONE * scale, Octonion.zero()]) == 1
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_generator_raises(self, bad):
+        g = np.zeros(8)
+        g[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            subalgebra_dimension([Octonion.unit("i"), g])
+
 
 class TestAlgebraLaws:
     def test_composition_law_bulk(self):
