@@ -1,13 +1,13 @@
-"""Check that the CLI gives the same output in a fresh process and in a reused one.
+"""Check that the CLI passes and gives the same output in a fresh process and in a reused one.
 
 Runs 71 commands: ``verify`` for every group and slot at seeds 0, 3, 7
 and 11, ``triality --seed 5``, and ``report-all --seed 3`` as JSON and as
-CSV.  Each runs once as ``python -m octe6.cli`` in a new process, then
-twice, in order, through ``octe6.cli.main`` inside this interpreter, so
-that the second pass reads every parser, roster and spectrum built during
-the first.  Exit codes and stdout must match byte for byte; RuntimeWarnings
-are errors on both sides.  Prints a sha256 over the fresh runs' exit codes
-and stdout, exits 1 at the first mismatch.
+CSV.  Each runs once as ``python -m octe6.cli`` in a new process, where it
+must exit 0, then twice, in order, through ``octe6.cli.main`` inside this
+interpreter, after everything the earlier calls left in the process.  Exit
+codes and stdout must match byte for byte; RuntimeWarnings are errors on
+both sides.  Prints a sha256 over the fresh runs' exit codes and stdout,
+exits 1 at the first failure or mismatch.
 
     PYTHONPATH=src python scripts/cli_parity.py
 """
@@ -53,6 +53,10 @@ def main() -> int:
     warnings.simplefilter("error", RuntimeWarning)
     argvs = commands()
     expected = [fresh(argv) for argv in argvs]
+    for argv, (code, _) in zip(argvs, expected):
+        if code != 0:
+            print(f"octe6 {' '.join(argv)}: exit {code} in a fresh process")
+            return 1
     digest = hashlib.sha256()
     for code, stdout in expected:
         digest.update(f"{code}\n{stdout}".encode())

@@ -19,7 +19,6 @@ byte-identical stdout.  Exit codes: 0 all checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -89,7 +88,7 @@ def cmd_verify(args) -> dict:
     group = generators.normalize_group(args.group)
     curves = generators.roster(group, slot=args.slot)
     rng = np.random.default_rng(args.seed)
-    sv = generators.roster_singular_values(group, args.slot)
+    sv = generators.singular_values(curves)
     rank, kept, dropped = generators.rank_cut(sv, args.rank_tol)
     expected = generators.EXPECTED_DIMENSION[group]
     checks = [_check("lie-rank", rank, expected)]
@@ -200,7 +199,7 @@ def cmd_triality(args) -> dict:
         res = max(res, generators.so8_action_check(q, X))
     checks.append(_bound("diagonal-action", res, args.tol))
 
-    curves = generators.roster("G2", 0)
+    curves = generators.g2_curves(0)
     eq_res = 0.0
     for pick in (0, len(curves) // 2, len(curves) - 1):
         op = curves[pick](0.3).as_linear_op()
@@ -305,13 +304,7 @@ def _emit(report: dict, fmt: str) -> None:
     print("\n".join(rows))
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The octe6 argument parser, built once per process.
-
-    ``parse_args`` makes a new namespace on every call, so ``main`` can
-    reuse one parser.
-    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
     common.add_argument("--tol", type=float, default=1e-9,

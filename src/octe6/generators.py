@@ -30,9 +30,7 @@ Per 2x2 block slot the determinant-preserving roster holds 45 curves:
 expression; ``blocks(theta)`` gives the 2x2 layers as matrices, and
 calling the curve embeds them in the slot's 3x3 block.  ``ROSTERS``
 assembles the group rosters from these families: all three slots give E6
-(135 curves, rank 78); dropping boosts gives the rotation subgroups.
-``roster`` builds each (group, slot) roster once per process, and
-``roster_singular_values`` computes each roster's spectrum once.  The
+(135 curves, rank 78); dropping boosts gives the rotation subgroups.  The
 automorphism subgroup uses four-flip curves
 
     [s I, (s cos t + sw sin t) I, u I, (u cos t - uw sin t) I]
@@ -47,30 +45,31 @@ A curve's Lie algebra element is the tangent of its 27x27 operator at
 t = 0, right-translated to the identity; dimensions are numerical ranks
 of the flattened elements.  Roster layers have entries in {0, +-1} and
 rates in {0, 1/2, 1}, so the elements are exact half-integer matrices.
-``lie_elements`` takes each curve's layers M_d at t = 0 and, where
-r_d != 0, M_d +- M'_d (from ``JETS``), embedded in its slot.  Roster
-layers repeat heavily (G2's 1680 are 70 distinct maps), so one call keys
-every layer by its bytes and builds each distinct layer's operator once,
-all of them in one ``linear_ops`` call, which sizes its own kernel blocks.
-A layer is quadratic in M_d, so its tangent L'_d is exactly half the
-difference of the operators of M_d +- M'_d.  Over the curves of one
-(kind, rates, slot), in passes of ``LIE_CHUNK`` layers, the chain rule
-T <- L_d T + L'_d P, P <- L_d P reads those operators by index and gives
-the map's tangent T and its base P, a signed permutation; the element is
-T P^T.
+The element of a curve is the sum, over its moving layers d (r_d != 0),
+of Q_d (L'_d L_d^T) Q_d^T: L_d is the operator of M_d at t = 0, a signed
+permutation, Q_d the product of the operators of the layers outside d,
+and L'_d = (op(M_d + M'_d) - op(M_d - M'_d)) / 2 the layer's tangent,
+exact because a layer is quadratic in M_d (M'_d from ``JETS``).  Layers
+inside the innermost moving one drop out.  Roster layers repeat heavily
+(G2's 210 curves have 91 distinct layers), so ``lie_elements`` keys each
+layer by its data and computes each distinct layer's tangent once.  A 2x2
+block embedded in a slot acts blockwise: as the 2x2 layered action on the
+block, by left multiplication on the column beside it, and as 1 on the
+corner.  So the 27x27 operators are assembled from the two actions of
+each distinct block, whatever its slot (E6's 289 embedded matrices are 97
+blocks), computed by one ``linear_ops`` and one ``omatmul`` call.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jordan import JordanMatrix
-from .octonion import _as_coeffs, _numerical_rank, oconj, omul, onorm
-from .transform import NestedMap, OctMatrix, _embed_arrays, embed, linear_ops
+from .jordan import JordanMatrix, hermitian_vectors
+from .octonion import _as_coeffs, _numerical_rank, oconj, omatmul, omul, onorm
+from .transform import NestedMap, OctMatrix, _embed_arrays, _hermitian_basis, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
 BASIS_UNITS = ("1",) + IMAGINARY_UNITS
@@ -89,7 +88,7 @@ EXPECTED_DIMENSION = {
 # groups whose roster lives in a single 2x2 block slot
 SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
 
-# layers (curves x depth) per chain-rule pass of lie_elements
+# 27x27 operators per stacked pass of lie_elements (tangents, or curves of one chain level)
 LIE_CHUNK = 16
 
 # (c, s) of each curve kind: layer d at angle t is c(r_d t) A_d + s(r_d t) B_d
@@ -237,31 +236,17 @@ ROSTERS = {
 }
 
 
-def _roster_key(group: str, slot: int) -> tuple[str, int]:
-    """(canonical group, slot), slot 0 for E6 and F4, which span all three slots."""
-    name = normalize_group(group)
-    if name not in SLOT_GROUPS:
-        return name, 0
-    if slot not in (0, 1, 2):
-        raise ValueError("slot must be 0, 1 or 2")
-    return name, int(slot)
-
-
-@functools.cache
-def _roster_curves(name: str, slot: int) -> tuple[GeneratorCurve, ...]:
-    slots = (slot,) if name in SLOT_GROUPS else (0, 1, 2)
-    return tuple(curve for sl in slots for family in ROSTERS[name] for curve in family(sl))
-
-
 def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
     """Generator curves for one of E6, F4, SO91, SO9, SO8, SO7, G2.
 
     Slot selects the 2x2 block for the single-slot groups; E6 and F4 span
-    all three slots.  Each roster is built once per process; every call
-    returns a new list of the same curves, which are frozen with read-only
-    arrays.
+    all three slots.
     """
-    return list(_roster_curves(*_roster_key(group, slot)))
+    name = normalize_group(group)
+    if name in SLOT_GROUPS and slot not in (0, 1, 2):
+        raise ValueError("slot must be 0, 1 or 2")
+    slots = (slot,) if name in SLOT_GROUPS else (0, 1, 2)
+    return [curve for sl in slots for family in ROSTERS[name] for curve in family(sl)]
 
 
 # ---------------------------------------------------------------------------
@@ -272,53 +257,118 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
     """Lie elements of many curves, in stacked passes; see the module docstring.
 
     Element t is the tangent of curves[t] at 0, right-translated to the
-    identity.  A base op(curves[t](0)) that is not orthogonal bit for bit
-    raises ValueError, an item that is not a GeneratorCurve TypeError.
+    identity.  A layer whose op at 0 is not orthogonal bit for bit raises
+    ValueError, an item that is not a GeneratorCurve TypeError.
     """
-    groups: dict[tuple, list[int]] = {}
+    layers: dict[tuple, int] = {}  # (slot, kind, rate, A_d, B_d) of each distinct layer -> index
+    groups: dict[tuple, tuple[list, list]] = {}  # rates -> (curve indices, their layers, outermost first)
     for index, curve in enumerate(curves):
         if not isinstance(curve, GeneratorCurve):
             raise TypeError(f"Lie elements need GeneratorCurve items, not {type(curve).__name__}")
-        groups.setdefault((curve.kind, curve.rates, curve.slot), []).append(index)
-    distinct: dict[bytes, int] = {}  # each distinct embedded layer -> its operator's index
-    ids = {}
-    for key, indices in groups.items():
-        layers = _jet_layers([curves[i] for i in indices], *key)
-        data, size = layers.tobytes(), layers[0, 0].nbytes
-        ids[key] = np.array([distinct.setdefault(data[at:at + size], len(distinct))
-                             for at in range(0, len(data), size)]).reshape(layers.shape[:2])
-    ops = linear_ops(np.frombuffer(b"".join(distinct), dtype=float).reshape(-1, 1, 3, 3, 8))
+        rates, A, B = curve.rates, curve.A, curve.B
+        indices, chains = groups.setdefault(rates, ([], []))
+        indices.append(index)
+        chains.append([layers.setdefault((curve.slot, curve.kind, rates[d], A[d].tobytes(),
+                                          B[d].tobytes()), len(layers)) for d in reversed(range(len(rates)))])
+    ops, ids = _layer_operators(list(layers))
+    bases = ops[sorted(set(ids[:, 0].tolist()))]  # np.unique would import numpy.ma on first use
+    if not (bases @ bases.swapaxes(-1, -2) == np.eye(ops.shape[-1])).all():
+        raise ValueError("a layer's op at 0 is not orthogonal; the roster is broken")
+    tangents = np.zeros((len(ids),) + ops.shape[1:])  # L'_d L_d^T of each moving layer
+    moving = np.flatnonzero([key[2] for key in layers])
+    for start in range(0, len(moving), LIE_CHUNK):
+        at = moving[start:start + LIE_CHUNK]
+        base, plus, minus = ids[at].T
+        tangents[at] = (ops[plus] - ops[minus]) / 2.0 @ ops[base].swapaxes(-1, -2)
     out = {}
-    for key, indices in groups.items():
-        step = -(-LIE_CHUNK // len(key[1]))  # curves per pass: curves x depth >= LIE_CHUNK
-        for start in range(0, len(indices), step):
-            chunk = slice(start, start + step)
-            out.update(zip(indices[chunk], _lie_pass(ops, ids[key][chunk], key[1])))
+    for rates, (indices, chains) in groups.items():
+        chains = np.array(chains, dtype=int).reshape(len(indices), len(rates))
+        for start in range(0, len(indices), LIE_CHUNK):
+            chunk = slice(start, start + LIE_CHUNK)
+            out.update(zip(indices[chunk], _chain_rule(ops, ids[:, 0], tangents, chains[chunk], rates[::-1])))
     return [out[index] for index in range(len(curves))]
 
 
-def _jet_layers(curves: list, kind: str, rates: tuple, slot: int) -> np.ndarray:
-    """Each curve's layers M_d at 0, then M_d + M'_d and M_d - M'_d where rate d != 0, embedded."""
-    (c0, s0), (c1, s1) = JETS[kind]
-    A, B = np.stack([c.A for c in curves]), np.stack([c.B for c in curves])
-    moving = np.flatnonzero(rates)
+def _layer_operators(layers: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Operators of layers (slot, kind, rate, A_d, B_d): of M_d at 0 and of M_d +- M'_d.
+
+    M'_d = rate (c'(0) A_d + s'(0) B_d), from ``JETS``.  Returns the 27x27
+    operators of the distinct (slot, 2x2 block) pairs and an (N, 3) array
+    of indices into them: M_d, M_d + M'_d and M_d - M'_d of each layer.  A
+    block embedded in a slot acts on the block as the 2x2 layered action,
+    on the column beside it by left multiplication, and leaves the corner
+    alone, so each distinct block's two actions are computed once, whatever
+    its slot: one ``linear_ops`` call and one ``omatmul`` for all of them.
+    """
+    A = np.frombuffer(b"".join(key[3] for key in layers)).reshape(-1, 2, 2, 8)
+    B = np.frombuffer(b"".join(key[4] for key in layers)).reshape(-1, 2, 2, 8)
+    jets = np.array([JETS[key[1]] for key in layers], dtype=float).reshape(-1, 2, 2)
+    (c0, s0), (c1, s1) = jets.transpose(1, 2, 0)[..., None, None, None]
     M = c0 * A + s0 * B
-    dM = (np.array(rates)[:, None, None, None] * (c1 * A + s1 * B))[:, moving]
-    return _embed_arrays(np.concatenate([M, M[:, moving] + dM, M[:, moving] - dM], axis=1), slot)
+    dM = np.array([key[2] for key in layers])[:, None, None, None] * (c1 * A + s1 * B)
+    data, size = np.stack([M, M + dM, M - dM], axis=1).tobytes(), 32 * M.itemsize  # one 2x2 block
+    blocks: dict[bytes, int] = {}  # each distinct block -> its index
+    pairs: dict[tuple[int, int], int] = {}  # each distinct (slot, block) -> its operator's index
+    ids = []
+    for at in range(0, len(data), size):
+        block = blocks.setdefault(data[at:at + size], len(blocks))
+        ids.append(pairs.setdefault((layers[at // (3 * size)][0], block), len(pairs)))
+    distinct = np.frombuffer(b"".join(blocks)).reshape(-1, 2, 2, 8)
+    on_block = linear_ops(distinct[:, None])  # (P, 10, 10)
+    on_column = omatmul(distinct, _COLUMN_BASIS).transpose(0, 1, 3, 2).reshape(-1, 16, 16)
+    ops = np.zeros((len(pairs), 27, 27))
+    slots, block_of = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+    for slot in set(slots.tolist()):
+        at, (place, signs) = np.flatnonzero(slots == slot), _SLOT_LAYOUTS[slot]
+        signs = signs[:, None] * signs  # entry (t, u) of the blockwise action lands at (place[t], place[u])
+        ops[at[:, None, None], place[:10, None], place[:10]] = on_block[block_of[at]] * signs[:10, :10]
+        ops[at[:, None, None], place[10:26, None], place[10:26]] = on_column[block_of[at]] * signs[10:26, 10:26]
+        ops[at, place[26], place[26]] = 1.0
+    return ops, np.array(ids, dtype=int).reshape(-1, 3)
 
 
-def _lie_pass(ops: np.ndarray, ids: np.ndarray, rates: tuple) -> np.ndarray:
-    """The (C, 27, 27) Lie elements of curves whose ``_jet_layers`` have operators ops[ids]."""
-    depth, moving = len(rates), np.flatnonzero(rates)
-    plus, minus = ids[:, depth:depth + len(moving)], ids[:, depth + len(moving):]
-    L, dL = ops[ids[:, :depth]], np.zeros((len(ids), depth) + ops.shape[1:])
-    dL[:, moving] = (ops[plus] - ops[minus]) / 2.0
-    P, T = L[:, 0], dL[:, 0]
-    for d in range(1, depth):
-        T, P = L[:, d] @ T + dL[:, d] @ P, L[:, d] @ P
-    if not (P @ P.swapaxes(-1, -2) == np.eye(P.shape[-1])).all():
-        raise ValueError("op(curve(0)) is not orthogonal; the roster is broken")
-    return T @ P.swapaxes(-1, -2)
+def _slot_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the 27 block coordinates of a slot land among the Jordan coordinates, and their signs.
+
+    Block coordinates: the 10 of the 2x2 block, the 16 of the column beside
+    it (entry i, coefficient k at 10 + 8 i + k) and the corner.
+    """
+    basis = np.zeros((27, 3, 3, 8))
+    basis[:10, :2, :2] = _hermitian_basis(2)
+    column = np.eye(16).reshape(16, 2, 8)
+    basis[10:26, :2, 2] = column
+    basis[10:26, 2, :2] = oconj(column)
+    basis[26, 2, 2, 0] = 1.0
+    idx = (np.arange(3) + slot) % 3  # as _embed_arrays places the block
+    V = hermitian_vectors(basis[:, idx[:, None], idx])
+    place = np.abs(V).argmax(axis=1)
+    return place, V[np.arange(27), place]
+
+
+_SLOT_LAYOUTS = tuple(_slot_layout(slot) for slot in range(3))
+# column t of the (2, 16, 8) matrix is the basis spinor with coefficient 1 at (t // 8, t % 8)
+_COLUMN_BASIS = np.eye(16).reshape(16, 2, 8).transpose(1, 0, 2)
+_COLUMN_BASIS.setflags(write=False)
+
+
+def _chain_rule(ops: np.ndarray, bases: np.ndarray, tangents: np.ndarray, chains: np.ndarray,
+                rates: tuple) -> np.ndarray:
+    """The (C, 27, 27) Lie elements of curves whose layers, outermost first, are chains.
+
+    Layer j has the operator ops[bases[j]] at 0 and, where rates[level] !=
+    0, the tangent tangents[j].  The element is the sum over the moving
+    levels of Q t Q^T, Q the product of the operators of the levels before;
+    the levels after the last moving one drop out.
+    """
+    E, Q = np.zeros((len(chains),) + tangents.shape[1:]), None
+    moving = [level for level, rate in enumerate(rates) if rate]
+    for level in range(moving[-1] + 1 if moving else 0):
+        layer = chains[:, level]
+        if rates[level]:
+            E += tangents[layer] if Q is None else Q @ tangents[layer] @ Q.swapaxes(-1, -2)
+        if level < moving[-1]:
+            Q = ops[bases[layer]] if Q is None else Q @ ops[bases[layer]]
+    return E
 
 
 def lie_element(curve) -> np.ndarray:
@@ -336,22 +386,6 @@ def singular_values(items: Sequence) -> np.ndarray:
     """Singular values of the stacked, flattened Lie elements."""
     stacked = np.stack([el.ravel() for el in _as_elements(items)])
     return np.linalg.svd(stacked, compute_uv=False)
-
-
-@functools.cache
-def _roster_spectrum(name: str, slot: int) -> np.ndarray:
-    s = singular_values(roster(name, slot))
-    s.setflags(write=False)
-    return s
-
-
-def roster_singular_values(group: str, slot: int = 0) -> np.ndarray:
-    """``singular_values(roster(group, slot))``, computed once per roster, read-only.
-
-    The roster's Lie elements are exact constants, so its spectrum is too;
-    a rank cut (``rank_cut``) on it is left to the caller.
-    """
-    return _roster_spectrum(*_roster_key(group, slot))
 
 
 def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:

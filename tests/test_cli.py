@@ -64,15 +64,12 @@ class TestVerify:
 
     @pytest.mark.parametrize("group, full_rank", [("E6", False), ("SO9", True)])
     def test_rank_evidence_from_the_reported_svd(self, capsys, monkeypatch, group, full_rank):
-        # the roster's spectrum is computed on the first verify call and read after that
-        generators._roster_spectrum.cache_clear()
         svds = []
         real = generators.singular_values
         monkeypatch.setattr(generators, "singular_values", lambda items: svds.append(1) or real(items))
-        runs = [run_cli(capsys, "verify", group) for _ in range(2)]
-        assert [code for code, _, _ in runs] == [0, 0] and len(svds) == 1
-        assert runs[0][1] == runs[1][1]
-        report = json.loads(runs[1][1])
+        code, out, _ = run_cli(capsys, "verify", group)
+        assert code == 0 and len(svds) == 1
+        report = json.loads(out)
         sv = real(generators.roster(group))
         r = report["rank"]
         kept, dropped = report["singular_values_at_cut"]
@@ -508,7 +505,7 @@ class TestUsage:
 
 class TestRepeatedCalls:
     def test_usage_errors_leave_no_state_behind(self, capsys):
-        # the parser, the rosters and their spectra are built once per process
+        # a rejected call leaves nothing behind that changes the next one's output
         valid = ["verify", "SO7", "--slot", "1", "--seed", "3"]
         env = dict(os.environ, PYTHONPATH=str(Path(octe6.__file__).parents[1]))
         alone = subprocess.run([sys.executable, "-m", "octe6.cli", *valid], env=env,
@@ -528,3 +525,14 @@ class TestImport:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert out[1] == out[0]
+
+    def test_verify_leaves_numpy_ma_unloaded(self):
+        # numpy.ma costs about 12 ms to import, a tenth of a one-shot verify call
+        code = ("import sys, contextlib, io, octe6.cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    octe6.cli.main(['verify', 'E6'])\n"
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(octe6.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == ["False"]

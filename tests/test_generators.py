@@ -24,7 +24,6 @@ from octe6.generators import (
     rank_cut,
     rank_gap,
     roster,
-    roster_singular_values,
     rotation_curves,
     singular_values,
     so8_action_check,
@@ -64,31 +63,6 @@ class TestRosterStructure:
 
     def test_group_name_normalization(self):
         assert len(roster("so(9,1)")) == 45
-
-    def test_each_call_returns_a_new_list_of_the_same_curves(self):
-        first = roster("SO8")
-        first.append(first.pop(0))
-        second, third = roster("SO8"), roster("SO8")
-        assert second is not third and second[0].label == "transverse[i,slot0]"
-        assert all(a is b for a, b in zip(second, third)) and len(second) == 28
-
-    @pytest.mark.parametrize("group", ["E6", "F4"])
-    def test_e6_and_f4_share_one_entry_for_every_slot(self, group):
-        assert all(a is b for a, b in zip(roster(group, 0), roster(group, 2)))
-        assert roster_singular_values(group, 1) is roster_singular_values(group, 0)
-
-    def test_slot_groups_keep_one_entry_per_slot(self):
-        assert {c.slot for c in roster("SO7", 2)} == {2}
-        assert not np.array_equal(lie_element(roster("SO7", 2)[0]), lie_element(roster("SO7", 0)[0]))
-        with pytest.raises(ValueError, match="slot"):
-            roster_singular_values("SO7", 3)
-
-    def test_roster_spectrum_is_read_only_and_keyed_on_the_group(self):
-        sv = roster_singular_values("so(9,1)")
-        assert sv is roster_singular_values("SO91")
-        assert np.array_equal(sv, singular_values(roster("SO91")))
-        with pytest.raises(ValueError, match="read-only"):
-            sv[0] = 0.0
 
     @pytest.mark.parametrize("family,det_value", [
         (boost_curves(0), 1.0),
@@ -393,20 +367,46 @@ class TestStackedLieElements:
             lie_elements(rotations[:3] + [shared] + rotations[3:])
         assert len(np.concatenate(built)) == alone  # no map of its own
 
-    @pytest.mark.parametrize("group, distinct", [("G2", 70), ("E6", 289)])
-    def test_each_distinct_layer_built_once(self, monkeypatch, group, distinct):
+    def test_jets_read_in_order(self, monkeypatch):
+        # a kind whose s(0) and c'(0) differ, unlike every kind in KINDS
+        monkeypatch.setitem(KINDS, "exp-sin", (np.exp, np.sin))
+        monkeypatch.setitem(JETS, "exp-sin", ((1, 0), (1, 1)))
+        rotation = rotation_curves(0)[2]
+        curve = GeneratorCurve("exp-sin[slot0]", 0, "exp-sin", (0.5,), rotation.A, rotation.B)
+        _assert_exact(lie_element(curve), _lie_element_per_curve(curve), curve.label)
+
+    def test_layers_inside_the_innermost_moving_one_drop_out(self):
+        # a constant inner layer e_i I leaves the element as it is
+        rotation = rotation_curves(1)[3]
+        A = np.concatenate([transverse_curves(1)[0].B, rotation.A])
+        B = np.concatenate([np.zeros_like(rotation.B), rotation.B])
+        nested = GeneratorCurve("nested[slot1]", 1, "trig", (0.0, 0.5), A, B)
+        assert np.array_equal(lie_element(nested), lie_element(rotation))
+        with pytest.raises(ValueError):  # but its op must still be orthogonal
+            lie_element(GeneratorCurve("scaled[slot1]", 1, "trig", (0.0, 0.5), 2.0 * A, B))
+
+    @pytest.mark.parametrize("group, distinct", [("G2", 70), ("E6", 97)])
+    def test_each_distinct_block_acted_on_once(self, monkeypatch, group, distinct):
+        # E6's three slots share their 2x2 blocks: 97 blocks for 289 embedded layers
         built = _spy_on_linear_ops(monkeypatch)
         lie_elements(roster(group))
         assert len(built) == 1  # one linear_ops call, which sizes its own blocks
         maps = built[0]
-        assert maps.shape == (distinct, 1, 3, 3, 8)
+        assert maps.shape == (distinct, 1, 2, 2, 8)
         assert len({m.tobytes() for m in maps}) == distinct
 
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_layer_operators_are_the_embedded_maps(self, slot):
+        # an embedded block acts on the block, on the column beside it and on the corner
+        blocks = np.random.default_rng(SEED + slot).standard_normal((5, 2, 2, 8))
+        layers = [(slot, "trig", 0.0, b.tobytes(), np.zeros_like(b).tobytes()) for b in blocks]
+        ops, ids = generators._layer_operators(layers)
+        embedded = linear_ops(transform._embed_arrays(blocks, slot)[:, None])
+        np.testing.assert_allclose(ops[ids[:, 0]], embedded, rtol=0, atol=1e-12)
+
     def test_linear_ops_blocks_match_per_map_calls(self, monkeypatch):
-        built = _spy_on_linear_ops(monkeypatch)
-        lie_elements(roster("E6"))
-        maps = built[0]
-        assert len(maps) == 289
+        layers = np.concatenate([curve(0.37).stack for curve in roster("E6") + roster("F4")])
+        maps = layers[:289, None]
         image_bytes, act = [], transform._act
 
         def spy(layers, X):
