@@ -74,9 +74,10 @@ def _layer_residual(curves, tol: float) -> float:
     blocks = [curve.layer_arrays([0.37])[0] for curve in curves]
     layers = np.concatenate([transform._embed_arrays(b, c.slot) for b, c in zip(blocks, curves)])
     blocks = np.concatenate(blocks)
-    if not transform.is_complex(blocks).all():
+    try:
+        _, det_real = transform.complex_det(blocks)
+    except ValueError:  # a block is not complex
         return np.inf
-    _, det_real = transform.complex_det(blocks)
     welldefined, welldefined_res = transform.is_welldefined(layers, tol)
     compatible, compatible_res = transform.is_compatible(blocks, tol)
     if not (det_real.all() and welldefined.all() and compatible.all()):
@@ -144,7 +145,7 @@ def cmd_decompose(args) -> dict:
     checks = []
     report = {"suite": "decompose"}
     if args.apply:
-        nm = _load_json(args.apply, transform.nested_map_from_json)
+        nm = _load_json(args.apply, _nested_map)
         if nm.dim != 3:
             raise CliInputError(f"{args.apply}: a 3x3 matrix needs 3x3 layers, not {nm.dim}x{nm.dim}")
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing image exits 2
@@ -173,7 +174,10 @@ def cmd_decompose(args) -> dict:
 def cmd_dirac(args) -> dict:
     P = _load_json(args.file, lambda d: jordan.hermitian2_from_dict(jordan.json_field(d, "P")))
     P = _finite_scale(P, args.file, "matrix")
-    theta = cayley.dirac_solve(P, tol=args.tol)
+    try:
+        theta = cayley.dirac_solve(P, tol=args.tol)
+    except ValueError as exc:  # a zero or non-null momentum
+        raise CliInputError(f"{args.file}: {exc}") from None
     sign = 1.0 if P.trace > 0 else -1.0
     square = jordan.spinor_square(theta)
     residual = (square - P * sign).norm
@@ -260,6 +264,13 @@ def _load_json(path: str, parse):
         return parse(data)
     except (TypeError, ValueError) as exc:
         raise CliInputError(f"{path}: {exc}") from None
+
+
+def _nested_map(data) -> transform.NestedMap:
+    """The nested map of a parsed JSON list of layers."""
+    if type(data) is not list:
+        raise ValueError("a map is a JSON list of layers")
+    return transform.nested_map_from_json(data)
 
 
 def _numeric(node) -> bool:

@@ -45,19 +45,23 @@ A curve's Lie algebra element is the tangent of its 27x27 operator at
 t = 0, right-translated to the identity; dimensions are numerical ranks
 of the flattened elements.  Roster layers have entries in {0, +-1} and
 rates in {0, 1/2, 1}, so the elements are exact half-integer matrices.
-The element of a curve is the sum, over its moving layers d (r_d != 0),
-of Q_d (L'_d L_d^T) Q_d^T: L_d is the operator of M_d at t = 0, a signed
-permutation, Q_d the product of the operators of the layers outside d,
-and L'_d = (op(M_d + M'_d) - op(M_d - M'_d)) / 2 the layer's tangent,
-exact because a layer is quadratic in M_d (M'_d from ``JETS``).  Layers
-inside the innermost moving one drop out.  Roster layers repeat heavily
-(G2's 210 curves have 91 distinct layers), so ``lie_elements`` keys each
-layer by its data and computes each distinct layer's tangent once.  A 2x2
-block embedded in a slot acts blockwise: as the 2x2 layered action on the
-block, by left multiplication on the column beside it, and as 1 on the
-corner.  So the 27x27 operators are assembled from the two actions of
-each distinct block, whatever its slot (E6's 289 embedded matrices are 97
-blocks), computed by one ``linear_ops`` and one ``omatmul`` call.
+Inside one slot the 27 coordinates split as 10 + 16 + 1 under the double
+cover of SO(9,1): the 2x2 Hermitian block (vectors), the Cayley-spinor
+column beside it and the corner.  A 2x2 block embedded in a slot acts on
+the 10 as the 2x2 layered action, on the 16 by left multiplication and as
+1 on the corner, so an element is computed as its 10x10 and 16x16 parts
+and placed into 27x27 once, at the end, with the corner 0.  Each part is
+the sum, over the curve's moving layers d (r_d != 0), of
+Q_d (L'_d L_d^T) Q_d^T: L_d is the part's operator of M_d at t = 0, a
+signed permutation, Q_d the product of the operators of the layers
+outside d, and L'_d = (op(M_d + M'_d) - op(M_d - M'_d)) / 2 the layer's
+tangent, exact because a layer is quadratic in M_d (M'_d from ``JETS``).
+Layers inside the innermost moving one drop out.  Roster blocks repeat
+heavily (G2's 210 curves have 70 distinct blocks M_d, M_d +- M'_d; E6's
+three slots share 97), so ``lie_elements`` keeps each distinct block once
+and acts with all of them by one ``linear_ops`` and one ``omatmul`` call.
+The work runs in passes of curves of one rates tuple whose 27x27 elements
+fit in the block size that ``linear_ops`` keeps to, ``transform._ACT_BYTES``.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ import numpy as np
 
 from .jordan import JordanMatrix, hermitian_vectors
 from .octonion import _as_coeffs, _numerical_rank, oconj, omatmul, omul, onorm
-from .transform import NestedMap, OctMatrix, _embed_arrays, _hermitian_basis, embed, linear_ops
+from .transform import _ACT_BYTES, NestedMap, OctMatrix, _embed_arrays, _hermitian_basis, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
 BASIS_UNITS = ("1",) + IMAGINARY_UNITS
@@ -87,9 +91,6 @@ EXPECTED_DIMENSION = {
 
 # groups whose roster lives in a single 2x2 block slot
 SLOT_GROUPS = ("SO91", "SO9", "SO8", "SO7", "G2")
-
-# 27x27 operators per stacked pass of lie_elements (tangents, or curves of one chain level)
-LIE_CHUNK = 16
 
 # (c, s) of each curve kind: layer d at angle t is c(r_d t) A_d + s(r_d t) B_d
 KINDS = {
@@ -260,71 +261,65 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
     identity.  A layer whose op at 0 is not orthogonal bit for bit raises
     ValueError, an item that is not a GeneratorCurve TypeError.
     """
-    layers: dict[tuple, int] = {}  # (slot, kind, rate, A_d, B_d) of each distinct layer -> index
-    groups: dict[tuple, tuple[list, list]] = {}  # rates -> (curve indices, their layers, outermost first)
+    groups: dict[tuple, list[int]] = {}  # rates -> indices of its curves
     for index, curve in enumerate(curves):
         if not isinstance(curve, GeneratorCurve):
             raise TypeError(f"Lie elements need GeneratorCurve items, not {type(curve).__name__}")
-        rates, A, B = curve.rates, curve.A, curve.B
-        indices, chains = groups.setdefault(rates, ([], []))
-        indices.append(index)
-        chains.append([layers.setdefault((curve.slot, curve.kind, rates[d], A[d].tobytes(),
-                                          B[d].tobytes()), len(layers)) for d in reversed(range(len(rates)))])
-    ops, ids = _layer_operators(list(layers))
-    bases = ops[sorted(set(ids[:, 0].tolist()))]  # np.unique would import numpy.ma on first use
-    if not (bases @ bases.swapaxes(-1, -2) == np.eye(ops.shape[-1])).all():
-        raise ValueError("a layer's op at 0 is not orthogonal; the roster is broken")
-    tangents = np.zeros((len(ids),) + ops.shape[1:])  # L'_d L_d^T of each moving layer
-    moving = np.flatnonzero([key[2] for key in layers])
-    for start in range(0, len(moving), LIE_CHUNK):
-        at = moving[start:start + LIE_CHUNK]
-        base, plus, minus = ids[at].T
-        tangents[at] = (ops[plus] - ops[minus]) / 2.0 @ ops[base].swapaxes(-1, -2)
-    out = {}
-    for rates, (indices, chains) in groups.items():
-        chains = np.array(chains, dtype=int).reshape(len(indices), len(rates))
-        for start in range(0, len(indices), LIE_CHUNK):
-            chunk = slice(start, start + LIE_CHUNK)
-            out.update(zip(indices[chunk], _chain_rule(ops, ids[:, 0], tangents, chains[chunk], rates[::-1])))
-    return [out[index] for index in range(len(curves))]
-
-
-def _layer_operators(layers: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Operators of layers (slot, kind, rate, A_d, B_d): of M_d at 0 and of M_d +- M'_d.
-
-    M'_d = rate (c'(0) A_d + s'(0) B_d), from ``JETS``.  Returns the 27x27
-    operators of the distinct (slot, 2x2 block) pairs and an (N, 3) array
-    of indices into them: M_d, M_d + M'_d and M_d - M'_d of each layer.  A
-    block embedded in a slot acts on the block as the 2x2 layered action,
-    on the column beside it by left multiplication, and leaves the corner
-    alone, so each distinct block's two actions are computed once, whatever
-    its slot: one ``linear_ops`` call and one ``omatmul`` for all of them.
-    """
-    A = np.frombuffer(b"".join(key[3] for key in layers)).reshape(-1, 2, 2, 8)
-    B = np.frombuffer(b"".join(key[4] for key in layers)).reshape(-1, 2, 2, 8)
-    jets = np.array([JETS[key[1]] for key in layers], dtype=float).reshape(-1, 2, 2)
-    (c0, s0), (c1, s1) = jets.transpose(1, 2, 0)[..., None, None, None]
-    M = c0 * A + s0 * B
-    dM = np.array([key[2] for key in layers])[:, None, None, None] * (c1 * A + s1 * B)
-    data, size = np.stack([M, M + dM, M - dM], axis=1).tobytes(), 32 * M.itemsize  # one 2x2 block
-    blocks: dict[bytes, int] = {}  # each distinct block -> its index
-    pairs: dict[tuple[int, int], int] = {}  # each distinct (slot, block) -> its operator's index
-    ids = []
-    for at in range(0, len(data), size):
-        block = blocks.setdefault(data[at:at + size], len(blocks))
-        ids.append(pairs.setdefault((layers[at // (3 * size)][0], block), len(pairs)))
+        groups.setdefault(curve.rates, []).append(index)
+    # curves per pass, all of one rates: their 27x27 elements fit in the block size that keeps
+    # linear_ops off the allocator's cliff
+    step = max(1, _ACT_BYTES // (27 * 27 * 8))
+    passes = [(rates, indices[at:at + step]) for rates, indices in groups.items()
+              for at in range(0, len(indices), step)]
+    blocks: dict[bytes, int] = {}  # each distinct 2x2 block -> its index
+    chains = []  # per pass: curve indices, rates and (C, depth, 3) block indices, outermost layer first
+    for rates, indices in passes:
+        group = [curves[i] for i in indices]
+        A, B = np.array([c.A for c in group]), np.array([c.B for c in group])
+        jets = np.array([JETS[c.kind] for c in group], dtype=float)
+        (c0, s0), (c1, s1) = jets.transpose(1, 2, 0)[..., None, None, None, None]
+        M = c0 * A + s0 * B
+        dM = np.array(rates)[:, None, None, None] * (c1 * A + s1 * B)
+        data, size = np.stack([M, M + dM, M - dM], axis=2).tobytes(), 32 * M.itemsize  # M_d, M_d +- M'_d
+        ids = [blocks.setdefault(data[at:at + size], len(blocks)) for at in range(0, len(data), size)]
+        chains.append((indices, rates[::-1], np.array(ids, dtype=int).reshape(len(A), len(rates), 3)[:, ::-1]))
     distinct = np.frombuffer(b"".join(blocks)).reshape(-1, 2, 2, 8)
-    on_block = linear_ops(distinct[:, None])  # (P, 10, 10)
-    on_column = omatmul(distinct, _COLUMN_BASIS).transpose(0, 1, 3, 2).reshape(-1, 16, 16)
-    ops = np.zeros((len(pairs), 27, 27))
-    slots, block_of = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+    # each distinct block's action on the 10 of the 2x2 block and on the 16 of the column beside it
+    parts = (linear_ops(distinct[:, None]),
+             omatmul(distinct, _COLUMN_BASIS).transpose(0, 1, 3, 2).reshape(-1, 16, 16))
+    # every layer's M_d, inner layers included; np.unique would import numpy.ma on first use
+    bases = sorted({b for *_, ids in chains for b in ids[..., 0].ravel().tolist()})
+    for L in (op[bases] for op in parts):
+        if not (L @ L.swapaxes(-1, -2) == np.eye(L.shape[-1])).all():
+            raise ValueError("a layer's op at 0 is not orthogonal; the roster is broken")
+    elements = [None] * len(curves)
+    for indices, rates, ids in chains:
+        moving = [level for level, rate in enumerate(rates) if rate]
+        sums = [np.zeros((len(indices), n, n)) for n in (10, 16)]  # the elements' two parts
+        for op, E in zip(parts, sums):
+            Q = None  # product of the ops of the levels before
+            for level in range(moving[-1] + 1 if moving else 0):
+                base, plus, minus = op[ids[:, level].T]
+                if rates[level]:
+                    t = (plus - minus) / 2.0 @ base.swapaxes(-1, -2)
+                    E += t if Q is None else Q @ t @ Q.swapaxes(-1, -2)
+                if level < moving[-1]:
+                    Q = base if Q is None else Q @ base
+        for index, element in zip(indices, _place(*sums, [curves[i].slot for i in indices])):
+            elements[index] = element
+    return elements
+
+
+def _place(on_block: np.ndarray, on_column: np.ndarray, slots: Sequence[int]) -> np.ndarray:
+    """(N, 27, 27) matrices acting on slots[t] as on_block[t] and on_column[t], and as 0 on the corner."""
+    out, slots = np.zeros((len(slots), 27, 27)), np.asarray(slots, dtype=int)
     for slot in set(slots.tolist()):
         at, (place, signs) = np.flatnonzero(slots == slot), _SLOT_LAYOUTS[slot]
-        signs = signs[:, None] * signs  # entry (t, u) of the blockwise action lands at (place[t], place[u])
-        ops[at[:, None, None], place[:10, None], place[:10]] = on_block[block_of[at]] * signs[:10, :10]
-        ops[at[:, None, None], place[10:26, None], place[10:26]] = on_column[block_of[at]] * signs[10:26, 10:26]
-        ops[at, place[26], place[26]] = 1.0
-    return ops, np.array(ids, dtype=int).reshape(-1, 3)
+        signs = signs[:, None] * signs  # entry (t, u) of a part lands at (place[t], place[u])
+        # + 0.0 turns the -0.0 of a negative sign into 0.0
+        out[at[:, None, None], place[:10, None], place[:10]] = on_block[at] * signs[:10, :10] + 0.0
+        out[at[:, None, None], place[10:26, None], place[10:26]] = on_column[at] * signs[10:26, 10:26] + 0.0
+    return out
 
 
 def _slot_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
@@ -349,26 +344,6 @@ _SLOT_LAYOUTS = tuple(_slot_layout(slot) for slot in range(3))
 # column t of the (2, 16, 8) matrix is the basis spinor with coefficient 1 at (t // 8, t % 8)
 _COLUMN_BASIS = np.eye(16).reshape(16, 2, 8).transpose(1, 0, 2)
 _COLUMN_BASIS.setflags(write=False)
-
-
-def _chain_rule(ops: np.ndarray, bases: np.ndarray, tangents: np.ndarray, chains: np.ndarray,
-                rates: tuple) -> np.ndarray:
-    """The (C, 27, 27) Lie elements of curves whose layers, outermost first, are chains.
-
-    Layer j has the operator ops[bases[j]] at 0 and, where rates[level] !=
-    0, the tangent tangents[j].  The element is the sum over the moving
-    levels of Q t Q^T, Q the product of the operators of the levels before;
-    the levels after the last moving one drop out.
-    """
-    E, Q = np.zeros((len(chains),) + tangents.shape[1:]), None
-    moving = [level for level, rate in enumerate(rates) if rate]
-    for level in range(moving[-1] + 1 if moving else 0):
-        layer = chains[:, level]
-        if rates[level]:
-            E += tangents[layer] if Q is None else Q @ tangents[layer] @ Q.swapaxes(-1, -2)
-        if level < moving[-1]:
-            Q = ops[bases[layer]] if Q is None else Q @ ops[bases[layer]]
-    return E
 
 
 def lie_element(curve) -> np.ndarray:

@@ -280,6 +280,7 @@ def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
 # Xeon VM with one BLAS thread, 16-22 us per 3x3 map up to 16 maps, 36-40 us
 # at 128 and 54-66 us for 289 at once, but 16-23 us at every size with
 # malloc's trimming and mmap turned off.  The BLAS calls are not the cost.
+# generators.lie_elements sizes its passes by it too.
 _ACT_BYTES = 128 * 1024
 
 

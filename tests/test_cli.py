@@ -300,6 +300,17 @@ class TestDirac:
         assert code == 2
         assert "factorization" in err
 
+    @pytest.mark.parametrize("diag, message", [
+        ([0.0, 0.0], "requires a nonzero momentum"),
+        ([1.0, 1.0], "no rank-1 factorization"),
+    ], ids=["zero", "not-null"])
+    def test_unfactorable_momentum_error_names_the_file(self, capsys, tmp_path, diag, message):
+        path = tmp_path / "momentum.json"
+        path.write_text(json.dumps({"P": {"diag": diag, "a": [0.0] * 8}}))
+        code, out, err = run_cli(capsys, "dirac", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and message in err
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -398,13 +409,20 @@ class TestMalformedMap:
         assert err.startswith(f"error: {map_path}: ") and "Traceback" not in err
 
     def test_object_map_error_names_the_file(self, capsys, tmp_path):
-        # a JSON object where the layer list belongs fails float(), a TypeError
+        # a JSON object where the layer list belongs
         path, map_path = tmp_path / "matrix.json", tmp_path / "map.json"
         path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}))
         map_path.write_text(json.dumps({"layers": [I3_JSON]}))
         code, _, err = run_cli(capsys, "decompose", str(path), "--apply", str(map_path))
         assert code == 2
-        assert err.startswith(f"error: {map_path}: ")
+        assert err == f"error: {map_path}: a map is a JSON list of layers\n"
+
+    def test_matrix_given_as_map_rejected(self, capsys, tmp_path):
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}))
+        code, out, err = run_cli(capsys, "decompose", str(path), "--apply", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: a map is a JSON list of layers\n"
 
 
 class TestMalformedFields:

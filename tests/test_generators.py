@@ -30,8 +30,8 @@ from octe6.generators import (
     span_equal,
     transverse_curves,
 )
-from octe6.jordan import JordanMatrix, hermitian_vectors, random_jordan
-from octe6.octonion import Octonion, exp_imag, is_automorphism, omul, oconj
+from octe6.jordan import Hermitian2, JordanMatrix, hermitian_vectors, lorentz_inner, random_jordan
+from octe6.octonion import Octonion, exp_imag, is_automorphism, omatmul, omul, oconj
 from octe6.transform import (
     NestedMap,
     OctMatrix,
@@ -396,13 +396,37 @@ class TestStackedLieElements:
         assert len({m.tobytes() for m in maps}) == distinct
 
     @pytest.mark.parametrize("slot", [0, 1, 2])
-    def test_layer_operators_are_the_embedded_maps(self, slot):
-        # an embedded block acts on the block, on the column beside it and on the corner
+    def test_placed_parts_are_the_embedded_maps(self, slot):
+        # an embedded block acts on the block, on the column beside it and, as 1, on the corner
         blocks = np.random.default_rng(SEED + slot).standard_normal((5, 2, 2, 8))
-        layers = [(slot, "trig", 0.0, b.tobytes(), np.zeros_like(b).tobytes()) for b in blocks]
-        ops, ids = generators._layer_operators(layers)
+        spinors = np.eye(16).reshape(16, 2, 1, 8)  # the basis columns
+        on_column = np.stack([omatmul(blocks, v).reshape(5, 16) for v in spinors], axis=-1)
+        placed = generators._place(linear_ops(blocks[:, None]), on_column, [slot] * 5)
+        corner = generators._SLOT_LAYOUTS[slot][0][26]
+        placed[:, corner, corner] = 1.0
         embedded = linear_ops(transform._embed_arrays(blocks, slot)[:, None])
-        np.testing.assert_allclose(ops[ids[:, 0]], embedded, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(placed, embedded, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
+    def test_elements_split_into_vector_and_spinor_parts(self, group, slot):
+        # 27 = 10 + 16 + 1 under the double cover of SO(9,1): each element is zero
+        # off its slot's 10x10 and 16x16 blocks, preserves the Lorentz form on
+        # the 10 and, unless it is a boost, is antisymmetric on the 16
+        basis = Hermitian2.basis()
+        G = np.array([[lorentz_inner(X, Y) for Y in basis] for X in basis])
+        assert set(G.ravel()) == {-0.5, 0.0, 1.0}
+        curves, not_antisymmetric = roster(group, slot=slot), []
+        for curve, element in zip(curves, lie_elements(curves), strict=True):
+            place, signs = generators._SLOT_LAYOUTS[curve.slot]
+            vector, spinor = (element[place[span, None], place[span]] * signs[span, None] * signs[span]
+                              for span in (slice(0, 10), slice(10, 26)))
+            outside = element.copy()
+            outside[place[:10, None], place[:10]] = outside[place[10:26, None], place[10:26]] = 0.0
+            assert not outside.any(), curve.label
+            assert not (vector.T @ G + G @ vector).any(), curve.label
+            if not np.array_equal(spinor, -spinor.T):
+                not_antisymmetric.append(curve.label)
+        assert not_antisymmetric == [curve.label for curve in curves if curve.label.startswith("boost")]
 
     def test_linear_ops_blocks_match_per_map_calls(self, monkeypatch):
         layers = np.concatenate([curve(0.37).stack for curve in roster("E6") + roster("F4")])
