@@ -43,8 +43,10 @@ saturates the 14-dimensional span.
 
 A curve's Lie algebra element is the tangent of its 27x27 operator at
 t = 0, right-translated to the identity; dimensions are numerical ranks
-of the flattened elements.  Roster layers have entries in {0, +-1} and
-rates in {0, 1/2, 1}, so the elements are exact half-integer matrices.
+of the flattened elements over their support columns, the coordinates of
+the 729 that some element uses (G2's 210 elements use 126, E6's 675).
+Roster layers have entries in {0, +-1} and rates in {0, 1/2, 1}, so the
+elements are exact half-integer matrices.
 Inside one slot the 27 coordinates split as 10 + 16 + 1 under the double
 cover of SO(9,1): the 2x2 Hermitian block (vectors), the Cayley-spinor
 column beside it and the corner.  A 2x2 block embedded in a slot acts on
@@ -358,9 +360,13 @@ def _as_elements(items: Sequence) -> list[np.ndarray]:
 
 
 def singular_values(items: Sequence) -> np.ndarray:
-    """Singular values of the stacked, flattened Lie elements."""
+    """Singular values of the stacked, flattened Lie elements over their support columns.
+
+    Columns that are zero in every element change no nonzero singular
+    value, so they are dropped first: min(n, support) values for n items.
+    """
     stacked = np.stack([el.ravel() for el in _as_elements(items)])
-    return np.linalg.svd(stacked, compute_uv=False)
+    return np.linalg.svd(stacked[:, stacked.any(axis=0)], compute_uv=False)
 
 
 def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:
@@ -373,7 +379,8 @@ def rank_cut(s: np.ndarray, rel_tol: float) -> tuple[int, float | None, float | 
 
     The rank is ``octonion._numerical_rank``'s; the other two are the
     smallest kept and the largest dropped singular value, None for a side
-    with no value: nothing kept at rank 0, nothing dropped at full rank.
+    with no value: nothing kept at rank 0, nothing dropped at full rank
+    (or when s is empty, as for items that are all zero).
     """
     rank = _numerical_rank(s, rel_tol)
     kept = float(s[rank - 1]) if rank > 0 else None

@@ -467,4 +467,7 @@ def nested_map_to_json(nm: NestedMap) -> list:
 
 
 def nested_map_from_json(data: list) -> NestedMap:
+    """The nested map of a parsed JSON list of layers; ValueError for any other top level."""
+    if type(data) is not list:
+        raise ValueError("a map is a JSON list of layers")
     return NestedMap(np.array(data, dtype=float))

@@ -137,6 +137,29 @@ class TestVerify:
         assert checks["determinant-preservation"]["pass"] is False
         assert checks["determinant-preservation"]["observed"] > 1e-3
 
+    def test_trace_bound_is_relative_above_unit_scale(self, capsys, monkeypatch):
+        # on samples scaled by 2^30 the absolute change in the trace was
+        # 4.8e-7, over the 1e-8 bound, while the relative det check passed
+        from octe6 import jordan
+        honest_random = jordan.random_jordan
+        monkeypatch.setattr(jordan, "random_jordan", lambda rng: honest_random(rng) * 2.0**30)
+        code, out, _ = run_cli(capsys, "verify", "F4", "--seed", "3")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["trace-preservation"]["pass"] and checks["determinant-preservation"]["pass"]
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 2.0**30])
+    def test_trace_bound_fails_a_wrong_map_at_every_scale(self, capsys, monkeypatch, scale):
+        # a map that scales every image by 1 + 1e-6 moves the trace by 1e-6 |tr X|
+        from octe6 import jordan
+        honest_random, honest_apply = jordan.random_jordan, transform.NestedMap.apply
+        monkeypatch.setattr(jordan, "random_jordan", lambda rng: honest_random(rng) * scale)
+        monkeypatch.setattr(transform.NestedMap, "apply", lambda nm, X: honest_apply(nm, X) * (1 + 1e-6))
+        code, out, _ = run_cli(capsys, "verify", "SO8", "--seed", "1")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["trace-preservation"]["pass"] is False
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
         _, second, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")

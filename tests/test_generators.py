@@ -467,7 +467,10 @@ class TestStackedLieElements:
         for a, b in zip(got, expected):
             assert np.array_equal(a, b)
         stacked = np.stack([el.ravel() for el in expected])
-        assert np.array_equal(singular_values(items), np.linalg.svd(stacked, compute_uv=False))
+        support = stacked[:, stacked.any(axis=0)]
+        sv = singular_values(items)
+        assert np.array_equal(sv, np.linalg.svd(support, compute_uv=False))
+        np.testing.assert_allclose(sv, np.linalg.svd(stacked, compute_uv=False)[:len(sv)], rtol=1e-14)
         assert span_equal(items, expected)
 
 
@@ -498,6 +501,34 @@ class TestRanks:
     def test_singular_values_descending(self):
         sv = singular_values(roster("SO7"))
         assert np.all(np.diff(sv) <= 1e-12)
+
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
+    def test_support_svd_matches_the_full_svd(self, group, slot):
+        # zero columns change no nonzero singular value; the kept ones agree to rounding
+        curves = roster(group, slot=slot)
+        stacked = np.stack([el.ravel() for el in lie_elements(curves)])
+        full = np.linalg.svd(stacked, compute_uv=False)
+        sv = singular_values(curves)
+        rank = EXPECTED_DIMENSION[group]
+        assert len(sv) == min(stacked.shape[0], stacked.any(axis=0).sum())
+        assert rank_cut(sv, 1e-6)[0] == rank
+        np.testing.assert_allclose(sv[:rank], full[:rank], rtol=1e-14)
+
+    @pytest.mark.parametrize("group", SLOT_GROUPS)
+    def test_support_svd_agrees_across_slots(self, group):
+        svs = [singular_values(roster(group, slot=slot)) for slot in range(3)]
+        ranks = [rank_cut(sv, 1e-6)[0] for sv in svs]
+        assert ranks == [EXPECTED_DIMENSION[group]] * 3
+        for sv in svs[1:]:
+            assert len(sv) == len(svs[0])
+            np.testing.assert_allclose(sv[:ranks[0]], svs[0][:ranks[0]], rtol=1e-14)
+
+    def test_all_zero_items_have_no_support(self):
+        zeros = [np.zeros((27, 27))] * 4
+        sv = singular_values(zeros)
+        assert sv.shape == (0,)
+        assert lie_rank(zeros) == 0 and rank_gap(zeros) == 0.0
+        assert rank_cut(sv, 1e-6) == (0, None, None)
 
 
 class TestSpans:

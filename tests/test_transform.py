@@ -486,6 +486,11 @@ class TestJsonForm:
         with pytest.raises(ValueError):
             nested_map_from_json([[[[0] * 8, [0] * 8]]])
 
+    @pytest.mark.parametrize("data", [{"layers": [[[[1] + [0] * 7]]]}, 1.0, None])
+    def test_non_list_rejected(self, data):
+        with pytest.raises(ValueError, match="^a map is a JSON list of layers$"):
+            nested_map_from_json(data)
+
 
 class TestImmutability:
     def test_matrix_entries_are_readonly(self):
