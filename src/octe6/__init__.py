@@ -36,7 +36,6 @@ from .jordan import (
 )
 from .transform import (
     NestedMap,
-    OctMatrix,
     complex_det,
     cyclic_permutation,
     embed,

@@ -72,7 +72,7 @@ def _layer_residual(curves, tol: float) -> float:
     either predicate.  All blocks go through each predicate in one pass.
     """
     blocks = [curve.layer_arrays([0.37])[0] for curve in curves]
-    layers = np.concatenate([transform._embed_arrays(b, c.slot) for b, c in zip(blocks, curves)])
+    layers = np.concatenate([transform.embed(b, c.slot) for b, c in zip(blocks, curves)])
     blocks = np.concatenate(blocks)
     try:
         _, det_real = transform.complex_det(blocks)
@@ -113,9 +113,10 @@ def cmd_verify(args) -> dict:
     det_res = float((np.abs(after - before) / np.array(norms) ** 3).max())
     checks.append(_bound("determinant-preservation", det_res, 1e-7))
 
-    if group in ("F4", "SO9", "SO8", "SO7", "G2"):
-        # rosters without boosts are unitary, so the trace is preserved;
-        # each change relative to |X|, as the det change is to |X|^3
+    if all(curve.kind == "trig" for curve in curves):
+        # rosters without boosts, the only cosh/exp curves, are unitary, so
+        # the trace is preserved; each change relative to |X|, as the det
+        # change is to |X|^3
         trace_res = 0.0
         for _ in range(10):
             pick = int(rng.integers(len(curves)))

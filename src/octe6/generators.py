@@ -27,8 +27,8 @@ Per 2x2 block slot the determinant-preserving roster holds 45 curves:
   identity, determinant -1)
 
 ``layer_arrays(thetas)`` evaluates a curve at many angles in one array
-expression; ``blocks(theta)`` gives the 2x2 layers as matrices, and
-calling the curve embeds them in the slot's 3x3 block.  ``ROSTERS``
+expression, and calling the curve embeds the 2x2 layers at one angle in
+the slot's 3x3 block (``transform.embed``).  ``ROSTERS``
 assembles the group rosters from these families: all three slots give E6
 (135 curves, rank 78); dropping boosts gives the rotation subgroups.  The
 automorphism subgroup uses four-flip curves
@@ -75,7 +75,7 @@ import numpy as np
 
 from .jordan import JordanMatrix, hermitian_vectors
 from .octonion import _as_coeffs, _numerical_rank, oconj, omatmul, omul, onorm
-from .transform import _ACT_BYTES, NestedMap, OctMatrix, _embed_arrays, _hermitian_basis, embed, linear_ops
+from .transform import _ACT_BYTES, NestedMap, _hermitian_basis, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
 BASIS_UNITS = ("1",) + IMAGINARY_UNITS
@@ -111,9 +111,9 @@ class GeneratorCurve:
 
     Layer d at angle t is ``c(rates[d] t) A[d] + s(rates[d] t) B[d]`` with
     (c, s) = ``KINDS[kind]``; A and B are (depth, 2, 2, 8) arrays, made
-    read-only, and left out of equality and hashing.  ``blocks(theta)``
-    gives the 2x2 layers; calling the curve embeds each of them in
-    ``slot`` and returns the 3x3 nested map.
+    read-only, and left out of equality and hashing.  Calling the curve
+    embeds each of its 2x2 layers in ``slot`` and returns the 3x3 nested
+    map.
     """
 
     label: str
@@ -133,11 +133,8 @@ class GeneratorCurve:
         x = np.multiply.outer(np.asarray(thetas, dtype=float), self.rates)[..., None, None, None]
         return c(x) * self.A + s(x) * self.B
 
-    def blocks(self, theta: float) -> list[OctMatrix]:
-        return [OctMatrix(M) for M in self.layer_arrays([theta])[0]]
-
     def __call__(self, theta: float) -> NestedMap:
-        return NestedMap(_embed_arrays(self.layer_arrays([theta])[0], self.slot))
+        return NestedMap(embed(self.layer_arrays([theta])[0], self.slot))
 
 
 _UNITS = np.eye(8)  # row k is the basis unit BASIS_UNITS[k]
@@ -336,7 +333,7 @@ def _slot_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
     basis[10:26, :2, 2] = column
     basis[10:26, 2, :2] = oconj(column)
     basis[26, 2, 2, 0] = 1.0
-    idx = (np.arange(3) + slot) % 3  # as _embed_arrays places the block
+    idx = (np.arange(3) + slot) % 3  # as embed places the block
     V = hermitian_vectors(basis[:, idx[:, None], idx])
     place = np.abs(V).argmax(axis=1)
     return place, V[np.arange(27), place]
@@ -412,8 +409,10 @@ def so8_action_check(q, X: JordanMatrix) -> float:
     qv = _as_coeffs(q)
     if abs(onorm(qv) - 1.0) > 1e-9:
         raise ValueError("so8_action_check requires a unit octonion")
-    got = NestedMap.single(embed(OctMatrix.diag(qv, oconj(qv)), 0)).apply(X)
     qc = oconj(qv)
+    block = np.zeros((2, 2, 8))
+    block[0, 0], block[1, 1] = qv, qc
+    got = NestedMap.single(embed(block, 0)).apply(X)
     residual = max(abs(got.p - X.p), abs(got.m - X.m), abs(got.n - X.n))
     residual = max(residual, float(onorm(got.a - omul(omul(qc, X.a), qc))))
     residual = max(residual, float(onorm(got.b - omul(X.b, qv))))

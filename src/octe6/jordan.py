@@ -550,7 +550,8 @@ def jordan_to_dict(X: JordanMatrix) -> dict:
 def json_field(d, name: str, size: int | None = None):
     """Field ``name`` of a parsed JSON object, checked to be ``size`` numbers when size is given.
 
-    The ValueError for a non-object, a missing field or a wrong length names the field.
+    A number is an int or a float, not a bool.  The ValueError for a
+    non-object, a missing field or a wrong length or type names the field.
     """
     if not isinstance(d, dict):
         raise ValueError("expected a JSON object")
@@ -558,7 +559,7 @@ def json_field(d, name: str, size: int | None = None):
         raise ValueError(f"missing field {name!r}")
     value = d[name]
     if size is not None and not (isinstance(value, list) and len(value) == size
-                                 and all(isinstance(x, (int, float)) for x in value)):
+                                 and all(type(x) in (int, float) for x in value)):
         raise ValueError(f"field {name!r} must hold {size} numbers")
     return value
 

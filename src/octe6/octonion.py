@@ -9,9 +9,11 @@ Writing an octonion as ``p + q*l`` with quaternions ``p`` and ``q``
 
     (p, q) (r, s) = (p r - conj(s) q,  s p + q conj(r))
 
-which fixes every sign in the algebra.  ``signed_table()`` exposes the
-resulting 8x8 basis table; the ``table`` CLI subcommand prints the same
-data for cross-implementation checks.
+which fixes every sign in the algebra.  The rule is applied once, on basis
+indices, to the quaternion table: the resulting 8x8 basis table is held as
+exact integers, and ``MUL_TENSOR`` is its one-hot form.  ``signed_table()``
+returns a copy of it; the ``table`` CLI subcommand prints the same data for
+cross-implementation checks.
 
 Array-level helpers (``omul``, ``oconj``, ``omatmul``, ...) operate on
 plain float arrays whose last axis has length 8, so matrices of octonions
@@ -31,40 +33,40 @@ import numpy as np
 BASIS_NAMES = ("1", "i", "j", "k", "kl", "jl", "il", "l")
 
 
-def _build_mul_tensor() -> np.ndarray:
-    """Multiplication tensor T with (x y)_k = sum_ij x_i y_j T[i, j, k]."""
+def _doubled_table() -> np.ndarray:
+    """The signed 8x8 basis table, by the doubling rule on basis indices.
 
-    def qmul(x, y):
-        out = np.empty(4)
-        out[0] = x[0] * y[0] - x[1:] @ y[1:]
-        out[1:] = x[0] * y[1:] + y[0] * x[1:] + np.cross(x[1:], y[1:])
-        return out
+    Basis unit e_a is (q_a, 0) for a < 4 and (0, q_{7-a}) for a >= 4, and
+    the rule gives each quarter of the table from the quaternion table Q:
 
-    def qconj(x):
-        return np.array([x[0], -x[1], -x[2], -x[3]])
+        (q_a, 0) (q_b, 0) = (q_a q_b, 0)
+        (q_a, 0) (0, q_b) = (0, q_b q_a)
+        (0, q_a) (q_b, 0) = (0, q_a conj(q_b))
+        (0, q_a) (0, q_b) = (-conj(q_b) q_a, 0)
 
-    # basis order (1, i, j, k, kl, jl, il, l):
-    # quaternion part p = (c0, c1, c2, c3), doubled part q = (c7, c6, c5, c4)
-    def to_pq(c):
-        return c[[0, 1, 2, 3]], c[[7, 6, 5, 4]]
+    The doubled part's indices run backwards, so its quarters read Q with
+    reversed rows or columns, and its unit q_c is e_{7-c}, entry +-(8 - c).
+    """
+    # quaternion units (1, i, j, k), ij = k: entry (a, b) is +-(c + 1) where q_a q_b = +-q_c
+    Q = np.array([[1, 2, 3, 4], [2, -1, 4, -3], [3, -4, -1, 2], [4, 3, -2, -1]])
+    conj = np.array([1, -1, -1, -1])  # conj(q_c) = conj[c] q_c
 
-    def from_pq(p, q):
-        return np.array([p[0], p[1], p[2], p[3], q[3], q[2], q[1], q[0]])
+    def doubled(entries):
+        return np.sign(entries) * (9 - np.abs(entries))
 
-    tensor = np.zeros((8, 8, 8))
-    eye = np.eye(8)
-    for a in range(8):
-        p, q = to_pq(eye[a])
-        for b in range(8):
-            r, s = to_pq(eye[b])
-            z1 = qmul(p, r) - qmul(qconj(s), q)
-            z2 = qmul(s, p) + qmul(q, qconj(r))
-            tensor[a, b] = from_pq(z1, z2)
-    tensor.setflags(write=False)
-    return tensor
+    table = np.block([
+        [Q, doubled(Q[::-1].T)],
+        [doubled(Q[::-1] * conj), -(conj[::-1, None] * Q[::-1, ::-1]).T],
+    ])
+    table.setflags(write=False)
+    return table
 
 
-MUL_TENSOR = _build_mul_tensor()
+_SIGNED_TABLE = _doubled_table()
+# T with (x y)_k = sum_ij x_i y_j T[i, j, k]: the table in one-hot form, entries 0 and +-1
+MUL_TENSOR = np.sign(_SIGNED_TABLE)[..., None] * (np.abs(_SIGNED_TABLE)[..., None] == np.arange(1, 9))
+MUL_TENSOR = MUL_TENSOR.astype(float)
+MUL_TENSOR.setflags(write=False)
 # the table as a (8, 64) matrix for omatmul, contracted with the right
 # factor's coefficients: rows J, columns (I, K)
 _TABLE_ON_RIGHT = MUL_TENSOR.transpose(1, 0, 2).reshape(8, 64)
@@ -77,12 +79,7 @@ _CONJ_SIGNS.setflags(write=False)
 
 def signed_table() -> np.ndarray:
     """8x8 signed basis table: entry (a, b) is +-(k+1) where e_a e_b = +-e_k."""
-    table = np.zeros((8, 8), dtype=int)
-    for a in range(8):
-        for b in range(8):
-            k = int(np.argmax(np.abs(MUL_TENSOR[a, b])))
-            table[a, b] = int(np.sign(MUL_TENSOR[a, b, k])) * (k + 1)
-    return table
+    return _SIGNED_TABLE.copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Octonionic matrices as transformations of Hermitian matrices and spinors.
 
-Because octonionic matrices do not associate, a group element is kept as a
-:class:`NestedMap`, an ordered stack of layers, one (depth, n, n, 8) array,
-applied strictly inside out:
+Octonionic matrices are plain (n, n, 8) arrays, stacked as (..., n, n, 8);
+``omatmul`` and ``odagger`` multiply and conjugate them.  Because they do
+not associate, a group element is kept as a :class:`NestedMap`, an ordered
+stack of layers, one (depth, n, n, 8) array, applied strictly inside out:
 
     apply(X) = M_k ( ... (M_1 X M_1^dagger) ... ) M_k^dagger
 
@@ -32,7 +33,6 @@ spinor columns.
 from __future__ import annotations
 
 import functools
-import numbers
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .octonion import (
     _CONJ_SIGNS,
     _TABLE_ON_RIGHT,
     Octonion,
-    _as_coeffs,
     imaginary_rank,
     odagger,
     omatmul,
@@ -54,7 +53,11 @@ COMPATIBILITY_SEED = 20107
 
 
 class OctMatrix:
-    """Square octonionic matrix stored as an immutable (n, n, 8) array."""
+    """A read-only copy of one (n, n, 8) layer array, as ``NestedMap.layers`` gives it.
+
+    Octonionic matrices are plain arrays everywhere else: ``omatmul``,
+    ``odagger`` and numpy arithmetic act on them directly.
+    """
 
     __slots__ = ("arr",)
 
@@ -65,96 +68,20 @@ class OctMatrix:
         a.setflags(write=False)
         self.arr = a
 
-    @classmethod
-    def identity(cls, n: int) -> "OctMatrix":
-        arr = np.zeros((n, n, 8))
-        for d in range(n):
-            arr[d, d, 0] = 1.0
-        return cls(arr)
 
-    @classmethod
-    def from_rows(cls, rows) -> "OctMatrix":
-        """Build from nested entries: Octonion, 8-vector, or real scalar."""
-        n = len(rows)
-        arr = np.zeros((n, n, 8))
-        for r, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError("matrix rows must be square")
-            for c, entry in enumerate(row):
-                if isinstance(entry, numbers.Real):
-                    arr[r, c, 0] = float(entry)
-                else:
-                    arr[r, c] = _as_coeffs(entry)
-        return cls(arr)
-
-    @classmethod
-    def diag(cls, *entries) -> "OctMatrix":
-        n = len(entries)
-        arr = np.zeros((n, n, 8))
-        for d, entry in enumerate(entries):
-            if isinstance(entry, numbers.Real):
-                arr[d, d, 0] = float(entry)
-            else:
-                arr[d, d] = _as_coeffs(entry)
-        return cls(arr)
-
-    @property
-    def n(self) -> int:
-        return self.arr.shape[0]
-
-    def dagger(self) -> "OctMatrix":
-        return OctMatrix(odagger(self.arr))
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.arr**2)))
-
-    def __matmul__(self, other):
-        if isinstance(other, OctMatrix):
-            if other.n != self.n:
-                raise ValueError("matrix dimensions differ")
-            return OctMatrix(omatmul(self.arr, other.arr))
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, OctMatrix):
-            return OctMatrix(self.arr + other.arr)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, OctMatrix):
-            return OctMatrix(self.arr - other.arr)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            return OctMatrix(self.arr * float(other))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return OctMatrix(-self.arr)
-
-    def isclose(self, other: "OctMatrix", tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.arr, other.arr, atol=tol, rtol=0.0))
-
-    def __repr__(self):
-        return f"OctMatrix(n={self.n})"
-
-
-def cyclic_permutation() -> OctMatrix:
-    """The 3x3 cyclic permutation matrix; its inverse is its square and dagger."""
+def cyclic_permutation() -> np.ndarray:
+    """The 3x3 cyclic permutation matrix, read-only; its inverse is its square and dagger."""
     arr = np.zeros((3, 3, 8))
     arr[0, 1, 0] = arr[1, 2, 0] = arr[2, 0, 0] = 1.0
-    return OctMatrix(arr)
+    arr.setflags(write=False)
+    return arr
 
 
 class NestedMap:
     """Ordered layers of octonionic matrices applied inside out.
 
-    The layers are held as one read-only (depth, n, n, 8) array, ``stack``;
-    the constructor takes OctMatrix layers or such an array.  The action on
+    The layers are held as one read-only (depth, n, n, 8) array, ``stack``,
+    a copy of the array the constructor takes.  The action on
     Hermitian matrices is real-linear in the coordinates, so ``apply``
     multiplies by the map's real operator (27x27 for 3x3 layers, 10x10 for
     2x2), built on first use and kept read-only.
@@ -163,8 +90,6 @@ class NestedMap:
     __slots__ = ("stack", "_op")
 
     def __init__(self, layers):
-        if not isinstance(layers, np.ndarray):
-            layers = [M.arr for M in layers]
         stack = np.array(layers, dtype=float)
         if (stack.ndim != 4 or not stack.size or stack.shape[1] != stack.shape[2]
                 or stack.shape[3] != 8):
@@ -174,7 +99,8 @@ class NestedMap:
         self._op = None
 
     @classmethod
-    def single(cls, M: OctMatrix) -> "NestedMap":
+    def single(cls, M: np.ndarray) -> "NestedMap":
+        """The one-layer map of an (n, n, 8) matrix."""
         return cls((M,))
 
     @property
@@ -327,11 +253,6 @@ def _hermitian_basis(n: int) -> np.ndarray:
     return basis
 
 
-def _arrays(M) -> np.ndarray:
-    """The (..., n, n, 8) array of an OctMatrix or of a stack of matrix arrays."""
-    return M.arr if isinstance(M, OctMatrix) else np.asarray(M, dtype=float)
-
-
 def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float, degree: int = 2):
     """Per item M of arr: the largest |diff| and whether it is <= tol * |M|^degree.
 
@@ -353,11 +274,11 @@ def is_welldefined(M, tol: float = 1e-9):
 
     For Hermitian X, M(X M^dagger) = ((M X) M^dagger)^dagger, so the
     residual is |Z^dagger - Z| for Z = (M X) M^dagger, the action kernel's
-    image of the basis.  Returns (verdict, largest residual) for an
-    OctMatrix or one (n, n, 8) array, and arrays of both for a
+    image of the basis.  Returns (verdict, largest residual) for one
+    (n, n, 8) matrix, and arrays of both for a
     (..., n, n, 8) stack, one per item.
     """
-    Ma = _arrays(M)
+    Ma = np.asarray(M, dtype=float)
     Z = _act(Ma[..., None, :, :, :], _hermitian_basis(Ma.shape[-2]))
     return _verdicts(Ma, odagger(Z) - Z, tol)
 
@@ -386,7 +307,7 @@ def is_compatible(M, tol: float = 1e-9):
     Returns (verdict, largest residual) for one 2x2 matrix, arrays of both
     for a (..., 2, 2, 8) stack.
     """
-    Ma = _arrays(M)
+    Ma = np.asarray(M, dtype=float)
     if Ma.shape[-3:] != (2, 2, 8):
         raise ValueError("compatibility is a predicate on 2x2 matrices")
     columns, squares = _spinor_samples()
@@ -402,7 +323,7 @@ def is_complex(M, rel_tol: float = 1e-9):
 
     A bool for one matrix, a bool array for a (..., n, n, 8) stack.
     """
-    Ma = _arrays(M)
+    Ma = np.asarray(M, dtype=float)
     ranks = imaginary_rank(Ma.reshape(Ma.shape[:-3] + (-1, 8)), rel_tol)
     return ranks <= 1 if Ma.ndim > 3 else bool(ranks <= 1)
 
@@ -416,7 +337,7 @@ def complex_det(M, tol: float = 1e-9):
     for one matrix, and a (..., 8) array of determinants with a bool array
     for a (..., n, n, 8) stack.
     """
-    Ma = _arrays(M)
+    Ma = np.asarray(M, dtype=float)
     if not np.all(is_complex(Ma, tol)):
         raise ValueError("complex_det requires a complex matrix")
     ims = Ma.reshape(Ma.shape[:-3] + (-1, 8))[..., 1:]
@@ -438,18 +359,15 @@ def complex_det(M, tol: float = 1e-9):
 # block embeddings
 # ---------------------------------------------------------------------------
 
-def embed(M: OctMatrix, slot: int) -> OctMatrix:
-    """Place a 2x2 matrix in a 3x3 block, with 1 in the remaining corner.
+def embed(blocks: np.ndarray, slot: int) -> np.ndarray:
+    """Place 2x2 matrices in a 3x3 block, with 1 in the remaining corner.
 
-    Slot 0 is the upper-left block.  Slots are cyclic index shifts: slot s
-    is the slot-0 embedding conjugated s times by the cyclic permutation T,
-    whose effect is to read row and column i from index (i + s) mod 3.
+    Takes one (2, 2, 8) matrix or a (..., 2, 2, 8) stack and gives
+    (..., 3, 3, 8).  Slot 0 is the upper-left block.  Slots are cyclic
+    index shifts: slot s is the slot-0 embedding conjugated s times by the
+    cyclic permutation T, whose effect is to read row and column i from
+    index (i + s) mod 3.
     """
-    return OctMatrix(_embed_arrays(M.arr, slot))
-
-
-def _embed_arrays(blocks: np.ndarray, slot: int) -> np.ndarray:
-    """embed on a (..., 2, 2, 8) stack of block arrays, giving (..., 3, 3, 8)."""
     if blocks.shape[-3:] != (2, 2, 8):
         raise ValueError("embed expects a 2x2 matrix")
     if slot not in (0, 1, 2):

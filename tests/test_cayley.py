@@ -480,5 +480,6 @@ class TestClassPreservation:
 
 
 def _identity3():
-    from octe6.transform import OctMatrix
-    return OctMatrix.identity(3)
+    arr = np.zeros((3, 3, 8))
+    arr[[0, 1, 2], [0, 1, 2], 0] = 1.0
+    return arr

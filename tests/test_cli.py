@@ -13,7 +13,6 @@ import octe6
 from octe6 import cayley, generators, transform
 from octe6.cli import main
 from octe6.octonion import Octonion, signed_table
-from octe6.transform import OctMatrix
 
 
 def run_cli(capsys, *argv):
@@ -160,6 +159,19 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["trace-preservation"]["pass"] is False
 
+    @pytest.mark.parametrize("group", generators.GROUPS)
+    def test_trace_checked_exactly_for_rosters_without_boosts(self, capsys, monkeypatch, group):
+        # rosters without boosts are the unitary ones: F4, SO9, SO8, SO7, G2.  The
+        # rule holds when a module's functions are rebound, as a tracer does
+        honest = generators.boost_curves
+        monkeypatch.setattr(generators, "boost_curves", lambda slot: honest(slot))
+        code, out, _ = run_cli(capsys, "verify", group)
+        assert code == 0
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        boosts = any(c.label.startswith("boost") for c in generators.roster(group))
+        assert names.count("trace-preservation") == (not boosts)
+        assert boosts == (group in ("E6", "SO91"))
+
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
         _, second, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
@@ -177,7 +189,8 @@ class TestVerify:
     def test_layer_predicates_flag_a_failing_block(self):
         from octe6.cli import _layer_residual
         # one constant layer diag(i, j), which is not complex
-        A = OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j")).arr[None]
+        A = np.zeros((1, 2, 2, 8))
+        A[0, 0, 0], A[0, 1, 1] = Octonion.unit("i").coefficients, Octonion.unit("j").coefficients
         mixed = generators.GeneratorCurve("mixed", 1, "trig", (0.0,), A, np.zeros_like(A))
         sample = generators.roster("SO8")[:3] + [mixed]
         assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9) == np.inf
@@ -187,7 +200,7 @@ def _layer_residual_loop(curves, tol):
     """The per-block loop that the stacked layer-predicate pass replaced, kept as an oracle."""
     res = 0.0
     for curve in curves:
-        for block in curve.blocks(0.37):
+        for block in curve.layer_arrays([0.37])[0]:
             if not transform.is_complex(block):
                 res = np.inf
                 break

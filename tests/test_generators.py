@@ -34,7 +34,6 @@ from octe6.jordan import Hermitian2, JordanMatrix, hermitian_vectors, lorentz_in
 from octe6.octonion import Octonion, exp_imag, is_automorphism, omatmul, omul, oconj
 from octe6.transform import (
     NestedMap,
-    OctMatrix,
     _hermitian_basis,
     complex_det,
     embed,
@@ -82,7 +81,7 @@ class TestRosterStructure:
                   + list(transverse_curves(0)) + [flips[0], flips[10], flips[20]]
                   + [g2_curves(0)[17]])
         for curve in sample:
-            for block in curve.blocks(rng.uniform(-1.2, 1.2)):
+            for block in curve.layer_arrays([rng.uniform(-1.2, 1.2)])[0]:
                 layer = embed(block, curve.slot)
                 assert is_complex(block)
                 ok, res = is_welldefined(layer)
@@ -141,18 +140,22 @@ def _unit(name):
     return Octonion.unit(name).coefficients
 
 
+_I2 = np.zeros((2, 2, 8))
+_I2[0, 0, 0] = _I2[1, 1, 0] = 1.0
+
+
 def _offdiag(upper, lower):
     arr = np.zeros((2, 2, 8))
     arr[0, 1] = upper
     arr[1, 0] = lower
-    return OctMatrix(arr)
+    return arr
 
 
 def _scalar2(value):
     arr = np.zeros((2, 2, 8))
     arr[0, 0] = value
     arr[1, 1] = value
-    return OctMatrix(arr)
+    return arr
 
 
 def _phase_diag(s, theta):
@@ -161,7 +164,7 @@ def _phase_diag(s, theta):
     arr = np.zeros((2, 2, 8))
     arr[0, 0] = q
     arr[1, 1] = oconj(q)
-    return OctMatrix(arr)
+    return arr
 
 
 def _reference_boosts(slot):
@@ -169,12 +172,12 @@ def _reference_boosts(slot):
         arr = np.zeros((2, 2, 8))
         arr[0, 0, 0] = np.exp(theta / 2.0)
         arr[1, 1, 0] = np.exp(-theta / 2.0)
-        return [OctMatrix(arr)]
+        return [arr]
 
     out = [(f"boost-diag[slot{slot}]", diag_boost)]
     for name in BASIS_UNITS:
         def curve(theta, e=_unit(name)):
-            return [np.cosh(theta / 2.0) * OctMatrix.identity(2)
+            return [np.cosh(theta / 2.0) * _I2
                     + np.sinh(theta / 2.0) * _offdiag(e, oconj(e))]
         out.append((f"boost[{name},slot{slot}]", curve))
     return out
@@ -184,7 +187,7 @@ def _reference_rotations(slot):
     out = []
     for name in BASIS_UNITS:
         def curve(theta, e=_unit(name)):
-            return [np.cos(theta / 2.0) * OctMatrix.identity(2)
+            return [np.cos(theta / 2.0) * _I2
                     + np.sin(theta / 2.0) * _offdiag(e, -oconj(e))]
         out.append((f"rotation[{name},slot{slot}]", curve))
     return out
@@ -243,12 +246,10 @@ class TestRosterOracle:
         reference = _reference_roster(group, slot)
         assert [c.label for c in curves] == [label for label, _ in reference]
         for curve, (_, blocks) in zip(curves, reference):
-            expected = np.array([[M.arr for M in blocks(t)] for t in ORACLE_THETAS])
+            expected = np.array([blocks(t) for t in ORACLE_THETAS])
             assert np.array_equal(curve.layer_arrays(ORACLE_THETAS), expected), curve.label
             for t, layers in zip(ORACLE_THETAS, expected):
-                assert np.array_equal([M.arr for M in curve.blocks(t)], layers), curve.label
-                assert np.array_equal([M.arr for M in curve(t).layers],
-                                      [embed(OctMatrix(M), curve.slot).arr for M in layers])
+                assert np.array_equal(curve(t).stack, [embed(M, curve.slot) for M in layers])
 
     @pytest.mark.parametrize("group, slot", ALL_ROSTERS)
     def test_lie_elements_match_closures(self, group, slot):
@@ -404,7 +405,7 @@ class TestStackedLieElements:
         placed = generators._place(linear_ops(blocks[:, None]), on_column, [slot] * 5)
         corner = generators._SLOT_LAYOUTS[slot][0][26]
         placed[:, corner, corner] = 1.0
-        embedded = linear_ops(transform._embed_arrays(blocks, slot)[:, None])
+        embedded = linear_ops(embed(blocks, slot)[:, None])
         np.testing.assert_allclose(placed, embedded, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
@@ -592,8 +593,6 @@ class TestG2:
 
     def test_diagonal_replacement_gives_same_map(self):
         # replacing each embedded flip with (imaginary unit) * I3 acts identically
-        from octe6.transform import NestedMap, OctMatrix
-
         i = Octonion.unit("i").coefficients
         j = Octonion.unit("j").coefficients
         ell = Octonion.unit("l").coefficients
@@ -606,7 +605,7 @@ class TestG2:
         def scalar3(v):
             arr = np.zeros((3, 3, 8))
             arr[0, 0] = arr[1, 1] = arr[2, 2] = v
-            return OctMatrix(arr)
+            return arr
 
         diagonal = NestedMap([scalar3(v) for v in (i, q2, j, q4)]).as_linear_op()
         assert np.abs(nested - diagonal).max() <= 1e-8
@@ -630,13 +629,12 @@ class TestSo8Action:
         rng = np.random.default_rng(SEED)
         q = exp_imag(Octonion.unit("i"), 0.77)
         X = random_jordan(rng)
-        from octe6.transform import NestedMap, OctMatrix
 
         def action(unit_oct):
             arr = np.zeros((2, 2, 8))
             arr[0, 0] = unit_oct.coefficients
             arr[1, 1] = oconj(unit_oct.coefficients)
-            return NestedMap.single(embed(OctMatrix(arr), 0)).apply(X)
+            return NestedMap.single(embed(arr, 0)).apply(X)
 
         plus, minus = action(q), action(-q)
         assert np.allclose(plus.a, minus.a, atol=1e-12)

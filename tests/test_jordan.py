@@ -496,7 +496,7 @@ class TestTraceIdentity:
         M[1, 1] = oconj(M[0, 0])
         M[2, 2, 0] = 1.0
         X = random_jordan(rng)
-        transformed = NestedMap.single(_om(M)).apply(X)
+        transformed = NestedMap.single(M).apply(X)
         assert transformed.trace == pytest.approx(X.trace, rel=1e-12)
         assert trace_identity_check(M, X) <= 1e-10
 
@@ -724,7 +724,12 @@ class TestJsonForms:
         X = Hermitian2(1.0, -2.0, Octonion.unit("jl").coefficients)
         assert hermitian2_from_dict(hermitian2_to_dict(X)).isclose(X)
 
-
-def _om(arr):
-    from octe6.transform import OctMatrix
-    return OctMatrix(arr)
+    @pytest.mark.parametrize("read, data", [
+        (jordan_from_dict, {"diag": [True, 0, 0], "a": [0] * 8, "b": [0] * 8, "c": [0] * 8}),
+        (jordan_from_dict, {"diag": [1, 2, 3], "a": [0] * 8, "b": [0] * 7 + [False], "c": [0] * 8}),
+        (hermitian2_from_dict, {"diag": [True, 1], "a": [0] * 8}),
+        (hermitian2_from_dict, {"diag": [1, 1], "a": [True] + [0] * 7}),
+    ], ids=["jordan-diag", "jordan-entry", "hermitian2-diag", "hermitian2-entry"])
+    def test_booleans_are_not_numbers(self, read, data):
+        with pytest.raises(ValueError, match="must hold"):
+            read(data)

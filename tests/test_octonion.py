@@ -1,5 +1,7 @@
 """Octonion algebra: table, conjugation maps, automorphism boundary."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,53 @@ class TestTable:
                 expected = np.zeros(8)
                 expected[abs(entry) - 1] = np.sign(entry)
                 assert np.array_equal(MUL_TENSOR[a, b], expected)
+
+    def test_table_is_the_readme_table(self):
+        table = signed_table()
+        assert table.dtype.kind == "i"
+        assert np.array_equal(table, _readme_table())
+
+    def test_table_is_a_copy(self):
+        table = signed_table()
+        table[0, 0] = 5
+        assert signed_table()[0, 0] == 1
+
+    def test_tensor_matches_float_doubling(self):
+        assert MUL_TENSOR.dtype == np.float64 and not MUL_TENSOR.flags.writeable
+        assert MUL_TENSOR.tobytes() == _float_doubling_tensor().tobytes()
+
+
+def _readme_table() -> np.ndarray:
+    """The signed table printed under README's "Multiplication convention"."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # fenced blocks of the section: the doubling rule, then the table
+    table = text.split("## Multiplication convention", 1)[1].split("```")[3]
+    return np.array([row.split() for row in table.strip().splitlines()], dtype=int)
+
+
+def _float_doubling_tensor() -> np.ndarray:
+    """T[a, b] = coefficients of e_a e_b, from float quaternion products and the doubling rule."""
+
+    def qmul(x, y):
+        a0, a1, a2, a3 = x
+        b0, b1, b2, b3 = y
+        return np.array([a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+                         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+                         a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+                         a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0])
+
+    def qconj(x):
+        return x * np.array([1.0, -1.0, -1.0, -1.0])
+
+    tensor = np.zeros((8, 8, 8))
+    for a, x in enumerate(np.eye(8)):
+        p, q = x[:4], x[:3:-1]  # (1, i, j, k, kl, jl, il, l) = p + q l, q read from l backwards
+        for b, y in enumerate(np.eye(8)):
+            r, s = y[:4], y[:3:-1]
+            first = qmul(p, r) - qmul(qconj(s), q)
+            second = qmul(s, p) + qmul(q, qconj(r))
+            tensor[a, b] = np.concatenate((first, second[::-1])) + 0.0
+    return tensor
 
 
 class TestScalarOps:

@@ -15,7 +15,6 @@ from octe6.octonion import Octonion, oconj, odagger, omatmul, omul
 from octe6.transform import (
     COMPATIBILITY_SEED,
     NestedMap,
-    OctMatrix,
     complex_det,
     cyclic_permutation,
     embed,
@@ -29,16 +28,36 @@ from octe6.transform import _act, _hermitian_basis, _spinor_samples
 
 SEED = 27182
 
-I2 = OctMatrix.identity(2)
-I3 = OctMatrix.identity(3)
+
+def unit(name: str) -> np.ndarray:
+    return Octonion.unit(name).coefficients
 
 
-def phase_diag(name: str, theta: float) -> OctMatrix:
+def diag(*entries) -> np.ndarray:
+    """The (n, n, 8) matrix with the given 8-vectors, or reals, on its diagonal."""
+    arr = np.zeros((len(entries), len(entries), 8))
+    for d, entry in enumerate(entries):
+        if np.ndim(entry):
+            arr[d, d] = entry
+        else:
+            arr[d, d, 0] = entry
+    return arr
+
+
+def fro(M: np.ndarray) -> float:
+    """Frobenius norm of a matrix's coefficients."""
+    return float(np.sqrt(np.sum(M**2)))
+
+
+I2 = diag(1.0, 1.0)
+I3 = diag(1.0, 1.0, 1.0)
+
+
+def phase_diag(name: str, theta: float) -> np.ndarray:
     """diag(e^{s theta}, e^{-s theta}) for a named imaginary unit."""
-    s = Octonion.unit(name).coefficients
-    q = np.sin(theta) * s
+    q = np.sin(theta) * unit(name)
     q[0] = np.cos(theta)
-    return OctMatrix.diag(q, oconj(q))
+    return diag(q, oconj(q))
 
 
 class TestVectorApply:
@@ -82,7 +101,7 @@ class TestVectorApply:
     def test_stack_matches_each_matrix(self):
         # integer-valued layers and operands keep every sum exact
         rng = np.random.default_rng(SEED)
-        nm = NestedMap([OctMatrix(rng.integers(-2, 3, (3, 3, 8)).astype(float)) for _ in range(2)])
+        nm = NestedMap([rng.integers(-2, 3, (3, 3, 8)).astype(float) for _ in range(2)])
         stack = rng.integers(-2, 3, (4, 3, 3, 8)).astype(float)
         got = nm.apply_array(stack)
         assert got.shape == stack.shape
@@ -120,7 +139,7 @@ class TestSpinorApply:
         arr[..., 0], arr[..., 1] = Mc.real, Mc.imag
         v = np.zeros((2, 8))
         v[:, 0], v[:, 1] = vc.real, vc.imag
-        got = NestedMap.single(OctMatrix(arr)).apply_spinor(v)
+        got = NestedMap.single(arr).apply_spinor(v)
         expected = Mc @ vc
         assert np.allclose(got[:, 0], expected.real, atol=1e-12)
         assert np.allclose(got[:, 1], expected.imag, atol=1e-12)
@@ -128,8 +147,8 @@ class TestSpinorApply:
 
     def test_composition_order(self):
         rng = np.random.default_rng(SEED)
-        P = OctMatrix(rng.standard_normal((2, 2, 8)))
-        Q = OctMatrix(rng.standard_normal((2, 2, 8)))
+        P = rng.standard_normal((2, 2, 8))
+        Q = rng.standard_normal((2, 2, 8))
         v = rng.standard_normal((2, 8))
         both = NestedMap([P, Q]).apply_spinor(v)
         sequential = NestedMap.single(Q).apply_spinor(NestedMap.single(P).apply_spinor(v))
@@ -151,37 +170,37 @@ def _sample_columns_loop() -> list[np.ndarray]:
     return columns
 
 
-def _welldefined_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
+def _welldefined_loop(M: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     """Reference: one Hermitian basis matrix at a time."""
-    Ma, Mh = M.arr, odagger(M.arr)
+    Mh = odagger(M)
     residual = 0.0
-    for X in _hermitian_basis(M.n):
-        left = omatmul(Ma, omatmul(X, Mh))
-        right = omatmul(omatmul(Ma, X), Mh)
+    for X in _hermitian_basis(M.shape[0]):
+        left = omatmul(M, omatmul(X, Mh))
+        right = omatmul(omatmul(M, X), Mh)
         residual = max(residual, float(np.abs(left - right).max()))
-    return residual <= tol * M.norm**2, residual
+    return residual <= tol * fro(M)**2, residual
 
 
-def _compatible_loop(M: OctMatrix, tol: float = 1e-9) -> tuple[bool, float]:
+def _compatible_loop(M: np.ndarray, tol: float = 1e-9) -> tuple[bool, float]:
     """Reference: one spinor column at a time, products entry by entry."""
-    Ma, Mh = M.arr, odagger(M.arr)
+    Mh = odagger(M)
     residual = 0.0
     for v in _sample_columns_loop():
-        w = omul(Ma, v[None, :, :]).sum(axis=1)
+        w = omul(M, v[None, :, :]).sum(axis=1)
         lhs = omul(w[:, None, :], oconj(w)[None, :, :])
         vv = omul(v[:, None, :], oconj(v)[None, :, :])
-        rhs = omatmul(omatmul(Ma, vv), Mh)
+        rhs = omatmul(omatmul(M, vv), Mh)
         residual = max(residual, float(np.abs(lhs - rhs).max()))
-    return residual <= tol * M.norm**2, residual
+    return residual <= tol * fro(M)**2, residual
 
 
-def _oracle_blocks() -> list[OctMatrix]:
+def _oracle_blocks() -> list[np.ndarray]:
     """Passing blocks (roster layers at 0.37) and failing ones (random, mixed units)."""
     rng = np.random.default_rng(SEED)
     curves = roster("E6")
-    blocks = [b for c in curves[::9] for b in c.blocks(0.37)]
-    blocks += [OctMatrix(rng.standard_normal((2, 2, 8)) * scale) for scale in (1e-3, 1.0, 1e3)]
-    blocks.append(OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j")))
+    blocks = [b for c in curves[::9] for b in c.layer_arrays([0.37])[0]]
+    blocks += [rng.standard_normal((2, 2, 8)) * scale for scale in (1e-3, 1.0, 1e3)]
+    blocks.append(diag(unit("i"), unit("j")))
     return blocks
 
 
@@ -200,7 +219,7 @@ class TestPredicateOracles:
                 ok, res = is_welldefined(M)
                 ref_ok, ref_res = _welldefined_loop(M)
                 assert ok == ref_ok
-                assert abs(res - ref_res) <= 1e-13 * max(1.0, M.norm**2)
+                assert abs(res - ref_res) <= 1e-13 * max(1.0, fro(M)**2)
                 verdicts.add(ok)
         assert verdicts == {True, False}
 
@@ -210,7 +229,7 @@ class TestPredicateOracles:
             ok, res = is_compatible(M)
             ref_ok, ref_res = _compatible_loop(M)
             assert ok == ref_ok
-            assert abs(res - ref_res) <= 1e-13 * max(1.0, M.norm**2)
+            assert abs(res - ref_res) <= 1e-13 * max(1.0, fro(M)**2)
             verdicts.add(ok)
         assert verdicts == {True, False}
 
@@ -220,12 +239,12 @@ class TestScaleFreeBounds:
 
     @pytest.mark.parametrize("scale", [1e-5, 1e-6])
     def test_failing_layers_fail_at_small_scale(self, scale):
-        i, j = Octonion.unit("i"), Octonion.unit("j")
-        mixed = OctMatrix.diag(i, j) * scale
-        independent = OctMatrix.diag(i, oconj(j.coefficients)) * scale
+        i, j = unit("i"), unit("j")
+        mixed = diag(i, j) * scale
+        independent = diag(i, oconj(j)) * scale
         assert is_welldefined(mixed)[0] is _welldefined_loop(mixed)[0] is False
         assert is_compatible(independent)[0] is _compatible_loop(independent)[0] is False
-        assert complex_det(OctMatrix.diag(i, 1.0) * scale)[1] is False
+        assert complex_det(diag(i, 1.0) * scale)[1] is False
 
     @pytest.mark.parametrize("scale", [1e-5, 1e-6])
     def test_passing_layers_pass_at_small_scale(self, scale):
@@ -240,13 +259,13 @@ class TestStackedPredicates:
 
     def test_items_match_single_calls(self):
         blocks = _oracle_blocks()
-        stack = np.stack([M.arr for M in blocks])
+        stack = np.stack(blocks)
         for predicate, items in ((is_welldefined, stack), (is_compatible, stack),
-                                 (is_welldefined, np.stack([embed(M, 2).arr for M in blocks]))):
+                                 (is_welldefined, np.stack([embed(M, 2) for M in blocks]))):
             ok, res = predicate(items)
             assert ok.shape == res.shape == (len(blocks),)
             for item, verdict, residual in zip(items, ok, res):
-                assert (bool(verdict), float(residual)) == predicate(OctMatrix(item))
+                assert (bool(verdict), float(residual)) == predicate(item)
         complex_items = is_complex(stack)
         assert complex_items.tolist() == [is_complex(M) for M in blocks]
         assert not complex_items.all()
@@ -257,8 +276,7 @@ class TestStackedPredicates:
             assert np.allclose(det, single.coefficients, rtol=0.0, atol=1e-14)
 
     def test_complex_det_rejects_a_stack_with_a_non_complex_item(self):
-        stack = np.stack([phase_diag("i", 0.3).arr,
-                          OctMatrix.diag(Octonion.unit("i"), Octonion.unit("j")).arr])
+        stack = np.stack([phase_diag("i", 0.3), diag(unit("i"), unit("j"))])
         with pytest.raises(ValueError):
             complex_det(stack)
 
@@ -278,15 +296,14 @@ class TestWellDefined:
         assert ok and res <= 1e-12
 
     def test_mixed_imaginary_columns_fail(self):
-        M = OctMatrix.from_rows([[Octonion.unit("i"), 0.0], [0.0, Octonion.unit("j")]])
-        ok, res = is_welldefined(M)
+        ok, res = is_welldefined(diag(unit("i"), unit("j")))
         assert not ok and res > 1e-2
 
     def test_real_matrix(self):
         rng = np.random.default_rng(SEED)
         arr = np.zeros((3, 3, 8))
         arr[..., 0] = rng.standard_normal((3, 3))
-        ok, _ = is_welldefined(OctMatrix(arr))
+        ok, _ = is_welldefined(arr)
         assert ok
 
 
@@ -296,20 +313,19 @@ class TestCompatible:
         assert ok and res <= 1e-12
 
     def test_independent_imaginary_diagonal_fails(self):
-        M = OctMatrix.diag(Octonion.unit("i"), oconj(Octonion.unit("j").coefficients))
-        ok, res = is_compatible(M)
+        ok, res = is_compatible(diag(unit("i"), oconj(unit("j"))))
         assert not ok and res > 1e-2
 
     def test_real_matrix(self):
         rng = np.random.default_rng(SEED)
         arr = np.zeros((2, 2, 8))
         arr[..., 0] = rng.standard_normal((2, 2))
-        ok, _ = is_compatible(OctMatrix(arr))
+        ok, _ = is_compatible(arr)
         assert ok
 
     def test_flip_matrix(self):
-        s = Octonion.unit("kl").coefficients
-        ok, res = is_compatible(OctMatrix.diag(s, s))
+        s = unit("kl")
+        ok, res = is_compatible(diag(s, s))
         assert ok and res <= 1e-12
 
 
@@ -321,39 +337,61 @@ class TestComplexDet:
         assert real and det.isclose(Octonion.one(), tol=1e-12)
 
     def test_imaginary_identity_multiple(self):
-        s = Octonion.unit("jl").coefficients
-        det, real = complex_det(OctMatrix.diag(s, s))
+        s = unit("jl")
+        det, real = complex_det(diag(s, s))
         assert real and det.isclose(-Octonion.one(), tol=1e-12)
 
     def test_mixed_units_not_complex(self):
-        M = OctMatrix.from_rows([[Octonion.unit("i"), 0.0], [0.0, Octonion.unit("j")]])
+        M = diag(unit("i"), unit("j"))
         assert not is_complex(M)
         with pytest.raises(ValueError):
             complex_det(M)
 
     def test_non_real_determinant_flagged(self):
-        q = Octonion.unit("i").coefficients.copy()
-        q = np.cos(0.5) * np.eye(8)[0] + np.sin(0.5) * q
-        det, real = complex_det(OctMatrix.diag(q, q))
+        q = np.cos(0.5) * np.eye(8)[0] + np.sin(0.5) * unit("i")
+        det, real = complex_det(diag(q, q))
         assert not real
 
 
 class TestEmbed:
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_identity_embeds_to_identity(self, slot):
-        assert embed(I2, slot).isclose(I3)
+        assert np.array_equal(embed(I2, slot), I3)
 
     def test_slot_one_is_cycle_conjugate(self):
         rng = np.random.default_rng(SEED)
-        M = OctMatrix(rng.standard_normal((2, 2, 8)))
+        M = rng.standard_normal((2, 2, 8))
         T = cyclic_permutation()
-        assert embed(M, 1).isclose(T @ embed(M, 0) @ T.dagger())
-        assert embed(M, 2).isclose(T @ embed(M, 1) @ T.dagger())
+        for slot in (1, 2):
+            conjugate = omatmul(omatmul(T, embed(M, slot - 1)), odagger(T))
+            assert np.allclose(embed(M, slot), conjugate, atol=1e-12, rtol=0.0)
 
     def test_cycle_inverse_relations(self):
         T = cyclic_permutation()
-        assert (T @ T @ T).isclose(I3)
-        assert (T @ T).isclose(T.dagger())
+        assert np.array_equal(omatmul(omatmul(T, T), T), I3)
+        assert np.array_equal(omatmul(T, T), odagger(T))
+
+    def test_cycle_is_read_only(self):
+        T = cyclic_permutation()
+        with pytest.raises(ValueError):
+            T[0, 0, 0] = 1.0
+        assert np.array_equal(cyclic_permutation(), T)
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_stack_matches_each_item(self, slot):
+        rng = np.random.default_rng(SEED)
+        blocks = rng.standard_normal((3, 4, 2, 2, 8))
+        got = embed(blocks, slot)
+        assert got.shape == (3, 4, 3, 3, 8)
+        for idx in np.ndindex(3, 4):
+            assert np.array_equal(got[idx], embed(blocks[idx], slot))
+
+    @pytest.mark.parametrize("shape, slot", [((3, 3, 8), 0), ((2, 2, 7), 0), ((2, 8), 0),
+                                             ((2, 2, 8), 3), ((2, 2, 8), -1)],
+                             ids=["3x3", "7-coefficients", "2-entries", "slot-3", "slot-minus-1"])
+    def test_bad_shape_or_slot_rejected(self, shape, slot):
+        with pytest.raises(ValueError):
+            embed(np.zeros(shape), slot)
 
     def test_block_decomposition(self):
         # slot-0 action splits into 2x2 vector action, spinor action, fixed corner
@@ -440,7 +478,7 @@ class TestOperatorReuse:
 
     def test_two_by_two_maps_on_hermitian2(self):
         rng = np.random.default_rng(SEED)
-        blocks = [b for c in roster("SO91") for b in c.blocks(float(rng.uniform(-1, 1)))]
+        blocks = [b for c in roster("SO91") for b in c.layer_arrays([float(rng.uniform(-1, 1))])[0]]
         for depth in (1, 3, 6):
             nm = NestedMap([blocks[t] for t in rng.choice(len(blocks), size=depth)])
             op = nm.as_linear_op()
@@ -475,12 +513,11 @@ class TestOperatorReuse:
 class TestJsonForm:
     def test_roundtrip(self):
         rng = np.random.default_rng(SEED)
-        nm = NestedMap([embed(phase_diag("i", 0.4), 1),
-                        OctMatrix(rng.standard_normal((3, 3, 8)))])
+        nm = NestedMap([embed(phase_diag("i", 0.4), 1), rng.standard_normal((3, 3, 8))])
         back = nested_map_from_json(nested_map_to_json(nm))
         assert len(back.layers) == 2
         for mine, theirs in zip(nm.layers, back.layers):
-            assert mine.isclose(theirs)
+            assert np.array_equal(mine.arr, theirs.arr)
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -494,8 +531,19 @@ class TestJsonForm:
 
 class TestImmutability:
     def test_matrix_entries_are_readonly(self):
+        # the layer holders are what a reader of nm.layers gets: each is a read-only copy of stack[d]
+        rng = np.random.default_rng(SEED)
+        layers = rng.standard_normal((3, 3, 3, 8))
+        nm = NestedMap(layers)
+        layers[0, 0, 0, 0] = 5.0
+        assert len(nm.layers) == 3
+        for d, layer in enumerate(nm.layers):
+            assert np.array_equal(layer.arr, nm.stack[d])
+            with pytest.raises(ValueError):
+                layer.arr[0, 0, 0] = 2.0
         with pytest.raises(ValueError):
-            I3.arr[0, 0, 0] = 2.0
+            nm.stack[0, 0, 0, 0] = 2.0
+        assert nm.stack[0, 0, 0, 0] != 5.0
 
     def test_jordan_slots_are_readonly(self):
         rng = np.random.default_rng(SEED)
