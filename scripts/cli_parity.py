@@ -1,13 +1,21 @@
 """Check that the CLI passes and gives the same output in a fresh process and in a reused one.
 
-Runs 71 commands: ``verify`` for every group and slot at seeds 0, 3, 7
-and 11, ``triality --seed 5``, and ``report-all --seed 3`` as JSON and as
-CSV.  Each runs once as ``python -m octe6.cli`` in a new process, where it
-must exit 0, then twice, in order, through ``octe6.cli.main`` inside this
-interpreter, after everything the earlier calls left in the process.  Exit
-codes and stdout must match byte for byte; RuntimeWarnings are errors on
-both sides.  Prints a sha256 over the fresh runs' exit codes and stdout,
-exits 1 at the first failure or mismatch.
+Runs two sets of commands.  The first holds 71: ``verify`` for every group
+and slot at seeds 0, 3, 7 and 11, ``triality --seed 5``, and ``report-all
+--seed 3`` as JSON and as CSV.  The second runs ``decompose`` and ``dirac``
+on a fixed set of inputs drawn from a seeded generator and written to a
+temporary directory: generic, two-cluster, near-identity and diagonal
+matrices, each alone and under ``--apply`` of an E6 word, and null
+momenta theta theta^dagger of both signs.  Their stdout carries the
+lambdas, projectors and residual bounds read from the Jordan invariants.
+
+Each command runs once as ``python -m octe6.cli`` in a new process, where
+it must exit 0, then twice, in order, through ``octe6.cli.main`` inside
+this interpreter, after everything the earlier calls left in the process.
+Exit codes and stdout must match byte for byte; RuntimeWarnings are
+errors on both sides.  Prints one sha256 per set over the fresh runs' exit
+codes and stdout (no temporary path reaches stdout), exits 1 at the first
+failure or mismatch.
 
     PYTHONPATH=src python scripts/cli_parity.py
 """
@@ -17,11 +25,19 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
-from octe6 import cli, generators
+import numpy as np
+
+from octe6 import cli, generators, jordan, transform
+from octe6.cayley import random_quaternionic_spinor
+
+INPUT_SEED = 2009
 
 
 def commands() -> list[list[str]]:
@@ -33,6 +49,43 @@ def commands() -> list[list[str]]:
     out.append(["triality", "--seed", "5"])
     out.append(["report-all", "--seed", "3"])
     out.append(["report-all", "--seed", "3", "--format", "csv"])
+    return out
+
+
+def input_commands(workdir: Path) -> list[list[str]]:
+    """``decompose`` and ``dirac`` commands on seeded inputs written to workdir."""
+    rng = np.random.default_rng(INPUT_SEED)
+    identity = jordan.JordanMatrix.identity()
+    matrices = []
+    for scale in (1e-3, 1.0, 1e3):
+        matrices.append(("generic", jordan.random_jordan(rng, scale)))
+    for mu in (-1.0, 0.5):
+        # mu I plus a rank-1 square: eigenvalues mu + tr, mu, mu
+        matrices.append(("two-cluster", identity * mu + random_quaternionic_spinor(rng).square()))
+    # eps between about 1e-6 and 1e-5 is left out: there decompose can fail
+    # its own reconstruction bound (exit 1), a defect and not a parity question
+    for eps in (1e-9, 1e-3):
+        noise = jordan.JordanMatrix.from_vector(np.r_[np.zeros(3), rng.standard_normal(24)])
+        matrices.append(("near-identity", identity + noise * eps))
+    for diag in ((3.0, -1.0, 0.5), (2.0, 0.0, 0.0)):
+        matrices.append(("diagonal", jordan.JordanMatrix.diag(*diag)))
+    e6 = generators.roster("E6")
+    out = []
+    for idx, (kind, X) in enumerate(matrices):
+        path = workdir / f"{kind}-{idx}.json"
+        path.write_text(json.dumps(jordan.jordan_to_dict(X)))
+        out.append(["decompose", str(path)])
+        word = e6[int(rng.integers(len(e6)))](float(rng.uniform(-1.0, 1.0)))
+        for _ in range(idx % 3):
+            word = word.compose(e6[int(rng.integers(len(e6)))](float(rng.uniform(-1.0, 1.0))))
+        map_path = workdir / f"map-{idx}.json"
+        map_path.write_text(json.dumps(transform.nested_map_to_json(word)))
+        out.append(["decompose", str(path), "--apply", str(map_path)])
+    for idx, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
+        P = jordan.spinor_square(rng.standard_normal((2, 8)) * 10.0 ** (idx - 1)) * sign
+        path = workdir / f"momentum-{idx}.json"
+        path.write_text(json.dumps({"P": jordan.hermitian2_to_dict(P)}))
+        out.append(["dirac", str(path)])
     return out
 
 
@@ -49,14 +102,13 @@ def in_process(argv: list[str]) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def main() -> int:
-    warnings.simplefilter("error", RuntimeWarning)
-    argvs = commands()
+def check(argvs: list[list[str]]) -> str | None:
+    """The sha256 of the fresh runs if every command passes and repeats in process, else None."""
     expected = [fresh(argv) for argv in argvs]
     for argv, (code, _) in zip(argvs, expected):
         if code != 0:
             print(f"octe6 {' '.join(argv)}: exit {code} in a fresh process")
-            return 1
+            return None
     digest = hashlib.sha256()
     for code, stdout in expected:
         digest.update(f"{code}\n{stdout}".encode())
@@ -66,8 +118,23 @@ def main() -> int:
             if got != want:
                 print(f"pass {run}: octe6 {' '.join(argv)}: exit {got[0]} in process, "
                       f"{want[0]} fresh; stdout {'equal' if got[1] == want[1] else 'differs'}")
+                return None
+    return digest.hexdigest()
+
+
+def main() -> int:
+    warnings.simplefilter("error", RuntimeWarning)
+    with tempfile.TemporaryDirectory() as tmp:
+        sets = {"verify, triality and report-all": commands(),
+                "decompose and dirac": input_commands(Path(tmp))}
+        digests = {}
+        for name, argvs in sets.items():
+            digests[name] = check(argvs)
+            if digests[name] is None:
                 return 1
-    print(f"{len(argvs)} commands, fresh and two in-process passes equal; sha256 {digest.hexdigest()}")
+    for name, argvs in sets.items():
+        print(f"{len(argvs)} {name} commands, fresh and two in-process passes equal; "
+              f"sha256 {digests[name]}")
     return 0
 
 

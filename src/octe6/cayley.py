@@ -34,6 +34,7 @@ from .jordan import (
     Hermitian2,
     JordanMatrix,
     _cubic_roots,
+    _jordan_invariants,
     _scaled_invariants,
     block_split,
     det3,
@@ -226,9 +227,10 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     Every tolerance is relative: the decomposition runs on A times the
     power of two that brings its largest coordinate into [1/2, 1), which
     is exact, with the eigenvalues and |A| read from A's scaled
-    invariants, and the eigenvalues are scaled back.
+    invariants, and the eigenvalues are scaled back.  A Hermitian2 raises
+    TypeError.
     """
-    exponent, trace, sig, det, scale = _scaled_invariants(A)
+    exponent, trace, sig, det, scale = _jordan_invariants(A)
     A = JordanMatrix.from_vector(np.ldexp(A.to_vector(), -exponent))
     lams = _cubic_roots(trace, sig, det, scale)
     terms, lams = _psquare_terms(A, lams, scale)
@@ -286,9 +288,9 @@ def classify(A: JordanMatrix) -> int:
     The cascade compares det/|A|^3, sigma/|A|^2 and tr/|A| with the fixed
     threshold CLASS_TOL, so the class does not depend on A's scale.  All
     of them are read from A's scaled invariants, where no invariant
-    under- or overflows for a finite A.
+    under- or overflows for a finite A.  A Hermitian2 raises TypeError.
     """
-    _, trace, sig, det, norm = _scaled_invariants(A)
+    _, trace, sig, det, norm = _jordan_invariants(A)
     if norm == 0.0:
         return 0
     if abs(det / norm**3) > CLASS_TOL:

@@ -33,7 +33,7 @@ from octe6.jordan import (
     trace_identity_check,
     triple,
 )
-from octe6.octonion import Octonion, oconj, omatmul, onorm
+from octe6.octonion import Octonion, oconj, omatmul, omul, onorm, signed_table
 from octe6.transform import NestedMap, cyclic_permutation
 
 SEED = 31415
@@ -354,6 +354,28 @@ def _invariant_samples() -> list:
     return list(_eigen_samples(rng).values()) + [random_jordan(rng) for _ in range(3)]
 
 
+def _hermitian2_samples() -> list:
+    rng = np.random.default_rng(SEED)
+    null = Hermitian2(1.0, 4.0, np.r_[2.0, np.zeros(7)])
+    return [null] + [Hermitian2(*rng.standard_normal(2), rng.standard_normal(8)) for _ in range(5)]
+
+
+def _re_bac_formula(off: np.ndarray) -> np.ndarray:
+    """Re((b a) c) through omul and oconj, summed by np.sum, for octonions (..., 3, 8) = (a, b, c)."""
+    return np.sum(omul(off[..., 1, :], off[..., 0, :]) * oconj(off[..., 2, :]), axis=-1)
+
+
+def _re_bac_integer(a: list, b: list, c: list) -> int:
+    """Re((b a) c) of integer octonions, summed exactly from the signed basis table."""
+    table = signed_table()
+    ba = [0] * 8
+    for i in range(8):
+        for j in range(8):
+            t = int(table[i, j])
+            ba[abs(t) - 1] += (1 if t > 0 else -1) * b[i] * a[j]
+    return ba[0] * c[0] - sum(x * y for x, y in zip(ba[1:], c[1:]))
+
+
 class TestScaledInvariants:
     """det3, sigma, norm and eigenvalues read one tuple computed once per matrix."""
 
@@ -373,6 +395,34 @@ class TestScaledInvariants:
                 assert _bits(det3(Y)) == _bits(det3(v[None])[0])
             if abs(k) <= 340:
                 assert _bits(sigma(Y)) == _bits(sigma(v[None])[0])
+
+    @pytest.mark.parametrize("k", [-1000, -600, -340, -300, -100, -1, 0, 1, 100, 300, 340, 600, 900])
+    def test_fresh_hermitian2_match_the_formulas(self, k):
+        for X in _hermitian2_samples():
+            Y = Hermitian2.from_vector(np.ldexp(X.to_vector(), k))
+            assert _bits(Y.norm) == _bits(_norm_oracle(Y))
+            # exactly 2^(2k) times the unit-scale x1 x2 - a.a
+            unit = X.x1 * X.x2 - float(X.a @ X.a)
+            assert _bits(Y.det) == _bits(_ldexp_or_inf(unit, 2 * k))
+
+    @pytest.mark.parametrize("tiny", [5e-324, 5e-320, 1e-310])
+    def test_subnormal_inputs_match_the_formulas(self, tiny):
+        rng = np.random.default_rng(SEED)
+        for _ in range(6):
+            # every coordinate subnormal, or subnormals beside normal ones
+            for v in (rng.standard_normal(27) * tiny,
+                      np.where(rng.random(27) < 0.5, tiny, 1.0) * rng.standard_normal(27)):
+                Y = JordanMatrix.from_vector(v)
+                S, e = _scaled_oracle(Y)
+                unit = S.to_vector()[None]
+                assert _bits(Y.norm) == _bits(_norm_oracle(Y))
+                assert _bits(eigenvalues(Y)) == _bits(_eigenvalues_oracle(Y))
+                assert _bits(det3(Y)) == _bits(_ldexp_or_inf(float(det3(unit)[0]), 3 * e))
+                assert _bits(sigma(Y)) == _bits(_ldexp_or_inf(float(sigma(unit)[0]), 2 * e))
+            P = Hermitian2.from_vector(rng.standard_normal(10) * tiny)
+            S, e = _scaled_oracle(P)
+            assert _bits(P.norm) == _bits(_norm_oracle(P))
+            assert _bits(P.det) == _bits(_ldexp_or_inf(S.x1 * S.x2 - float(S.a @ S.a), 2 * e))
 
     def test_invariants_are_computed_once(self, monkeypatch):
         from octe6.cayley import classify, psquare_decompose
@@ -418,6 +468,52 @@ class TestScaledInvariants:
         with pytest.raises(ValueError):
             X.to_vector()[3] = 7.0
         assert (det3(X), sigma(X), X.norm) == before
+
+
+class TestInvariantReaders:
+    """The JordanMatrix invariant readers refuse a Hermitian2 instead of misreading it."""
+
+    @pytest.mark.parametrize("read", ["det3", "sigma", "eigenvalues", "classify", "psquare_decompose"])
+    def test_hermitian2_raises_type_error(self, read):
+        from octe6 import cayley
+        f = getattr(jordan, read, None) or getattr(cayley, read)
+        for P in (Hermitian2(1.0, 2.0), Hermitian2.identity(), Hermitian2(1.0, 1.0, np.r_[1.0, np.zeros(7)])):
+            with pytest.raises(TypeError, match="JordanMatrix"):
+                f(P)
+
+    def test_stacks_still_read_as_arrays(self):
+        rng = np.random.default_rng(SEED)
+        Xs = [random_jordan(rng) for _ in range(6)]
+        V = np.stack([X.to_vector() for X in Xs]).reshape(2, 3, 27)
+        assert det3(V).shape == sigma(V).shape == (2, 3)
+        assert np.allclose(det3(V).ravel(), [det3(X) for X in Xs], rtol=1e-12, atol=1e-12)
+        assert np.allclose(sigma(V).ravel(), [sigma(X) for X in Xs], rtol=1e-12, atol=1e-12)
+        assert isinstance(det3(Xs[0].to_vector()), float)
+
+
+class TestReBac:
+    """Re((b a) c), the shared kernel of det3, against oracles that do not call it."""
+
+    @pytest.mark.parametrize("k", [-300, -1, 0, 1, 300])
+    def test_single_triples_match_omul_bitwise(self, k):
+        rng = np.random.default_rng(SEED)
+        for _ in range(64):
+            off = np.ldexp(rng.standard_normal((3, 8)), k)
+            assert _bits(jordan._re_bac(off)) == _bits(_re_bac_formula(off))
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (100,), (4, 5)])
+    def test_stacks_match_omul_bitwise(self, shape):
+        off = np.random.default_rng(SEED).standard_normal(shape + (3, 8))
+        got = jordan._re_bac(off)
+        assert got.shape == shape
+        assert _bits(got) == _bits(_re_bac_formula(off))
+
+    def test_small_integers_are_exact(self):
+        rng = np.random.default_rng(SEED)
+        ints = rng.integers(-9, 10, size=(200, 3, 8))
+        want = [_re_bac_integer(*(o.tolist() for o in triple)) for triple in ints]
+        assert jordan._re_bac(ints.astype(float)).tolist() == want
+        assert [float(jordan._re_bac(triple.astype(float))) for triple in ints] == want
 
 
 class TestBlocks:
