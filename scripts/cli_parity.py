@@ -4,10 +4,11 @@ Runs two sets of commands.  The first holds 71: ``verify`` for every group
 and slot at seeds 0, 3, 7 and 11, ``triality --seed 5``, and ``report-all
 --seed 3`` as JSON and as CSV.  The second runs ``decompose`` and ``dirac``
 on a fixed set of inputs drawn from a seeded generator and written to a
-temporary directory: generic, two-cluster, near-identity and diagonal
-matrices, each alone and under ``--apply`` of an E6 word, and null
-momenta theta theta^dagger of both signs.  Their stdout carries the
-lambdas, projectors and residual bounds read from the Jordan invariants.
+temporary directory: generic, two-cluster, near-identity (I + eps N for
+eps from 1e-9 to 1e-3) and diagonal matrices, each alone and under
+``--apply`` of an E6 word, and null momenta theta theta^dagger of both
+signs.  Their stdout carries the lambdas, projectors and residual bounds
+read from the Jordan invariants.
 
 Each command runs once as ``python -m octe6.cli`` in a new process, where
 it must exit 0, then twice, in order, through ``octe6.cli.main`` inside
@@ -56,36 +57,45 @@ def input_commands(workdir: Path) -> list[list[str]]:
     """``decompose`` and ``dirac`` commands on seeded inputs written to workdir."""
     rng = np.random.default_rng(INPUT_SEED)
     identity = jordan.JordanMatrix.identity()
+    e6 = generators.roster("E6")
+    out = []
+
+    def decompose(matrices: list, first: int) -> None:
+        """Each matrix alone and under ``--apply`` of a seeded E6 word of 1 to 3 layers."""
+        for idx, (kind, X) in enumerate(matrices, first):
+            path = workdir / f"{kind}-{idx}.json"
+            path.write_text(json.dumps(jordan.jordan_to_dict(X)))
+            out.append(["decompose", str(path)])
+            word = e6[int(rng.integers(len(e6)))](float(rng.uniform(-1.0, 1.0)))
+            for _ in range(idx % 3):
+                word = word.compose(e6[int(rng.integers(len(e6)))](float(rng.uniform(-1.0, 1.0))))
+            map_path = workdir / f"map-{idx}.json"
+            map_path.write_text(json.dumps(transform.nested_map_to_json(word)))
+            out.append(["decompose", str(path), "--apply", str(map_path)])
+
     matrices = []
     for scale in (1e-3, 1.0, 1e3):
         matrices.append(("generic", jordan.random_jordan(rng, scale)))
     for mu in (-1.0, 0.5):
         # mu I plus a rank-1 square: eigenvalues mu + tr, mu, mu
         matrices.append(("two-cluster", identity * mu + random_quaternionic_spinor(rng).square()))
-    # eps between about 1e-6 and 1e-5 is left out: there decompose can fail
-    # its own reconstruction bound (exit 1), a defect and not a parity question
     for eps in (1e-9, 1e-3):
         noise = jordan.JordanMatrix.from_vector(np.r_[np.zeros(3), rng.standard_normal(24)])
         matrices.append(("near-identity", identity + noise * eps))
     for diag in ((3.0, -1.0, 0.5), (2.0, 0.0, 0.0)):
         matrices.append(("diagonal", jordan.JordanMatrix.diag(*diag)))
-    e6 = generators.roster("E6")
-    out = []
-    for idx, (kind, X) in enumerate(matrices):
-        path = workdir / f"{kind}-{idx}.json"
-        path.write_text(json.dumps(jordan.jordan_to_dict(X)))
-        out.append(["decompose", str(path)])
-        word = e6[int(rng.integers(len(e6)))](float(rng.uniform(-1.0, 1.0)))
-        for _ in range(idx % 3):
-            word = word.compose(e6[int(rng.integers(len(e6)))](float(rng.uniform(-1.0, 1.0))))
-        map_path = workdir / f"map-{idx}.json"
-        map_path.write_text(json.dumps(transform.nested_map_to_json(word)))
-        out.append(["decompose", str(path), "--apply", str(map_path)])
+    decompose(matrices, 0)
     for idx, sign in enumerate((1.0, -1.0, 1.0, -1.0)):
         P = jordan.spinor_square(rng.standard_normal((2, 8)) * 10.0 ** (idx - 1)) * sign
         path = workdir / f"momentum-{idx}.json"
         path.write_text(json.dumps({"P": jordan.hermitian2_to_dict(P)}))
         out.append(["dirac", str(path)])
+    # drawn after everything else, so the inputs above do not depend on
+    # them: I + eps N with N = random_jordan has three eigenvalues about
+    # eps apart, where the interpolation numerators of psquare_decompose
+    # cancel hardest
+    near = [("near-identity", identity + jordan.random_jordan(rng) * eps) for eps in (1e-7, 1e-6, 1e-5)]
+    decompose(near, len(matrices))
     return out
 
 

@@ -12,7 +12,6 @@ The package is organized bottom-up:
 
 from .octonion import (
     BASIS_NAMES,
-    Octonion,
     conj_by,
     exp_imag,
     is_automorphism,

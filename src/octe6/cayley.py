@@ -37,10 +37,8 @@ from .jordan import (
     _jordan_invariants,
     _scaled_invariants,
     block_split,
-    det3,
     freudenthal,
     jordan_product,
-    sigma,
 )
 from .octonion import _as_coeffs, oconj, omatmul, omul, onorm, subalgebra_dimension
 from .transform import NestedMap
@@ -218,10 +216,13 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     """Decompose A into eigenmatrix projections via Lagrange interpolation.
 
     Distinct eigenvalues give primitive trace-1 projections from the
-    quadratic interpolant in Jordan powers.  Eigenvalues that agree within
-    MERGE_TOL * |A| are merged: the linear interpolant on the distinct
-    values yields the (non-primitive) group projection, except that a
-    numerically diagonal A is split directly into its diagonal idempotents.
+    quadratic interpolant in Jordan powers of A - (tr A / 3) I, which has
+    A's projectors and eigenvalues shifted by tr A / 3: near a multiple of
+    I its numerators do not cancel against |A|^2.  Eigenvalues that agree
+    within MERGE_TOL * |A| are merged: the linear interpolant on the
+    distinct values yields the (non-primitive) group projection, except
+    that a numerically diagonal A is split directly into its diagonal
+    idempotents.
     p counts the eigenvalues, with multiplicity, above CLASS_TOL * |A|.
 
     Every tolerance is relative: the decomposition runs on A times the
@@ -271,14 +272,19 @@ def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float) -> tuple[lis
         p_nu = (A - identity * mu) * (1.0 / (nu - mu))
         return [(mu, p_mu), (nu, p_nu)], [mu] * len(clusters[0]) + [nu] * len(clusters[1])
 
-    A2 = jordan_product(A, A)
+    # interpolate on B = A - (tr A / 3) I: on A itself each numerator cancels
+    # to rounding of |A|^2 and is then divided by about |B|^2, far smaller
+    # near a multiple of I
+    shift = A.trace / 3.0
+    B = A - identity * shift
+    mus = [lam - shift for lam in lams]
+    B2 = jordan_product(B, B)
     terms = []
     for idx in range(3):
-        lam = lams[idx]
-        others = [lams[t] for t in range(3) if t != idx]
-        numer = A2 - A * (others[0] + others[1]) + identity * (others[0] * others[1])
-        proj = numer * (1.0 / ((lam - others[0]) * (lam - others[1])))
-        terms.append((lam, proj))
+        others = [mus[t] for t in range(3) if t != idx]
+        numer = B2 - B * (others[0] + others[1]) + identity * (others[0] * others[1])
+        proj = numer * (1.0 / ((mus[idx] - others[0]) * (mus[idx] - others[1])))
+        terms.append((lams[idx], proj))
     return terms, lams
 
 

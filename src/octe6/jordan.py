@@ -18,8 +18,8 @@ The module implements the symmetrized Jordan product, the Freudenthal
 product and the triple product built from them, the characteristic
 equation residual, the Lorentzian inner product on 2x2 matrices, and the
 trace identity for complex octonionic matrices.  The cubic determinant and
-the second invariant are evaluated in closed form on the 27 coordinates,
-for one matrix or a ``(..., 27)`` stack, with no Jordan product:
+the second invariant of a JordanMatrix are evaluated in closed form on its
+27 coordinates, with no Jordan product:
 
     det3  = pmn - p|b|^2 - m|c|^2 - n|a|^2 + 2 Re((b a) c)
     sigma = pm + mn + np - |a|^2 - |b|^2 - |c|^2
@@ -44,11 +44,10 @@ The pass runs eleven numpy kernels besides views and ``tolist``.  One
 ``np.matmul`` of the (k, 1, 8) and (k, 8, 1) views of the octonions gives
 each |x|^2 of the norm through the same BLAS dot that ``x @ x`` takes,
 and ``_re_bac`` runs the operations of ``omul`` and ``oconj`` without
-their wrappers, so every invariant keeps its bits.  On a JordanMatrix the
-pass takes about 15 us, against about 22 us with one dot and one ``omul``
-call per octonion (fastest of 300 interleaved batches, 2-core VM, one
-BLAS thread).  ``det3``, ``sigma`` and ``eigenvalues`` raise TypeError
-for a Hermitian2, whose coordinates they would misread.
+their wrappers, so every invariant keeps its bits.  ``det3``, ``sigma``
+and ``eigenvalues`` take only a JordanMatrix: anything else raises
+TypeError, a Hermitian2 (whose coordinates they would misread) and a
+coordinate array alike.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ import numpy as np
 from .octonion import (
     _CONJ_SIGNS,
     _TABLE_ON_PAIRS,
-    Octonion,
     _as_coeffs,
     imaginary_rank,
     oconj,
@@ -264,7 +262,7 @@ class Hermitian2(_Hermitian):
         return _unscaled(det, 2 * exponent)
 
     def __repr__(self):
-        return f"Hermitian2(x1={self.x1:g}, x2={self.x2:g}, a={Octonion(self.a)!r})"
+        return f"Hermitian2(x1={self.x1:g}, x2={self.x2:g}, |a|={onorm(self.a):g})"
 
 
 class JordanMatrix(_Hermitian):
@@ -312,14 +310,6 @@ def triple(X: JordanMatrix, Y: JordanMatrix, Z: JordanMatrix) -> JordanMatrix:
     return jordan_product(freudenthal(X, Y), Z)
 
 
-def _invariant_parts(v) -> tuple[list, np.ndarray]:
-    """[p, m, n, |a|^2, |b|^2, |c|^2] and the octonions (a, b, c) of (..., 27) coordinates."""
-    v = np.asarray(v, dtype=float)
-    off = v[..., 3:].reshape(v.shape[:-1] + (3, 8))
-    sq = np.sum(off * off, axis=-1)
-    return [v[..., 0], v[..., 1], v[..., 2], sq[..., 0], sq[..., 1], sq[..., 2]], off
-
-
 def _re_bac(off: np.ndarray) -> np.ndarray:
     """Re((b a) c) = <b a, conj(c)> for octonions (..., 3, 8) = (a, b, c).
 
@@ -329,19 +319,6 @@ def _re_bac(off: np.ndarray) -> np.ndarray:
     pairs = off[..., 1, :, None] * off[..., 0, None, :]
     ba = pairs.reshape(pairs.shape[:-2] + (64,)) @ _TABLE_ON_PAIRS
     return np.add.reduce(ba * np.multiply(off[..., 2, :], _CONJ_SIGNS), axis=-1)
-
-
-# the closed forms, on floats for one matrix or on arrays for a stack
-def _sigma_form(p, m, n, aa, bb, cc):
-    return p * m + m * n + n * p - aa - bb - cc
-
-
-def _det_form(p, m, n, aa, bb, cc, re_bac):
-    return p * m * n - p * bb - m * cc - n * aa + 2.0 * re_bac
-
-
-def _scalar_or_array(out: np.ndarray):
-    return float(out) if out.ndim == 0 else out
 
 
 def _unscaled(x: float, exponent: int) -> float:
@@ -377,8 +354,10 @@ def _scaled_invariants(X: _Hermitian) -> tuple[int, float, float, float, float]:
             quad += x**2
         norm = math.sqrt(quad + 2.0 * sum(dots[1:], dots[0]))
         if X.SIZE == 3:
-            parts = diag + np.add.reduce(octs * octs, axis=-1).tolist()
-            sig, det = _sigma_form(*parts), _det_form(*parts, float(_re_bac(octs)))
+            p, m, n = diag
+            aa, bb, cc = np.add.reduce(octs * octs, axis=-1).tolist()
+            sig = p * m + m * n + n * p - aa - bb - cc
+            det = p * m * n - p * bb - m * cc - n * aa + 2.0 * float(_re_bac(octs))
         else:
             sig = det = diag[0] * diag[1] - dots[0]
         inv = X._inv = (exponent, trace, sig, det, norm)
@@ -392,33 +371,25 @@ def _jordan_invariants(X: JordanMatrix) -> tuple[int, float, float, float, float
     return _scaled_invariants(X)
 
 
-def det3(X):
+def det3(X: JordanMatrix) -> float:
     """Cubic determinant pmn - p|b|^2 - m|c|^2 - n|a|^2 + 2 Re((b a) c).
 
-    Closed form on the coordinates of a JordanMatrix (a float, read from
-    its scaled invariants) or of a (..., 27) stack (an array); equal to
-    tr[X, X, X]/3 from ``triple`` up to rounding.  A Hermitian2 raises
+    Read from X's scaled invariants; equal to tr[X, X, X]/3 from
+    ``triple`` up to rounding.  Anything but a JordanMatrix raises
     TypeError.
     """
-    if isinstance(X, _Hermitian):
-        exponent, _, _, det, _ = _jordan_invariants(X)
-        return _unscaled(det, 3 * exponent)
-    parts, off = _invariant_parts(X)
-    return _scalar_or_array(_det_form(*parts, _re_bac(off)))
+    exponent, _, _, det, _ = _jordan_invariants(X)
+    return _unscaled(det, 3 * exponent)
 
 
-def sigma(X):
+def sigma(X: JordanMatrix) -> float:
     """Second invariant pm + mn + np - |a|^2 - |b|^2 - |c|^2.
 
-    Equal to ((tr X)^2 - tr(X o X))/2; a float for a JordanMatrix (read
-    from its scaled invariants), an array for a (..., 27) stack.  A
-    Hermitian2 raises TypeError.
+    Equal to ((tr X)^2 - tr(X o X))/2, read from X's scaled invariants.
+    Anything but a JordanMatrix raises TypeError.
     """
-    if isinstance(X, _Hermitian):
-        exponent, _, sig, _, _ = _jordan_invariants(X)
-        return _unscaled(sig, 2 * exponent)
-    parts, _ = _invariant_parts(X)
-    return _scalar_or_array(_sigma_form(*parts))
+    exponent, _, sig, _, _ = _jordan_invariants(X)
+    return _unscaled(sig, 2 * exponent)
 
 
 def char_residual(X: JordanMatrix) -> JordanMatrix:
@@ -520,7 +491,7 @@ def trace_identity_check(M, X: JordanMatrix) -> float:
 
     Raises if M is not complex (entries must share one complex subalgebra).
     """
-    Ma = np.asarray(getattr(M, "arr", M), dtype=float)
+    Ma = np.asarray(M, dtype=float)
     if Ma.shape != (3, 3, 8):
         raise ValueError("expected a 3x3 octonionic matrix")
     if imaginary_rank(Ma.reshape(-1, 8)) > 1:

@@ -15,17 +15,16 @@ exact integers, and ``MUL_TENSOR`` is its one-hot form.  ``signed_table()``
 returns a copy of it; the ``table`` CLI subcommand prints the same data for
 cross-implementation checks.
 
-Array-level helpers (``omul``, ``oconj``, ``omatmul``, ...) operate on
-plain float arrays whose last axis has length 8, so matrices of octonions
-are ``(n, n, 8)`` arrays, stacked as ``(..., n, n, 8)``; ``omatmul``
-multiplies a stack on the left by one matrix.  The :class:`Octonion`
-class wraps a single 8-vector for scalar work.  All values are immutable
-after construction.
+An octonion is a float array of its 8 coefficients.  The kernels
+(``omul``, ``oconj``, ``omatmul``, ...) act on the last axis, so octonions
+stack as ``(..., 8)`` arrays and matrices of octonions are ``(n, n, 8)``
+arrays, stacked as ``(..., n, n, 8)``; ``omatmul`` multiplies a stack on
+the left by one matrix.  Every function returns a new array and leaves its
+arguments unchanged.
 """
 
 from __future__ import annotations
 
-import numbers
 from collections.abc import Iterable
 
 import numpy as np
@@ -155,8 +154,6 @@ def _numerical_rank(s: np.ndarray, rel_tol: float):
 
 
 def _as_coeffs(x) -> np.ndarray:
-    if isinstance(x, Octonion):
-        return x.coefficients
     arr = np.asarray(x, dtype=float)
     if arr.shape != (8,):
         raise ValueError(f"expected 8 octonion coefficients, got shape {arr.shape}")
@@ -164,123 +161,20 @@ def _as_coeffs(x) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# scalar interface
-# ---------------------------------------------------------------------------
-
-class Octonion:
-    """An octonion: an immutable vector of 8 real coefficients."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coefficients):
-        c = np.array(coefficients, dtype=float).reshape(8)
-        c.setflags(write=False)
-        self._c = c
-
-    @classmethod
-    def zero(cls) -> "Octonion":
-        return cls(np.zeros(8))
-
-    @classmethod
-    def one(cls) -> "Octonion":
-        return cls.unit(0)
-
-    @classmethod
-    def unit(cls, which: int | str) -> "Octonion":
-        """Basis octonion by index 0..7 or by name ('1', 'i', ..., 'l')."""
-        idx = BASIS_NAMES.index(which) if isinstance(which, str) else int(which)
-        c = np.zeros(8)
-        c[idx] = 1.0
-        return cls(c)
-
-    @classmethod
-    def basis(cls) -> tuple["Octonion", ...]:
-        return tuple(cls.unit(t) for t in range(8))
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._c
-
-    @property
-    def re(self) -> float:
-        return float(self._c[0])
-
-    @property
-    def norm(self) -> float:
-        return float(np.sqrt(self._c @ self._c))
-
-    def conj(self) -> "Octonion":
-        return Octonion(oconj(self._c))
-
-    def inverse(self) -> "Octonion":
-        """Multiplicative inverse conj(x)/norm(x)^2; zero has none."""
-        n2 = float(self._c @ self._c)
-        if n2 == 0.0:
-            raise ZeroDivisionError("the zero octonion has no inverse")
-        return Octonion(oconj(self._c) / n2)
-
-    def __add__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(self._c + other._c)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(self._c - other._c)
-        return NotImplemented
-
-    def __neg__(self):
-        return Octonion(-self._c)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            return Octonion(omul(self._c, other._c))
-        if isinstance(other, numbers.Real):
-            return Octonion(self._c * float(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Real):
-            return Octonion(self._c * float(other))
-        return NotImplemented
-
-    def __truediv__(self, other):
-        if isinstance(other, numbers.Real):
-            return Octonion(self._c / float(other))
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, Octonion):
-            return bool(np.array_equal(self._c, other._c))
-        return NotImplemented
-
-    def isclose(self, other: "Octonion", tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self._c, _as_coeffs(other), atol=tol, rtol=0.0))
-
-    def __repr__(self):
-        terms = [
-            f"{c:+g}{'' if name == '1' else '*' + name}"
-            for c, name in zip(self._c, BASIS_NAMES)
-            if c != 0.0
-        ]
-        return "Octonion<%s>" % (" ".join(terms) if terms else "0")
-
-
-# ---------------------------------------------------------------------------
 # exponentials, conjugation maps, automorphisms
 # ---------------------------------------------------------------------------
 
-def exp_imag(s, theta: float) -> Octonion:
+def exp_imag(s, theta: float) -> np.ndarray:
     """cos(theta) + sin(theta)*s for an imaginary unit s; always unit norm."""
     sv = _as_coeffs(s)
     if abs(sv[0]) > 1e-9 or abs(onorm(sv) - 1.0) > 1e-9:
         raise ValueError("exp_imag requires an imaginary unit octonion")
     out = np.sin(theta) * sv
     out[0] = np.cos(theta)
-    return Octonion(out)
+    return out
 
 
-def conj_by(u, x) -> Octonion:
+def conj_by(u, x) -> np.ndarray:
     """Conjugation u (x conj(u)) by a unit octonion u.
 
     By flexibility this equals (u x) conj(u).
@@ -288,17 +182,16 @@ def conj_by(u, x) -> Octonion:
     uv, xv = _as_coeffs(u), _as_coeffs(x)
     if abs(onorm(uv) - 1.0) > 1e-9:
         raise ValueError("conj_by requires a unit octonion")
-    return Octonion(omul(uv, omul(xv, oconj(uv))))
+    return omul(uv, omul(xv, oconj(uv)))
 
 
 def _as_basis_map(f) -> np.ndarray:
     """Realize a linear map on octonions as an 8x8 real matrix.
 
-    A callable is applied to each basis Octonion and may return an Octonion
-    or an 8-vector.
+    A callable is applied to each basis 8-vector and returns an 8-vector.
     """
     if callable(f):
-        return np.stack([_as_coeffs(f(Octonion(e))) for e in np.eye(8)], axis=1)
+        return np.stack([_as_coeffs(f(e)) for e in np.eye(8)], axis=1)
     mat = np.asarray(f, dtype=float)
     if mat.shape != (8, 8):
         raise ValueError("expected an 8x8 matrix or a callable on octonions")
@@ -308,8 +201,9 @@ def _as_basis_map(f) -> np.ndarray:
 def is_automorphism(f, tol: float = 1e-9) -> tuple[bool, float]:
     """Whether a linear map on octonions preserves products on all basis pairs.
 
-    Accepts an 8x8 matrix or a callable taking an Octonion; returns (verdict,
-    max residual over the 64 basis pairs, including the f(1) = 1 check).
+    Accepts an 8x8 matrix or a callable that takes and returns an (8,)
+    coefficient array; returns (verdict, max residual over the 64 basis
+    pairs, including the f(1) = 1 check).
     """
     mat = _as_basis_map(f)
     fbasis = mat.T  # row t = image of e_t
@@ -326,7 +220,7 @@ def triality_ell_conjugation_check(tol: float = 1e-12) -> tuple[bool, float]:
     conjugation of the quaternion doubling).  Returns (verdict, max
     residual over the 8 basis octonions).
     """
-    i, j, k = (Octonion.unit(t).coefficients for t in ("i", "j", "k"))
+    i, j, k = np.eye(8)[1:4]
     flip = np.ones(8)
     flip[4:] = -1.0
     q = np.eye(8)
@@ -371,17 +265,17 @@ def _orthonormal(rows: np.ndarray, tol: float) -> np.ndarray:
 # seeded sampling
 # ---------------------------------------------------------------------------
 
-def random_octonion(rng: np.random.Generator, scale: float = 1.0) -> Octonion:
+def random_octonion(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
     """Standard-normal coefficients, optionally rescaled."""
-    return Octonion(rng.standard_normal(8) * scale)
+    return rng.standard_normal(8) * scale
 
 
-def random_unit_octonion(rng: np.random.Generator) -> Octonion:
+def random_unit_octonion(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(8)
-    return Octonion(v / onorm(v))
+    return v / onorm(v)
 
 
-def random_imaginary_unit(rng: np.random.Generator) -> Octonion:
+def random_imaginary_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(8)
     v[0] = 0.0
-    return Octonion(v / onorm(v))
+    return v / onorm(v)

@@ -1,7 +1,8 @@
 """Octonionic matrices as transformations of Hermitian matrices and spinors.
 
-Octonionic matrices are plain (n, n, 8) arrays, stacked as (..., n, n, 8);
-``omatmul`` and ``odagger`` multiply and conjugate them.  Because they do
+Octonionic matrices are plain (n, n, 8) arrays, stacked as (..., n, n, 8),
+and an octonion (a determinant of ``complex_det``) is an (8,) array;
+``omatmul`` and ``odagger`` multiply and conjugate matrices.  Because they do
 not associate, a group element is kept as a :class:`NestedMap`, an ordered
 stack of layers, one (depth, n, n, 8) array, applied strictly inside out:
 
@@ -40,7 +41,6 @@ from .jordan import _Hermitian, hermitian_arrays, hermitian_vectors
 from .octonion import (
     _CONJ_SIGNS,
     _TABLE_ON_RIGHT,
-    Octonion,
     imaginary_rank,
     odagger,
     omatmul,
@@ -333,9 +333,9 @@ def complex_det(M, tol: float = 1e-9):
 
     The entries are mapped into the complex plane spanned by 1 and their
     shared imaginary direction; the determinant is computed there and
-    mapped back.  Raises on non-complex input.  Returns (Octonion, bool)
-    for one matrix, and a (..., 8) array of determinants with a bool array
-    for a (..., n, n, 8) stack.
+    mapped back.  Raises on non-complex input.  Returns the determinant's
+    (8,) coefficients and a bool for one matrix, and a (..., 8) array of
+    determinants with a bool array for a (..., n, n, 8) stack.
     """
     Ma = np.asarray(M, dtype=float)
     if not np.all(is_complex(Ma, tol)):
@@ -350,8 +350,6 @@ def complex_det(M, tol: float = 1e-9):
     det = np.linalg.det(plane)
     coeffs = np.concatenate((det.real[..., None], det.imag[..., None] * direction), axis=-1)
     is_real, _ = _verdicts(Ma, det.imag, tol, degree=Ma.shape[-2])
-    if Ma.ndim == 3:
-        return Octonion(coeffs), is_real
     return coeffs, is_real
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octe6.octonion import (
+    BASIS_NAMES,
     MUL_TENSOR,
-    Octonion,
     conj_by,
     exp_imag,
     is_automorphism,
@@ -28,11 +28,17 @@ from octe6.octonion import (
 
 SEED = 20260810
 
-I = Octonion.unit("i")
-J = Octonion.unit("j")
-K = Octonion.unit("k")
-L = Octonion.unit("l")
-ONE = Octonion.one()
+
+def unit(name: str) -> np.ndarray:
+    """The basis octonion of that name, as its 8 coefficients."""
+    return np.eye(8)[BASIS_NAMES.index(name)]
+
+
+def close(x, y, tol: float = 1e-12) -> bool:
+    return bool(np.allclose(x, y, atol=tol, rtol=0.0))
+
+
+I, J, K, L, ONE = (unit(name) for name in ("i", "j", "k", "l", "1"))
 
 
 def coeff_strategy():
@@ -44,21 +50,21 @@ def coeff_strategy():
 
 class TestTable:
     def test_i_times_j_is_k(self):
-        assert I * J == K
+        assert np.array_equal(omul(I, J), K)
 
     def test_identity_element(self):
         rng = np.random.default_rng(SEED)
         for _ in range(16):
             x = random_octonion(rng)
-            assert (ONE * x).isclose(x)
-            assert (x * ONE).isclose(x)
+            assert close(omul(ONE, x), x)
+            assert close(omul(x, ONE), x)
 
     def test_nonassociative_triple(self):
         # (i j) l and i (j l) differ: the associator of a non-quaternionic triple
-        left = (I * J) * L
-        right = I * (J * L)
-        assert not left.isclose(right, tol=1.0)
-        assert (left - right).isclose(Octonion.unit("kl") * 2.0)
+        left = omul(omul(I, J), L)
+        right = omul(I, omul(J, L))
+        assert not close(left, right, tol=1.0)
+        assert close(left - right, unit("kl") * 2.0)
 
     def test_signed_table_shape_and_diagonal(self):
         table = signed_table()
@@ -129,48 +135,37 @@ def _float_doubling_tensor() -> np.ndarray:
 
 class TestScalarOps:
     def test_conj_of_i(self):
-        assert I.conj() == -I
+        assert np.array_equal(oconj(I), -I)
 
     def test_norm_three_four(self):
         x = ONE * 3.0 + I * 4.0
-        assert x.norm == pytest.approx(5.0)
-
-    def test_inverse_random(self):
-        rng = np.random.default_rng(SEED)
-        for _ in range(32):
-            x = random_octonion(rng)
-            assert (x * x.inverse()).isclose(ONE, tol=1e-12)
-            assert (x.inverse() * x).isclose(ONE, tol=1e-12)
-
-    def test_inverse_of_zero_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            Octonion.zero().inverse()
+        assert onorm(x) == pytest.approx(5.0)
 
     def test_conj_identity(self):
         rng = np.random.default_rng(SEED)
         x = random_octonion(rng)
         # conj(x) = 2 Re(x) - x and x conj(x) = |x|^2
-        assert x.conj().isclose(ONE * (2.0 * x.re) - x)
-        assert (x * x.conj()).isclose(ONE * x.norm**2, tol=1e-12)
+        assert close(oconj(x), ONE * (2.0 * x[0]) - x)
+        assert close(omul(x, oconj(x)), ONE * onorm(x) ** 2, tol=1e-12)
 
 
 class TestExpImag:
     def test_at_zero(self):
-        assert exp_imag(I, 0.0).isclose(ONE)
+        assert close(exp_imag(I, 0.0), ONE)
 
     def test_quarter_turn(self):
-        assert exp_imag(I, np.pi / 2).isclose(I)
+        assert close(exp_imag(I, np.pi / 2), I)
 
     def test_sixth_root(self):
         got = exp_imag(J, np.pi / 3)
         expected = ONE * 0.5 + J * (np.sqrt(3.0) / 2.0)
-        assert got.isclose(expected)
+        assert close(got, expected)
 
     def test_unit_norm(self):
         rng = np.random.default_rng(SEED)
         for _ in range(16):
             q = exp_imag(random_imaginary_unit(rng), rng.uniform(-8, 8))
-            assert q.norm == pytest.approx(1.0)
+            assert onorm(q) == pytest.approx(1.0)
 
     def test_rejects_non_imaginary(self):
         with pytest.raises(ValueError):
@@ -182,27 +177,27 @@ class TestExpImag:
 class TestConjBy:
     def test_orthogonal_imaginary_unit(self):
         # i (j conj(i)) = -i j i = -j under this table
-        assert conj_by(I, J).isclose(-J)
+        assert close(conj_by(I, J), -J)
 
     def test_fixes_one(self):
         rng = np.random.default_rng(SEED)
         for _ in range(16):
-            assert conj_by(random_unit_octonion(rng), ONE).isclose(ONE)
+            assert close(conj_by(random_unit_octonion(rng), ONE), ONE)
 
     def test_sixth_root_multiplicative_on_basis(self):
         u = exp_imag(I, np.pi / 3)
-        for a in Octonion.basis():
-            for b in Octonion.basis():
-                lhs = conj_by(u, a * b)
-                rhs = conj_by(u, a) * conj_by(u, b)
-                assert lhs.isclose(rhs, tol=1e-12)
+        for a in np.eye(8):
+            for b in np.eye(8):
+                lhs = conj_by(u, omul(a, b))
+                rhs = omul(conj_by(u, a), conj_by(u, b))
+                assert close(lhs, rhs, tol=1e-12)
 
     def test_isometry_for_any_unit(self):
         rng = np.random.default_rng(SEED)
         for _ in range(32):
             u = random_unit_octonion(rng)
             x = random_octonion(rng)
-            assert conj_by(u, x).norm == pytest.approx(x.norm, rel=1e-12)
+            assert onorm(conj_by(u, x)) == pytest.approx(onorm(x), rel=1e-12)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
@@ -217,14 +212,14 @@ class TestAutomorphism:
     @pytest.mark.parametrize("qname", ["i", "j", "l"])
     @pytest.mark.parametrize("k", range(6))
     def test_sixth_roots_are_automorphisms(self, qname, k):
-        u = exp_imag(Octonion.unit(qname), k * np.pi / 3)
+        u = exp_imag(unit(qname), k * np.pi / 3)
         ok, res = is_automorphism(lambda x: conj_by(u, x))
         assert ok, f"residual {res}"
 
     @pytest.mark.parametrize("qname", ["i", "j", "l"])
     @pytest.mark.parametrize("theta", [np.pi / 4, np.pi / 5])
     def test_other_angles_are_not(self, qname, theta):
-        u = exp_imag(Octonion.unit(qname), theta)
+        u = exp_imag(unit(qname), theta)
         ok, res = is_automorphism(lambda x: conj_by(u, x))
         assert not ok
         assert res >= 1e-2
@@ -248,13 +243,13 @@ def _automorphism_residual_loop(mat: np.ndarray) -> float:
 class TestAutomorphismOracle:
     def test_matches_basis_pair_loop(self):
         rng = np.random.default_rng(SEED)
-        u = exp_imag(Octonion.unit("jl"), np.pi / 3)
-        v = exp_imag(Octonion.unit("k"), np.pi / 5)
+        u = exp_imag(unit("jl"), np.pi / 3)
+        v = exp_imag(unit("k"), np.pi / 5)
         q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
         rotation = np.eye(8)
         rotation[1:, 1:] = q
         maps = [np.eye(8), rotation, rng.standard_normal((8, 8))]
-        maps += [np.stack([conj_by(w, Octonion(e)).coefficients for e in np.eye(8)], axis=1)
+        maps += [np.stack([conj_by(w, e) for e in np.eye(8)], axis=1)
                  for w in (u, v)]
         for mat in maps:
             ok, res = is_automorphism(mat)
@@ -344,7 +339,7 @@ class TestProductKernels:
         assert got[~nan].tobytes() == ref[~nan].tobytes()
 
     def test_omul_accepts_sequences(self):
-        assert np.array_equal(omul(I.coefficients.tolist(), J.coefficients.tolist()), K.coefficients)
+        assert np.array_equal(omul(I.tolist(), J.tolist()), K)
 
     def test_oconj_keeps_sign_of_zero(self):
         x = np.array([-0.0, -0.0, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0])
@@ -368,12 +363,11 @@ class TestEllConjugation:
 
     def test_basis_cases(self):
         # q = 1: k (j (i 1)) = 1;  q = l: both sides equal -l
-        i, j, k, ell = (Octonion.unit(n) for n in ("i", "j", "k", "l"))
-        assert (k * (j * (i * ONE))).isclose(ONE)
-        lhs = k * (j * (i * ell))
-        rhs = ((ell * i.conj()) * j.conj()) * k.conj()
-        assert lhs.isclose(-ell)
-        assert rhs.isclose(-ell)
+        assert close(omul(K, omul(J, omul(I, ONE))), ONE)
+        lhs = omul(K, omul(J, omul(I, L)))
+        rhs = omul(omul(omul(L, oconj(I)), oconj(J)), oconj(K))
+        assert close(lhs, -L)
+        assert close(rhs, -L)
 
 
 class TestSubalgebraDimension:
@@ -386,7 +380,7 @@ class TestSubalgebraDimension:
         (("j", "kl"), 4),
     ])
     def test_basis_generators(self, names, expected):
-        gens = [Octonion.unit(n) for n in names]
+        gens = [unit(n) for n in names]
         assert subalgebra_dimension(gens) == expected
 
     def test_random_octonion_generates_complex_line(self):
@@ -402,14 +396,14 @@ class TestSubalgebraDimension:
         assert subalgebra_dimension(pair) == 4
         assert subalgebra_dimension(pair[:1]) == 2
         assert subalgebra_dimension(pair + [L * scale]) == 8
-        assert subalgebra_dimension([ONE * scale, Octonion.zero()]) == 1
+        assert subalgebra_dimension([ONE * scale, np.zeros(8)]) == 1
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_generator_raises(self, bad):
         g = np.zeros(8)
         g[2] = bad
         with pytest.raises(ValueError, match="finite"):
-            subalgebra_dimension([Octonion.unit("i"), g])
+            subalgebra_dimension([I, g])
 
 
 class TestAlgebraLaws:
@@ -469,15 +463,3 @@ class TestAlgebraLaws:
         x, y = rng.standard_normal((2, 8))
         assert np.allclose(oconj(omul(x, y)), omul(oconj(y), oconj(x)), atol=1e-12)
 
-
-class TestImmutability:
-    def test_octonion_coefficients_are_readonly(self):
-        x = Octonion.unit("i")
-        with pytest.raises(ValueError):
-            x.coefficients[0] = 5.0
-
-    def test_constructor_copies_input(self):
-        buf = np.zeros(8)
-        x = Octonion(buf)
-        buf[0] = 99.0
-        assert x == Octonion.zero()
