@@ -61,7 +61,6 @@ from .cayley import (
     dirac_equiv_check,
     dirac_residual,
     dirac_solve,
-    e6_preserves_class_check,
     psquare_decompose,
     trace_reversal,
 )

@@ -41,7 +41,6 @@ from .jordan import (
     jordan_product,
 )
 from .octonion import _as_coeffs, oconj, omatmul, omul, onorm, subalgebra_dimension
-from .transform import NestedMap
 
 
 class CayleySpinor:
@@ -306,11 +305,6 @@ def classify(A: JordanMatrix) -> int:
     if abs(trace / norm) > CLASS_TOL:
         return 1
     return 0
-
-
-def e6_preserves_class_check(nm: NestedMap, A: JordanMatrix) -> bool:
-    """Whether a nested map leaves the p-square class of A unchanged."""
-    return classify(nm.apply(A)) == classify(A)
 
 
 # ---------------------------------------------------------------------------

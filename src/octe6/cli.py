@@ -254,6 +254,10 @@ def _load_json(path: str, parse):
             data = json.load(handle, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise CliInputError(f"no such file: {path}")
+    except OSError as exc:  # a directory, an unreadable file
+        raise CliInputError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except CliInputError as exc:

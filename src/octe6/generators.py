@@ -36,15 +36,15 @@ automorphism subgroup uses four-flip curves
     [s I, (s cos t + sw sin t) I, u I, (u cos t - uw sin t) I]
 
 whose entrywise action on a Jordan matrix is a single octonion
-automorphism.  Tangents of those curves at t = 0 are linear in w, so the
-triples (s, u, w) are enumerated over all ordered pairs of distinct
-imaginary basis units and every admissible basis w; that enumeration
-saturates the 14-dimensional span.
+automorphism.  Of the 210 triples (s, u, w) of distinct imaginary basis
+units, 42 give the element 0 and the rest +- one of 21 elements, so the
+roster keeps one triple per element (``g2_curves``); the 21 span the
+14-dimensional algebra.
 
 A curve's Lie algebra element is the tangent of its 27x27 operator at
 t = 0, right-translated to the identity; dimensions are numerical ranks
 of the flattened elements over their support columns, the coordinates of
-the 729 that some element uses (G2's 210 elements use 126, E6's 675).
+the 729 that some element uses (G2's 21 elements use 126, E6's 675).
 Roster layers have entries in {0, +-1} and rates in {0, 1/2, 1}, so the
 elements are exact half-integer matrices.
 Inside one slot the 27 coordinates split as 10 + 16 + 1 under the double
@@ -59,7 +59,7 @@ signed permutation, Q_d the product of the operators of the layers
 outside d, and L'_d = (op(M_d + M'_d) - op(M_d - M'_d)) / 2 the layer's
 tangent, exact because a layer is quadratic in M_d (M'_d from ``JETS``).
 Layers inside the innermost moving one drop out.  Roster blocks repeat
-heavily (G2's 210 curves have 70 distinct blocks M_d, M_d +- M'_d; E6's
+heavily (G2's 21 curves have 48 distinct blocks M_d, M_d +- M'_d; E6's
 three slots share 97), so ``lie_elements`` keeps each distinct block once
 and acts with all of them by one ``linear_ops`` and one ``omatmul`` call.
 The work runs in passes of curves of one rates tuple whose 27x27 elements
@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .jordan import JordanMatrix, hermitian_vectors
-from .octonion import _as_coeffs, _numerical_rank, oconj, omatmul, omul, onorm
+from .octonion import _as_coeffs, _numerical_rank, oconj, omatmul, omul, onorm, signed_table
 from .transform import _ACT_BYTES, NestedMap, _hermitian_basis, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
@@ -197,16 +197,18 @@ def flip_pair_curves(slot: int) -> list[GeneratorCurve]:
 
 
 def g2_curves(slot: int = 0) -> list[GeneratorCurve]:
-    """Four-flip automorphism curves over all admissible (s, u, w) triples.
+    """The 21 four-flip automorphism curves with distinct Lie elements.
 
-    s and u run over ordered pairs of distinct imaginary basis units and w
-    over the remaining imaginary basis units (so that s w and u w are again
-    imaginary units): 210 curves whose tangents span the full automorphism
-    algebra.
+    The six imaginary units other than w lie on three lines {x, x w}.  A
+    triple (s, u, w) with s and u on one line has element 0, and every s
+    on one line with u on another gives +- the same element, so one triple
+    per pair of lines is kept: s < u, each the smaller unit of its line.
+    Their 21 elements span the 14-dimensional automorphism algebra.
     """
     n = len(IMAGINARY_UNITS)
-    triples = [(s, u, w) for s in range(n) for u in range(n) if u != s
-               for w in range(n) if w not in (s, u)]
+    times = np.abs(signed_table()[1:, 1:]) - 2  # times[s, w]: IMAGINARY_UNITS index of +-e_s e_w
+    triples = [(s, u, w) for s in range(n) for u in range(s + 1, n)
+               for w in range(n) if w not in (s, u) and s < times[s, w] and u < times[u, w]]
     S, U, W = _UNITS[1 + np.array(triples).T]
     A = _times_identity(np.stack([S, S, U, U], axis=1))
     zero = np.zeros_like(S)

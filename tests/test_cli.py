@@ -57,7 +57,7 @@ class TestVerify:
         assert code == 0
         report = json.loads(out)
         assert report["rank"] == 14 and report["expected"] == 14
-        assert report["curve_count"] == 210
+        assert report["curve_count"] == 21
         assert report["pass"] is True
         assert len(report["singular_values_head"]) == 8
 
@@ -281,6 +281,40 @@ class TestDecompose:
         code, _, err = run_cli(capsys, "decompose", "/nonexistent/x.json")
         assert code == 2
         assert "no such file" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("decompose", "{dir}"),
+        ("dirac", "{dir}"),
+        ("decompose", "{matrix}", "--apply", "{dir}"),
+    ])
+    def test_directory_input_exits_2_naming_it(self, capsys, tmp_path, argv):
+        # exit 1 is a failed check; a path that cannot be read is a usage error
+        matrix = tmp_path / "matrix.json"
+        matrix.write_text(json.dumps({"diag": [1, 2, 3], "a": [0] * 8, "b": [0] * 8, "c": [0] * 8}))
+        folder = tmp_path / "inputs"
+        folder.mkdir()
+        code, out, err = run_cli(capsys, *(a.format(dir=folder, matrix=matrix) for a in argv))
+        assert code == 2 and out == ""
+        assert f"{folder}: " in err
+
+    def test_unreadable_file_exits_2_naming_it(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "locked.json"
+        path.write_text("{}")
+
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("builtins.open", denied)
+        code, _, err = run_cli(capsys, "decompose", str(path))
+        assert code == 2
+        assert f"{path}: Permission denied" in err
+
+    def test_non_utf8_file_names_it(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"diag": [1, 2, 3], "note": "\xe9"}')
+        code, _, err = run_cli(capsys, "decompose", str(path))
+        assert code == 2
+        assert str(path) in err
 
     def test_missing_field(self, capsys, tmp_path):
         path = tmp_path / "short.json"

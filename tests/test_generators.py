@@ -46,6 +46,16 @@ from octe6.transform import (
 SEED = 16180
 
 
+def _four_flip(key, slot=0):
+    """The G2 roster's four-flip curve four-flip[key,slotN]."""
+    return next(c for c in g2_curves(slot) if c.label == f"four-flip[{key},slot{slot}]")
+
+
+def _signed(elements):
+    """The bytes of +-e for each element e; 0.0 - e keeps the zeros positive, as elements have them."""
+    return {e.tobytes() for e in elements} | {(0.0 - e).tobytes() for e in elements}
+
+
 class TestRosterStructure:
     def test_curve_counts(self):
         assert len(roster("E6")) == 135
@@ -54,7 +64,8 @@ class TestRosterStructure:
         assert len(roster("SO9")) == 36
         assert len(roster("SO8")) == 28
         assert len(roster("SO7")) == 21
-        assert len(roster("G2")) == 210
+        for slot in (0, 1, 2):
+            assert len(roster("G2", slot=slot)) == 21
 
     def test_unknown_group(self):
         with pytest.raises(ValueError):
@@ -79,7 +90,7 @@ class TestRosterStructure:
         flips = flip_pair_curves(0)
         sample = (list(boost_curves(0)) + list(rotation_curves(0))
                   + list(transverse_curves(0)) + [flips[0], flips[10], flips[20]]
-                  + [g2_curves(0)[17]])
+                  + [_four_flip("i,jl;w=k")])
         for curve in sample:
             for block in curve.layer_arrays([rng.uniform(-1.2, 1.2)])[0]:
                 layer = embed(block, curve.slot)
@@ -226,10 +237,17 @@ def _reference_four_flips(slot):
 
 
 def _reference_roster(group, slot):
-    """(label, blocks) pairs in the order of the closure-based roster."""
+    """(label, blocks) pairs in the order of the closure-based roster.
+
+    G2's roster keeps one four-flip per distinct element, so its reference
+    is the full enumeration's entries under the roster's labels.
+    """
     rotations = [_reference_rotations, _reference_transverse, _reference_flip_pairs]
     families = {"SO91": [_reference_boosts] + rotations, "SO9": rotations,
-                "SO8": rotations[1:], "SO7": rotations[2:], "G2": [_reference_four_flips]}
+                "SO8": rotations[1:], "SO7": rotations[2:]}
+    if group == "G2":
+        labels = {c.label for c in g2_curves(slot)}
+        return [c for c in _reference_four_flips(slot) if c[0] in labels]
     if group in families:
         return [c for family in families[group] for c in family(slot)]
     families = rotations if group == "F4" else [_reference_boosts] + rotations
@@ -337,6 +355,13 @@ class TestStackedLieElements:
             assert set(np.unique(base)) <= {-1.0, 0.0, 1.0}, curve.label
             assert np.array_equal(base @ base.T, np.eye(27)), curve.label
 
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
+    def test_elements_nonzero_and_distinct_up_to_sign(self, group, slot):
+        # a roster holds only what its span needs: no zero element and no +- repeat
+        elements = lie_elements(roster(group, slot=slot))
+        assert all(e.any() for e in elements)
+        assert len(_signed(elements)) == 2 * len(elements)
+
     def test_singular_base_in_stack_rejected(self):
         # the degenerate curve shares a pass with the rotations
         items = boost_curves(0)[:3] + [_degenerate] + rotation_curves(0)[:3]
@@ -386,7 +411,7 @@ class TestStackedLieElements:
         with pytest.raises(ValueError):  # but its op must still be orthogonal
             lie_element(GeneratorCurve("scaled[slot1]", 1, "trig", (0.0, 0.5), 2.0 * A, B))
 
-    @pytest.mark.parametrize("group, distinct", [("G2", 70), ("E6", 97)])
+    @pytest.mark.parametrize("group, distinct", [("G2", 48), ("E6", 97)])
     def test_each_distinct_block_acted_on_once(self, monkeypatch, group, distinct):
         # E6's three slots share their 2x2 blocks: 97 blocks for 289 embedded layers
         built = _spy_on_linear_ops(monkeypatch)
@@ -566,7 +591,7 @@ class TestSpans:
 
 class TestG2:
     def test_paper_curve_fixes_k_and_l(self):
-        curve = next(c for c in g2_curves(0) if c.label.startswith("four-flip[i,j;w=l"))
+        curve = _four_flip("i,j;w=l")
         op = curve(0.3).as_linear_op()
         amap = op[3:11, 3:11]
         for name in ("k", "l", "kl"):
@@ -574,7 +599,7 @@ class TestG2:
             assert np.allclose(amap @ e, e, atol=1e-10)
 
     def test_entrywise_single_automorphism(self):
-        curve = g2_curves(0)[0]
+        curve = _four_flip("j,kl;w=i")
         for theta in (0.3, 1.1):
             op = curve(theta).as_linear_op()
             amap, bmap, cmap = op[3:11, 3:11], op[11:19, 11:19], op[19:27, 19:27]
@@ -585,7 +610,7 @@ class TestG2:
             assert ok, res
 
     def test_no_cross_slot_mixing(self):
-        op = g2_curves(0)[5](0.7).as_linear_op()
+        op = _four_flip("kl,jl;w=k")(0.7).as_linear_op()
         mask = np.ones((27, 27), dtype=bool)
         for block in (slice(0, 3), slice(3, 11), slice(11, 19), slice(19, 27)):
             mask[block, block] = False
@@ -599,7 +624,7 @@ class TestG2:
         theta = 0.52
         q2 = np.cos(theta) * i + np.sin(theta) * omul(i, ell)
         q4 = np.cos(theta) * j - np.sin(theta) * omul(j, ell)
-        curve = next(c for c in g2_curves(0) if c.label.startswith("four-flip[i,j;w=l"))
+        curve = _four_flip("i,j;w=l")
         nested = curve(theta).as_linear_op()
 
         def scalar3(v):
@@ -612,6 +637,19 @@ class TestG2:
 
     def test_rank_saturates(self):
         assert lie_rank(g2_curves(0)) == 14
+
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_full_enumeration_adds_only_zero_and_signs(self, slot):
+        # all 210 admissible (s, u, w) triples give 0 and +- the roster's 21 elements
+        found = set()
+        for label, blocks in _reference_four_flips(slot):
+            def closure(t, blocks=blocks):
+                return NestedMap([embed(M, slot) for M in blocks(t)])
+            fd = _lie_element_per_curve(closure)
+            exact = np.round(2.0 * fd) / 2.0 + 0.0  # + 0.0 turns -0.0 into 0.0
+            assert np.abs(fd - exact).max() <= 1e-9, label
+            found.add(exact.tobytes())
+        assert found == _signed(lie_elements(g2_curves(slot))) | {np.zeros((27, 27)).tobytes()}
 
     def test_slot_spans_equal(self):
         a = [lie_element(c) for c in g2_curves(0)]
