@@ -78,7 +78,7 @@ def input_commands(workdir: Path) -> list[list[str]]:
         matrices.append(("generic", jordan.random_jordan(rng, scale)))
     for mu in (-1.0, 0.5):
         # mu I plus a rank-1 square: eigenvalues mu + tr, mu, mu
-        matrices.append(("two-cluster", identity * mu + random_quaternionic_spinor(rng).square()))
+        matrices.append(("two-cluster", identity * mu + jordan.spinor_square(random_quaternionic_spinor(rng))))
     for eps in (1e-9, 1e-3):
         noise = jordan.JordanMatrix.from_vector(np.r_[np.zeros(3), rng.standard_normal(24)])
         matrices.append(("near-identity", identity + noise * eps))

@@ -54,7 +54,6 @@ from .generators import (
     span_equal,
 )
 from .cayley import (
-    CayleySpinor,
     PSquareDecomposition,
     cayley_plane_check,
     classify,

@@ -1,7 +1,8 @@
 """Cayley spinors, the octonionic Dirac equation, and p-square decomposition.
 
-A :class:`CayleySpinor` is a 3-component octonionic column (theta1, theta2,
-conj(xi)).  Its square is the Hermitian rank-1-style matrix
+A Cayley spinor is a (3, 8) array: the octonion column (theta1, theta2,
+conj(xi)).  ``jordan.spinor_square`` squares it into the Hermitian
+rank-1-style matrix
 
     [[theta theta^dagger, theta xi], [(theta xi)^dagger, |xi|^2]]
 
@@ -39,54 +40,9 @@ from .jordan import (
     block_split,
     freudenthal,
     jordan_product,
+    spinor_square,
 )
-from .octonion import _as_coeffs, oconj, omatmul, omul, onorm, subalgebra_dimension
-
-
-class CayleySpinor:
-    """Two-component spinor plus an octonionic scalar, as one column."""
-
-    __slots__ = ("theta", "xi")
-
-    def __init__(self, theta, xi):
-        th = np.array(theta, dtype=float).reshape(2, 8)
-        th.setflags(write=False)
-        x = np.array(_as_coeffs(xi))
-        x.setflags(write=False)
-        self.theta = th
-        self.xi = x
-
-    @classmethod
-    def from_octonions(cls, theta1, theta2, xi) -> "CayleySpinor":
-        return cls(np.stack([_as_coeffs(theta1), _as_coeffs(theta2)]), xi)
-
-    @property
-    def norm_sq(self) -> float:
-        """theta^dagger theta + |xi|^2, the trace of the square."""
-        return float(np.sum(self.theta**2) + self.xi @ self.xi)
-
-    def column(self) -> np.ndarray:
-        """The (3, 8) column (theta1, theta2, conj(xi))."""
-        return np.vstack([self.theta, oconj(self.xi)[None, :]])
-
-    def square(self) -> JordanMatrix:
-        """The Hermitian square Psi Psi^dagger."""
-        th1, th2, xi = self.theta[0], self.theta[1], self.xi
-        return JordanMatrix(
-            float(th1 @ th1),
-            float(th2 @ th2),
-            float(xi @ xi),
-            a=omul(th2, oconj(th1)),
-            b=oconj(omul(th2, xi)),
-            c=omul(th1, xi),
-        )
-
-    def subalgebra_dim(self, tol: float = 1e-9) -> int:
-        """Dimension of the subalgebra generated by the three components."""
-        return subalgebra_dimension([self.theta[0], self.theta[1], self.xi], tol)
-
-    def __repr__(self):
-        return f"CayleySpinor(norm_sq={self.norm_sq:g})"
+from .octonion import oconj, omatmul, omul, onorm, subalgebra_dimension
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +99,13 @@ def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
     return theta
 
 
-def dirac_equiv_check(psi: CayleySpinor) -> tuple[float, float]:
-    """(Freudenthal-square norm, 2x2 Dirac residual) of a spinor's square.
+def dirac_equiv_check(psi: np.ndarray) -> tuple[float, float]:
+    """(Freudenthal-square norm, 2x2 Dirac residual) of a (3, 8) spinor's square.
 
     Both vanish exactly when the spinor's components stay inside an
     associative subalgebra.
     """
-    square = psi.square()
+    square = spinor_square(psi)
     freud = freudenthal(square, square)
     P, spinor, _ = block_split(square)
     return freud.norm, dirac_residual(P, spinor)
@@ -311,19 +267,18 @@ def classify(A: JordanMatrix) -> int:
 # seeded sampling
 # ---------------------------------------------------------------------------
 
-def random_quaternionic_spinor(rng: np.random.Generator, scale: float = 1.0) -> CayleySpinor:
-    """Components drawn in the quaternion subalgebra span{1, i, j, k}."""
-    theta = np.zeros((2, 8))
-    theta[:, :4] = rng.standard_normal((2, 4)) * scale
-    xi = np.zeros(8)
-    xi[:4] = rng.standard_normal(4) * scale
-    return CayleySpinor(theta, xi)
+def random_quaternionic_spinor(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """A (3, 8) spinor with theta, then xi, drawn in the quaternions span{1, i, j, k}."""
+    psi = np.zeros((3, 8))
+    psi[:, :4] = rng.standard_normal((3, 4)) * scale
+    psi[2] = oconj(psi[2])
+    return psi
 
 
-def random_octonionic_spinor(rng: np.random.Generator, scale: float = 1.0) -> CayleySpinor:
-    """Full-octonionic spinor; redrawn until the components generate all of O."""
+def random_octonionic_spinor(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+    """A full-octonionic (3, 8) spinor; redrawn until the components generate all of O."""
     while True:
-        psi = CayleySpinor(rng.standard_normal((2, 8)) * scale,
-                           rng.standard_normal(8) * scale)
-        if psi.subalgebra_dim() == 8:
+        psi = rng.standard_normal((3, 8)) * scale
+        psi[2] = oconj(psi[2])
+        if subalgebra_dimension(psi) == 8:
             return psi

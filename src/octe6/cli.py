@@ -212,8 +212,7 @@ def cmd_triality(args) -> dict:
                      float(np.abs(blocks[0] - blocks[2]).max()))
     checks.append(_bound("four-flip-entrywise-equality", eq_res, 1e-8))
 
-    ok, res = octonion.triality_ell_conjugation_check()
-    checks.append(_bound("l-conjugation-identity", res, 1e-12))
+    checks.append(_bound("l-conjugation-identity", octonion.triality_ell_conjugation_check(), 1e-12))
 
     return {
         "suite": "triality",
@@ -252,6 +251,7 @@ def _load_json(path: str, parse):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle, parse_constant=_reject_constant)
+        numeric = _numeric(data)
     except FileNotFoundError:
         raise CliInputError(f"no such file: {path}")
     except OSError as exc:  # a directory, an unreadable file
@@ -262,11 +262,13 @@ def _load_json(path: str, parse):
         raise CliInputError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
     except CliInputError as exc:
         raise CliInputError(f"{path}: {exc}")
-    if not _numeric(data):
+    except RecursionError:  # json.load and _numeric descend one call per level
+        raise CliInputError(f"{path}: JSON nested too deeply") from None
+    if not numeric:
         raise CliInputError(f"{path}: a value is not a number")
     try:
         return parse(data)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an int beyond any float
         raise CliInputError(f"{path}: {exc}") from None
 
 

@@ -27,6 +27,8 @@ the second invariant of a JordanMatrix are evaluated in closed form on its
 ``det3`` equals the triple-product form tr[X, X, X]/3 (``triple``) up to
 rounding.  Eigenvalues come from the trigonometric solution of the
 characteristic cubic, whose roots are real for every Hermitian input.
+``spinor_square`` gives psi psi^dagger: a Hermitian2 for a (2, 8) column
+psi, a JordanMatrix for a Cayley spinor (theta1, theta2, conj(xi)).
 
 One matrix's invariants are computed once, in one pass, and kept on the
 matrix: ``_scaled_invariants`` divides the coordinates by the power of two
@@ -460,14 +462,25 @@ def block_split(J: JordanMatrix) -> tuple[Hermitian2, np.ndarray, float]:
     return Hermitian2(J.p, J.m, J.a), theta, J.n
 
 
-def spinor_square(theta: np.ndarray) -> Hermitian2:
-    """theta theta^dagger for a 2-component octonion column."""
-    theta = np.asarray(theta, dtype=float).reshape(2, 8)
-    return Hermitian2(
-        float(theta[0] @ theta[0]),
-        float(theta[1] @ theta[1]),
-        omul(theta[1], oconj(theta[0])),
-    )
+# per size: the square's class and, for each stored entry in coordinate
+# order, the factors (left, right) of psi_left conj(psi_right)
+_SQUARES = {2: (Hermitian2, [1], [0]), 3: (JordanMatrix, [1, 1, 0], [0, 2, 2])}
+
+
+def spinor_square(psi: np.ndarray) -> Hermitian2 | JordanMatrix:
+    """psi psi^dagger for a (2, 8) or (3, 8) octonion column; ValueError for any other shape.
+
+    Diagonal entry d is psi_d . psi_d.  The stored entries (r, c) are
+    psi_r conj(psi_c), from one batched omul, except that (2, 1) is formed
+    as conj(psi_1 conj(psi_2)), equal up to rounding.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.shape not in ((2, 8), (3, 8)):
+        raise ValueError(f"expected a (2, 8) or (3, 8) octonion column, got shape {psi.shape}")
+    cls, left, right = _SQUARES[len(psi)]
+    entries = omul(psi[left], oconj(psi[right]))
+    entries[1:2] = oconj(entries[1:2])  # (2, 1), when there is one
+    return cls._wrap(np.concatenate([[x @ x for x in psi], entries.ravel()]))
 
 
 def lorentz_inner(X: Hermitian2, Y: Hermitian2) -> float:

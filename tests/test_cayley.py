@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from octe6 import cayley
 from octe6.cayley import (
-    CayleySpinor,
     cayley_plane_check,
     classify,
     dirac_equiv_check,
@@ -27,7 +27,7 @@ from octe6.jordan import (
     sigma,
     spinor_square,
 )
-from octe6.octonion import omul, onorm
+from octe6.octonion import oconj, omul, onorm, subalgebra_dimension
 from octe6.generators import roster
 from octe6.transform import NestedMap
 
@@ -41,14 +41,14 @@ E11 = JordanMatrix.diag(1, 0, 0)
 class TestSquare:
     def test_unit_spinor_gives_corner_idempotent(self):
         one, zero = np.eye(8)[0], np.zeros(8)
-        psi = CayleySpinor.from_octonions(one, zero, zero)
-        assert psi.square().isclose(E11)
+        psi = np.stack([one, zero, zero])
+        assert spinor_square(psi).isclose(E11)
 
     def test_all_ones_normalized(self):
         scale = 1.0 / np.sqrt(3.0)
         one = np.eye(8)[0]
-        psi = CayleySpinor.from_octonions(one * scale, one * scale, one * scale)
-        sq = psi.square()
+        psi = np.stack([one * scale, one * scale, one * scale])
+        sq = spinor_square(psi)
         assert sq.trace == pytest.approx(1.0)
         assert cayley_plane_check(sq)
 
@@ -56,19 +56,19 @@ class TestSquare:
         rng = np.random.default_rng(SEED)
         for _ in range(16):
             psi = random_quaternionic_spinor(rng)
-            sq = psi.square()
+            sq = spinor_square(psi)
+            norm_sq = np.sum(psi**2)
             lam = eigenvalues(sq)
-            assert lam[0] == pytest.approx(psi.norm_sq, rel=1e-9)
-            assert abs(lam[1]) <= 1e-8 * max(1.0, psi.norm_sq)
-            assert abs(lam[2]) <= 1e-8 * max(1.0, psi.norm_sq)
+            assert lam[0] == pytest.approx(norm_sq, rel=1e-9)
+            assert abs(lam[1]) <= 1e-8 * max(1.0, norm_sq)
+            assert abs(lam[2]) <= 1e-8 * max(1.0, norm_sq)
             assert det3(sq) == pytest.approx(0.0, abs=1e-9 * max(1.0, sq.norm**3))
 
     def test_sigma_vanishes_for_any_spinor(self):
         # second invariant of a spinor square is identically zero, octonionic or not
         rng = np.random.default_rng(SEED)
         for _ in range(16):
-            psi = random_octonionic_spinor(rng)
-            sq = psi.square()
+            sq = spinor_square(random_octonionic_spinor(rng))
             assert abs(sigma(sq)) <= 1e-10 * max(1.0, sq.norm**2)
 
     def test_octonionic_square_breaks_rank_one(self):
@@ -80,11 +80,36 @@ class TestSquare:
 
     def test_square_matches_outer_product(self):
         rng = np.random.default_rng(SEED)
-        psi = CayleySpinor(rng.standard_normal((2, 8)), rng.standard_normal(8))
-        col = psi.column()
-        outer = omul(col[:, None, :], np.array([[1.0] + [-1.0] * 7]) * col[None, :, :])
-        sq = psi.square().to_array()
+        psi = rng.standard_normal((3, 8))
+        outer = omul(psi[:, None, :], oconj(psi[None, :, :]))
+        sq = spinor_square(psi).to_array()
         assert np.allclose(sq, outer, atol=1e-12)
+
+
+class TestRandomSpinors:
+    # each draws theta, then xi, and stores the column (theta1, theta2, conj(xi))
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 3.0])
+    def test_quaternionic_draw(self, scale):
+        psi = random_quaternionic_spinor(np.random.default_rng(SEED), scale)
+        rng = np.random.default_rng(SEED)
+        theta = np.zeros((2, 8))
+        theta[:, :4] = rng.standard_normal((2, 4)) * scale
+        xi = np.zeros(8)
+        xi[:4] = rng.standard_normal(4) * scale
+        assert psi.shape == (3, 8)
+        assert psi.tobytes() == np.vstack([theta, oconj(xi)]).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-10, 3.0])
+    def test_octonionic_draw(self, scale):
+        psi = random_octonionic_spinor(np.random.default_rng(SEED), scale)
+        rng = np.random.default_rng(SEED)
+        while True:
+            theta = rng.standard_normal((2, 8)) * scale
+            xi = rng.standard_normal(8) * scale
+            if subalgebra_dimension([theta[0], theta[1], xi]) == 8:
+                break
+        assert psi.shape == (3, 8)
+        assert psi.tobytes() == np.vstack([theta, oconj(xi)]).tobytes()
 
 
 class TestTraceReversal:
@@ -204,25 +229,22 @@ class TestDiracEquivalence:
             assert freud_norm >= 1e-3
 
     def test_zero_spinor(self):
-        psi = CayleySpinor(np.zeros((2, 8)), np.zeros(8))
-        assert dirac_equiv_check(psi) == (0.0, 0.0)
+        assert dirac_equiv_check(np.zeros((3, 8))) == (0.0, 0.0)
 
     def test_small_spinor_draw_returns(self, monkeypatch):
         # the redraw loop waits for dimension 8, which a spinor scaled by
         # 1e-10 never had while the closure's cut was absolute
         calls = []
-        real = CayleySpinor.subalgebra_dim
 
         def counted(psi, *args):
             calls.append(psi)
             assert len(calls) <= 8, "the redraw loop does not end"
-            return real(psi, *args)
+            return subalgebra_dimension(psi, *args)
 
-        monkeypatch.setattr(CayleySpinor, "subalgebra_dim", counted)
+        monkeypatch.setattr(cayley, "subalgebra_dimension", counted)
         psi = random_octonionic_spinor(np.random.default_rng(SEED), scale=1e-10)
         ref = random_octonionic_spinor(np.random.default_rng(SEED))
-        assert np.array_equal(psi.theta, ref.theta * 1e-10)
-        assert np.array_equal(psi.xi, ref.xi * 1e-10)
+        assert np.array_equal(psi, ref * 1e-10)
 
     def test_equivalence_tracks_subalgebra_dimension(self):
         rng = np.random.default_rng(SEED)
@@ -230,7 +252,7 @@ class TestDiracEquivalence:
             psi = (random_quaternionic_spinor(rng) if rng.uniform() < 0.5
                    else random_octonionic_spinor(rng))
             freud_norm, _ = dirac_equiv_check(psi)
-            if psi.subalgebra_dim() <= 4:
+            if subalgebra_dimension(psi) <= 4:
                 assert freud_norm <= 1e-9
             else:
                 assert freud_norm > 1e-3
@@ -246,14 +268,13 @@ class TestCayleyPlane:
     def test_normalized_quaternionic_squares(self):
         rng = np.random.default_rng(SEED)
         for _ in range(16):
-            psi = random_quaternionic_spinor(rng)
-            sq = psi.square() * (1.0 / psi.norm_sq)
-            assert cayley_plane_check(sq)
+            sq = spinor_square(random_quaternionic_spinor(rng))
+            assert cayley_plane_check(sq * (1.0 / sq.trace))
 
     def test_unnormalized_squares_fail(self):
         rng = np.random.default_rng(SEED)
-        psi = random_quaternionic_spinor(rng)
-        assert not cayley_plane_check(psi.square() * (2.0 / psi.norm_sq))
+        sq = spinor_square(random_quaternionic_spinor(rng))
+        assert not cayley_plane_check(sq * (2.0 / sq.trace))
 
     def test_huge_entries_with_trace_one_fail(self):
         # P o P would overflow; the check is formed on P over its largest coordinate
@@ -261,16 +282,16 @@ class TestCayleyPlane:
 
     @pytest.mark.parametrize("scale", [1e-300, 1e300])
     def test_scaled_idempotents_fail(self, scale):
-        psi = random_quaternionic_spinor(np.random.default_rng(SEED))
-        for P in (E11, psi.square() * (1.0 / psi.norm_sq)):
+        sq = spinor_square(random_quaternionic_spinor(np.random.default_rng(SEED)))
+        for P in (E11, sq * (1.0 / sq.trace)):
             assert cayley_plane_check(P)
             assert not cayley_plane_check(P * scale)
 
     def test_normalized_octonionic_squares_fail(self):
         rng = np.random.default_rng(SEED)
         for _ in range(8):
-            psi = random_octonionic_spinor(rng)
-            assert not cayley_plane_check(psi.square() * (1.0 / psi.norm_sq))
+            sq = spinor_square(random_octonionic_spinor(rng))
+            assert not cayley_plane_check(sq * (1.0 / sq.trace))
 
 
 class TestPSquareDecomposition:
@@ -289,8 +310,8 @@ class TestPSquareDecomposition:
 
     def test_scaled_spinor_square(self):
         rng = np.random.default_rng(SEED)
-        psi = random_quaternionic_spinor(rng)
-        A = psi.square() * (5.0 / psi.norm_sq)
+        sq = spinor_square(random_quaternionic_spinor(rng))
+        A = sq * (5.0 / sq.trace)
         dec = psquare_decompose(A)
         assert dec.p == 1
         assert dec.lambdas[0] == pytest.approx(5.0, rel=1e-8)
@@ -369,7 +390,7 @@ class TestPSquareDecomposition:
         rng = np.random.default_rng(SEED)
         cases = [random_jordan(rng) for _ in range(32)]
         cases += [E11, I3, JordanMatrix.diag(1, 1, 0), JordanMatrix.zero(),
-                  random_quaternionic_spinor(rng).square()]
+                  spinor_square(random_quaternionic_spinor(rng))]
         for A in cases:
             assert psquare_decompose(A).p == classify(A)
 
@@ -377,8 +398,8 @@ class TestPSquareDecomposition:
     def test_class_agrees_with_classify_at_every_scale(self, t):
         # p was 0 at 1e-30 and 1e-150 while classify said 1 and 2: absolute floors
         rng = np.random.default_rng(SEED)
-        one = random_quaternionic_spinor(rng).square()
-        two = one + random_quaternionic_spinor(rng).square()
+        one = spinor_square(random_quaternionic_spinor(rng))
+        two = one + spinor_square(random_quaternionic_spinor(rng))
         for A, expected in ((one, 1), (two, 2), (random_jordan(rng), 3)):
             dec = psquare_decompose(A * t)
             assert dec.p == classify(A * t) == expected
@@ -387,7 +408,7 @@ class TestPSquareDecomposition:
 
     def test_unit_scale_output_is_unchanged_by_power_of_two_scaling(self):
         rng = np.random.default_rng(SEED)
-        for A in (random_jordan(rng) * 3.0, random_quaternionic_spinor(rng).square() * 40.0):
+        for A in (random_jordan(rng) * 3.0, spinor_square(random_quaternionic_spinor(rng)) * 40.0):
             dec = psquare_decompose(A)
             scaled = psquare_decompose(JordanMatrix.from_vector(np.ldexp(A.to_vector(), -60)))
             assert np.array_equal(np.ldexp(scaled.lambdas, 60), dec.lambdas)
@@ -408,8 +429,7 @@ class TestClassify:
 
     def test_quaternionic_square_is_one_square(self):
         rng = np.random.default_rng(SEED)
-        psi = random_quaternionic_spinor(rng)
-        assert classify(psi.square()) == 1
+        assert classify(spinor_square(random_quaternionic_spinor(rng))) == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(SEED)
@@ -420,8 +440,8 @@ class TestClassify:
     def test_class_is_scale_free(self, t):
         rng = np.random.default_rng(SEED)
         for _ in range(4):
-            one = random_quaternionic_spinor(rng).square()
-            two = one + random_quaternionic_spinor(rng).square()
+            one = spinor_square(random_quaternionic_spinor(rng))
+            two = one + spinor_square(random_quaternionic_spinor(rng))
             for A, expected in ((one, 1), (two, 2), (random_jordan(rng), 3)):
                 assert classify(A) == expected
                 assert classify(A * t) == expected
@@ -431,10 +451,10 @@ def _class_sample(kind: str, seed: int) -> tuple[JordanMatrix, int]:
     rng = np.random.default_rng(seed)
     if kind == "generic":
         return random_jordan(rng), 3
-    one = random_quaternionic_spinor(rng).square()
+    one = spinor_square(random_quaternionic_spinor(rng))
     if kind == "rank-1":
         return one, 1
-    return one + random_quaternionic_spinor(rng).square(), 2
+    return one + spinor_square(random_quaternionic_spinor(rng)), 2
 
 
 class TestClassScaleProperties:

@@ -449,6 +449,53 @@ I2_JSON = [[ONE8, ZERO8], [ZERO8, ONE8]]
 I3_JSON = [[ONE8 if r == c else ZERO8 for c in range(3)] for r in range(3)]
 
 
+# 400 digits: JSON reads it as an int, and converting it to a float overflows
+HUGE_INT = 10**399
+
+
+class TestHugeIntegerInput:
+    @pytest.mark.parametrize("command,payload", [
+        ("decompose", {"diag": [HUGE_INT, 2, 3], "a": ZERO8, "b": ZERO8, "c": ZERO8}),
+        ("decompose", {"diag": [1, 2, 3], "a": [HUGE_INT] + [0] * 7, "b": ZERO8, "c": ZERO8}),
+        ("dirac", {"P": {"diag": [HUGE_INT, 0], "a": ZERO8}}),
+    ], ids=["decompose-diagonal", "decompose-octonion", "dirac"])
+    def test_rejected(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: int too large to convert to float\n"
+
+    def test_map_entry_rejected(self, capsys, tmp_path):
+        path, map_path = tmp_path / "matrix.json", tmp_path / "huge_map.json"
+        path.write_text(json.dumps({"diag": [1.0, 2.0, 3.0], "a": ZERO8, "b": ZERO8, "c": ZERO8}))
+        map_path.write_text(json.dumps([[[[HUGE_INT] + [0] * 7, ZERO8, ZERO8],
+                                         [ZERO8, ONE8, ZERO8], [ZERO8, ZERO8, ONE8]]]))
+        code, out, err = run_cli(capsys, "decompose", str(path), "--apply", str(map_path))
+        assert code == 2 and out == ""
+        assert err == f"error: {map_path}: int too large to convert to float\n"
+
+
+class TestDeepNesting:
+    # json.load recurses once per level on the unclosed file, _numeric on the
+    # closed one; either way the input is malformed, not a crash
+    @pytest.mark.parametrize("text", ["[" * 100_000, "[" * 900 + "]" * 900],
+                             ids=["unclosed-100000", "closed-900"])
+    @pytest.mark.parametrize("command", ["decompose", "dirac"])
+    def test_rejected(self, capsys, tmp_path, command, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ")
+
+    def test_unclosed_error_says_so(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        _, _, err = run_cli(capsys, "decompose", str(path))
+        assert err == f"error: {path}: JSON nested too deeply\n"
+
+
 class TestMalformedMap:
     @pytest.mark.parametrize("nm", [
         [],

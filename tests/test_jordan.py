@@ -248,8 +248,8 @@ class TestClosedFormInvariants:
 
 def _eigen_samples(rng) -> dict:
     from octe6.cayley import random_quaternionic_spinor
-    one = random_quaternionic_spinor(rng).square()
-    two = one + random_quaternionic_spinor(rng).square()
+    one = spinor_square(random_quaternionic_spinor(rng))
+    two = one + spinor_square(random_quaternionic_spinor(rng))
     return {"rank-1": one, "rank-2": two, "generic": random_jordan(rng)}
 
 
@@ -279,7 +279,7 @@ class TestEigenvalueScale:
 
     def test_rank_one_top_eigenvalue_is_trace(self):
         from octe6.cayley import random_quaternionic_spinor
-        X = random_quaternionic_spinor(np.random.default_rng(SEED)).square() * 1e-30
+        X = spinor_square(random_quaternionic_spinor(np.random.default_rng(SEED))) * 1e-30
         assert eigenvalues(X)[0] == pytest.approx(X.trace, rel=1e-8, abs=0.0)
 
     @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-120, 1e-60, 1e60, 1e120, 1e150, 1e300])
@@ -585,6 +585,35 @@ class TestBlocks:
         sq = spinor_square(theta)
         assert sq.x1 == pytest.approx(theta[0] @ theta[0])
         assert sq.det == pytest.approx(0.0, abs=1e-10)
+
+    def test_two_component_square_keeps_the_entry_formulas_bits(self):
+        rng = np.random.default_rng(SEED)
+        for _ in range(200):
+            theta = rng.standard_normal((2, 8)) * 10.0 ** rng.uniform(-3, 3)
+            ref = Hermitian2(float(theta[0] @ theta[0]), float(theta[1] @ theta[1]),
+                             omul(theta[1], oconj(theta[0])))
+            sq = spinor_square(theta)
+            assert type(sq) is Hermitian2
+            assert _bits(sq.to_vector()) == _bits(ref.to_vector())
+
+    def test_three_component_square_keeps_the_entry_formulas_bits(self):
+        # the 3-component square's entries as the spinor class once formed
+        # them from theta and xi; the column stores conj(xi)
+        rng = np.random.default_rng(SEED)
+        for _ in range(200):
+            theta = rng.standard_normal((2, 8)) * 10.0 ** rng.uniform(-3, 3)
+            xi = rng.standard_normal(8) * 10.0 ** rng.uniform(-3, 3)
+            th1, th2 = theta
+            ref = JordanMatrix(float(th1 @ th1), float(th2 @ th2), float(xi @ xi),
+                               a=omul(th2, oconj(th1)), b=oconj(omul(th2, xi)), c=omul(th1, xi))
+            sq = spinor_square(np.vstack([theta, oconj(xi)]))
+            assert type(sq) is JordanMatrix
+            assert _bits(sq.to_vector()) == _bits(ref.to_vector())
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 8), (4, 8), (2, 7), (3, 9), (16,), (2, 2, 8)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError, match="octonion column"):
+            spinor_square(np.ones(shape))
 
 
 class TestTraceIdentity:
