@@ -14,6 +14,11 @@ one row per check, led by the name of the suite that made it);
 diagnostics and wall time go to stderr so identical flags and seed yield
 byte-identical stdout.  Exit codes: 0 all checks pass, 1 a check failed,
 2 usage or parse errors.
+
+Each call builds its parser afresh for the invoked command only, from the
+``COMMANDS`` table; the parser with every subcommand is built only when
+the first argument is not a command (help, no argument, an unknown word or
+an option first), and it gives the same output byte for byte.
 """
 
 from __future__ import annotations
@@ -314,47 +319,62 @@ def _emit(report: dict, fmt: str) -> None:
     print("\n".join(rows))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed for sampled checks")
-    common.add_argument("--tol", type=float, default=1e-9,
-                        help="identity-residual tolerance, a finite number >= 0")
-    common.add_argument("--rank-tol", type=float, default=1e-6,
-                        help="relative singular-value cutoff for ranks, in (0, 1)")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+# the options every subcommand takes, ahead of its own: (name, add_argument keywords)
+_SHARED_OPTIONS = (
+    ("--seed", {"type": int, "default": 0, "help": "RNG seed for sampled checks"}),
+    ("--tol", {"type": float, "default": 1e-9,
+               "help": "identity-residual tolerance, a finite number >= 0"}),
+    ("--rank-tol", {"type": float, "default": 1e-6,
+                    "help": "relative singular-value cutoff for ranks, in (0, 1)"}),
+    ("--format", {"choices": ("json", "csv"), "default": "json"}),
+)
 
+# name: (suite, help, own arguments as (name, add_argument keywords))
+COMMANDS = {
+    "table": (cmd_table, "print the multiplication table", ()),
+    "verify": (cmd_verify, "roster rank and preservation checks", (
+        ("group", {"help": "one of " + ", ".join(generators.GROUPS)}),
+        ("--slot", {"type": int, "default": 0, "choices": (0, 1, 2)}),
+    )),
+    "decompose": (cmd_decompose, "p-square decomposition", (
+        ("file", {"help": "JordanMatrix JSON file"}),
+        ("--apply", {"metavar": "NM_FILE", "default": None,
+                     "help": "NestedMap JSON to apply before decomposing"}),
+    )),
+    "dirac": (cmd_dirac, "solve the 2x2 Dirac factorization", (
+        ("file", {"help": '{"P": Hermitian2 JSON} file'}),
+    )),
+    "triality": (cmd_triality, "triality identity suite", ()),
+    "report-all": (cmd_report_all, "all verify suites plus triality", ()),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The octe6 parser with every subcommand, or with ``command``'s alone.
+
+    The one-command parser parses an argv led by that command exactly as the
+    full one does.  Its metavar names every command, so its usage line is
+    the full parser's; the full parser leaves argparse to derive that same
+    metavar, since a set one would also replace ``command`` in its errors.
+    """
     parser = argparse.ArgumentParser(
         prog="octe6",
         description="verification suites for the octonionic E6 engine",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("table", parents=[common], help="print the multiplication table")
-    verify = sub.add_parser("verify", parents=[common], help="roster rank and preservation checks")
-    verify.add_argument("group", help="one of " + ", ".join(generators.GROUPS))
-    verify.add_argument("--slot", type=int, default=0, choices=(0, 1, 2))
-    decompose = sub.add_parser("decompose", parents=[common], help="p-square decomposition")
-    decompose.add_argument("file", help="JordanMatrix JSON file")
-    decompose.add_argument("--apply", metavar="NM_FILE", default=None,
-                           help="NestedMap JSON to apply before decomposing")
-    dirac = sub.add_parser("dirac", parents=[common], help="solve the 2x2 Dirac factorization")
-    dirac.add_argument("file", help='{"P": Hermitian2 JSON} file')
-    sub.add_parser("triality", parents=[common], help="triality identity suite")
-    sub.add_parser("report-all", parents=[common], help="all verify suites plus triality")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        _, help_text, arguments = COMMANDS[name]
+        subparser = sub.add_parser(name, help=help_text)
+        for arg, keywords in _SHARED_OPTIONS + arguments:
+            subparser.add_argument(arg, **keywords)
     return parser
 
 
-COMMANDS = {
-    "table": cmd_table,
-    "verify": cmd_verify,
-    "decompose": cmd_decompose,
-    "dirac": cmd_dirac,
-    "triality": cmd_triality,
-    "report-all": cmd_report_all,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # every subcommand only when the first argument is not a command (help, an unknown word, an option)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
         # NaN fails both comparisons; a rank cutoff below 1 keeps the largest singular value
@@ -366,7 +386,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 2
     start = time.perf_counter()
     try:
-        report = COMMANDS[args.command](args)
+        report = COMMANDS[args.command][0](args)
     except (CliInputError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -452,8 +452,10 @@ def _cubic_roots(c2: float, c1: float, c0: float, scale: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def assemble(X: Hermitian2, theta: np.ndarray, n: float) -> JordanMatrix:
-    """Build [[X, theta], [theta^dagger, n]] as a JordanMatrix."""
-    theta = np.asarray(theta, dtype=float).reshape(2, 8)
+    """Build [[X, theta], [theta^dagger, n]] as a JordanMatrix; ValueError unless theta is (2, 8)."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (2, 8):
+        raise ValueError(f"expected a (2, 8) octonion column, got shape {theta.shape}")
     return JordanMatrix(X.x1, X.x2, n, a=X.a, b=oconj(theta[1]), c=theta[0])
 
 def block_split(J: JordanMatrix) -> tuple[Hermitian2, np.ndarray, float]:
@@ -463,15 +465,17 @@ def block_split(J: JordanMatrix) -> tuple[Hermitian2, np.ndarray, float]:
 
 
 # per size: the square's class and, for each stored entry in coordinate
-# order, the factors (left, right) of psi_left conj(psi_right)
-_SQUARES = {2: (Hermitian2, [1], [0]), 3: (JordanMatrix, [1, 1, 0], [0, 2, 2])}
+# order, the factors (left, right) of psi_left conj(psi_right); index
+# arrays, or plain indices for the one entry of a 2x2 square, since
+# indexing with a list converts it on every call
+_SQUARES = {2: (Hermitian2, 1, 0), 3: (JordanMatrix, np.array([1, 1, 0]), np.array([0, 2, 2]))}
 
 
 def spinor_square(psi: np.ndarray) -> Hermitian2 | JordanMatrix:
     """psi psi^dagger for a (2, 8) or (3, 8) octonion column; ValueError for any other shape.
 
     Diagonal entry d is psi_d . psi_d.  The stored entries (r, c) are
-    psi_r conj(psi_c), from one batched omul, except that (2, 1) is formed
+    psi_r conj(psi_c), from one omul, except that (2, 1) is formed
     as conj(psi_1 conj(psi_2)), equal up to rounding.
     """
     psi = np.asarray(psi, dtype=float)
@@ -479,7 +483,8 @@ def spinor_square(psi: np.ndarray) -> Hermitian2 | JordanMatrix:
         raise ValueError(f"expected a (2, 8) or (3, 8) octonion column, got shape {psi.shape}")
     cls, left, right = _SQUARES[len(psi)]
     entries = omul(psi[left], oconj(psi[right]))
-    entries[1:2] = oconj(entries[1:2])  # (2, 1), when there is one
+    if len(psi) == 3:
+        entries[1] = oconj(entries[1])  # (2, 1)
     return cls._wrap(np.concatenate([[x @ x for x in psi], entries.ravel()]))
 
 

@@ -1,7 +1,9 @@
 """CLI surface: subcommands, JSON schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import octe6
-from octe6 import cayley, generators, transform
+from octe6 import cayley, cli, generators, transform
 from octe6.cli import main
 from octe6.octonion import signed_table
 
@@ -628,6 +630,20 @@ class TestReportAll:
                          "SO8": 28, "SO7": 21, "G2": 14}
 
 
+# argvs for the parser split: MATRIX and MOMENTUM stand for input files
+PARSER_CORPUS = [
+    ["table"], ["verify", "G2"], ["decompose", "MATRIX"], ["dirac", "MOMENTUM"],
+    ["triality", "--seed", "5"], ["report-all", "--format", "csv"],
+    ["-h"], ["--help"],
+    *([name, flag] for name in cli.COMMANDS for flag in ("-h", "--help")),
+    [], ["bogus"],
+    ["verify"], ["decompose"], ["dirac"], ["verify", "E6", "extra"],
+    ["verify", "SO7", "--slot", "3"], ["table", "--format", "xml"],
+    ["verify", "E6", "--seed", "x"], ["verify", "E6", "--rank-tol", "1"],
+    ["--seed", "1", "verify", "E6"], ["--", "verify", "E6"],
+]
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         assert main([]) == 2
@@ -636,6 +652,41 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_one_command_parser_reads_as_the_full_one(self, capsys, monkeypatch, tmp_path, argv):
+        files = {"MATRIX": tmp_path / "matrix.json", "MOMENTUM": tmp_path / "momentum.json"}
+        files["MATRIX"].write_text(json.dumps(
+            {"diag": [1, 2, 3], "a": [0, 1] + [0] * 6, "b": [0] * 8, "c": [0] * 8}))
+        files["MOMENTUM"].write_text(json.dumps({"P": {"diag": [1, 1], "a": [1] + [0] * 7}}))
+        argv = [str(files.get(arg, arg)) for arg in argv]
+
+        def run():
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            return code, out, re.sub(r"# wall time: \d+\.\d+s", "# wall time: Ts", err)
+
+        real = cli.build_parser
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or real(command))
+        split = run()
+        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: real())
+        assert split == run()
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ])
+    def test_command_errors_name_the_command_argument(self, capsys, argv, message):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and message in err
+        assert "usage: octe6 [-h] {table,verify,decompose,dirac,triality,report-all} ..." in err
+
+    def test_full_parser_offers_every_command(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == ["table", "verify", "decompose", "dirac", "triality", "report-all"]
 
 
 class TestRepeatedCalls:

@@ -579,6 +579,16 @@ class TestBlocks:
         assert np.allclose(theta2, theta)
         assert n2 == 2.5
 
+    @pytest.mark.parametrize("shape", [(16,), (1, 16), (3, 8), (2, 7)])
+    def test_assemble_rejects_other_shapes(self, shape):
+        # before any matrix is built, so the identity fails at assemble, not at the square
+        X = Hermitian2(1.5, -0.5, np.zeros(8))
+        theta = np.arange(np.prod(shape), dtype=float).reshape(shape)
+        with pytest.raises(ValueError, match=r"expected a \(2, 8\) octonion column, got shape"):
+            assemble(X, theta, 2.0)
+        with pytest.raises(ValueError, match=r"expected a \(2, 8\) octonion column, got shape"):
+            det_block_identity(X, theta, 2.0)
+
     def test_spinor_square_is_hermitian_square(self):
         rng = np.random.default_rng(SEED)
         theta = rng.standard_normal((2, 8))
