@@ -70,9 +70,8 @@ def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
     entry; the gauge is fixed by rotating the first nonzero component
     real and nonnegative with a right phase.
     """
-    exponent, _, _, det, norm = _scaled_invariants(P)
-    peak = math.ldexp(float(np.abs(P.to_vector()).max()), -exponent)
-    if peak == 0.0 or norm <= tol * peak:
+    _, _, _, det, norm = _scaled_invariants(P)
+    if norm == 0.0:
         raise ValueError("dirac_solve requires a nonzero momentum")
     if abs(det) > tol * norm**2:
         raise ValueError(f"no rank-1 factorization: det(P) = {P.det:g} is not 0")

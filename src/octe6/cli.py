@@ -34,17 +34,13 @@ import numpy as np
 from . import cayley, generators, jordan, octonion, transform
 
 
-def _check(name: str, observed, expected, tolerance=None) -> dict:
-    if tolerance is None:
-        passed = observed == expected
-    else:
-        passed = abs(observed - expected) <= tolerance
+def _check(name: str, observed, expected) -> dict:
     return {
         "name": name,
         "expected": expected,
         "observed": observed,
-        "tolerance": tolerance,
-        "pass": bool(passed),
+        "tolerance": None,
+        "pass": bool(observed == expected),
     }
 
 
@@ -80,7 +76,7 @@ def _layer_residual(curves, tol: float) -> float:
     layers = np.concatenate([transform.embed(b, c.slot) for b, c in zip(blocks, curves)])
     blocks = np.concatenate(blocks)
     try:
-        _, det_real = transform.complex_det(blocks)
+        _, det_real = transform.complex_det(blocks, tol)
     except ValueError:  # a block is not complex
         return np.inf
     welldefined, welldefined_res = transform.is_welldefined(layers, tol)

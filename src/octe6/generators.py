@@ -62,8 +62,7 @@ Layers inside the innermost moving one drop out.  Roster blocks repeat
 heavily (G2's 21 curves have 48 distinct blocks M_d, M_d +- M'_d; E6's
 three slots share 97), so ``lie_elements`` keeps each distinct block once
 and acts with all of them by one ``linear_ops`` and one ``omatmul`` call.
-The work runs in passes of curves of one rates tuple whose 27x27 elements
-fit in the block size that ``linear_ops`` keeps to, ``transform._ACT_BYTES``.
+The work runs in one pass per rates tuple, over all its curves.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ import numpy as np
 
 from .jordan import JordanMatrix, hermitian_vectors
 from .octonion import _as_coeffs, _numerical_rank, oconj, omatmul, omul, onorm, signed_table
-from .transform import _ACT_BYTES, NestedMap, _hermitian_basis, embed, linear_ops
+from .transform import NestedMap, _hermitian_basis, embed, linear_ops
 
 IMAGINARY_UNITS = ("i", "j", "k", "kl", "jl", "il", "l")
 BASIS_UNITS = ("1",) + IMAGINARY_UNITS
@@ -256,7 +255,7 @@ def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
 # ---------------------------------------------------------------------------
 
 def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
-    """Lie elements of many curves, in stacked passes; see the module docstring.
+    """Lie elements of many curves, one stacked pass per rates tuple; see the module docstring.
 
     Element t is the tangent of curves[t] at 0, right-translated to the
     identity.  A layer whose op at 0 is not orthogonal bit for bit raises
@@ -267,14 +266,9 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
         if not isinstance(curve, GeneratorCurve):
             raise TypeError(f"Lie elements need GeneratorCurve items, not {type(curve).__name__}")
         groups.setdefault(curve.rates, []).append(index)
-    # curves per pass, all of one rates: their 27x27 elements fit in the block size that keeps
-    # linear_ops off the allocator's cliff
-    step = max(1, _ACT_BYTES // (27 * 27 * 8))
-    passes = [(rates, indices[at:at + step]) for rates, indices in groups.items()
-              for at in range(0, len(indices), step)]
     blocks: dict[bytes, int] = {}  # each distinct 2x2 block -> its index
-    chains = []  # per pass: curve indices, rates and (C, depth, 3) block indices, outermost layer first
-    for rates, indices in passes:
+    chains = []  # per rates: curve indices, rates and (C, depth, 3) block indices, outermost layer first
+    for rates, indices in groups.items():
         group = [curves[i] for i in indices]
         A, B = np.array([c.A for c in group]), np.array([c.B for c in group])
         jets = np.array([JETS[c.kind] for c in group], dtype=float)

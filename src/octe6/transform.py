@@ -22,18 +22,18 @@ built on the first call and kept read-only.  The operator comes from the
 layered kernel ``_act`` on the basis matrices.  For Hermitian X,
 M X = (X M^dagger)^dagger, so a layer is two products with the real table
 of M^dagger around a transpose; one contraction gives the tables of every
-layer, and ``linear_ops`` runs a whole stack of maps of one depth, the
-shared basis stack folded into the rows of each map's BLAS products, in
-blocks whose images stay under ``_ACT_BYTES``.  The predicates take one
-matrix or a stack, with bounds relative to |M|^2 (|M|^n for an n x n
-determinant), all from ``_verdicts``; well-definedness runs ``_act`` on the
-Hermitian basis, compatibility one ``omatmul`` and one ``_act`` on sampled
-spinor columns.
+layer, and ``linear_ops`` runs a whole stack of maps of one depth in one
+call, the shared basis stack folded into the rows of each map's BLAS
+products.  The predicates take one matrix or a stack, with bounds relative
+to |M|^2 (|M|^n for an n x n determinant), all from ``_verdicts``;
+well-definedness runs ``_act`` on the Hermitian basis, compatibility one
+``omatmul`` and one ``_act`` on sampled spinor columns.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -190,24 +190,14 @@ def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
     """
     depth, n = layers.shape[-4:-2]
     batch, k = layers.shape[:-4], 8 * n
+    p, m = layers.size // (depth * n * k), X.size // (n * k)  # maps and matrices, either may be 0
     # (P, d, b, c, table, I, K) -> per layer d and table, map P: rows (c, I), columns (b, K)
-    tables = (layers.reshape(-1, 8) @ _DAGGER_TABLES).reshape(-1, depth, n, n, 2, 8, 8)
-    tables = tables.transpose(1, 4, 0, 3, 5, 2, 6).reshape(depth, 2, -1, k, k)
-    p = tables.shape[2]
-    out = X.reshape(-1, k)
+    tables = (layers.reshape(-1, 8) @ _DAGGER_TABLES).reshape(p, depth, n, n, 2, 8, 8)
+    tables = tables.transpose(1, 4, 0, 3, 5, 2, 6).reshape(depth, 2, p, k, k)
+    out = X.reshape(m * n, k)
     for right, right_conj in tables:
-        out = (out @ right).reshape(p, -1, n, n, 8).swapaxes(-3, -2).reshape(p, -1, k) @ right_conj
+        out = (out @ right).reshape(p, m, n, n, 8).swapaxes(-3, -2).reshape(p, m * n, k) @ right_conj
     return out.reshape(batch + X.shape)
-
-
-# bytes of basis images per _act call of linear_ops: 8 maps of 3x3 layers,
-# 51 of 2x2.  A call's cost per map grows with its size once its
-# intermediates outgrow the memory the allocator keeps at hand: on a 2-core
-# Xeon VM with one BLAS thread, 16-22 us per 3x3 map up to 16 maps, 36-40 us
-# at 128 and 54-66 us for 289 at once, but 16-23 us at every size with
-# malloc's trimming and mmap turned off.  The BLAS calls are not the cost.
-# generators.lie_elements sizes its passes by it too.
-_ACT_BYTES = 128 * 1024
 
 
 def linear_ops(layers: np.ndarray) -> np.ndarray:
@@ -215,19 +205,12 @@ def linear_ops(layers: np.ndarray) -> np.ndarray:
 
     Item P of the stack is the map whose layers are ``layers[P]``; its
     operator's column t is the image of coordinate basis element t (dim
-    is 27 for 3x3 layers, 10 for 2x2).  The maps act on the basis
-    matrices by ``_act``, in blocks of at most ``_ACT_BYTES`` of images,
-    and each block's operators fill their rows of one output array.
+    is 27 for 3x3 layers, 10 for 2x2).  All maps act on the basis
+    matrices in one ``_act`` call, and one take reads every operator.
     """
-    depth, n = layers.shape[-4:-2]
-    basis, positions = _hermitian_basis(n), _operator_positions(n)
-    maps = layers.reshape((-1, depth, n, n, 8))
-    out = np.empty((len(maps),) + positions.shape)
-    step = max(1, _ACT_BYTES // basis.nbytes)
-    for start in range(0, len(maps), step):
-        images = _act(maps[start:start + step], basis)
-        out[start:start + step] = images.reshape(len(images), -1).take(positions, axis=-1)
-    return out.reshape(layers.shape[:-4] + positions.shape)
+    basis = _hermitian_basis(layers.shape[-2])
+    images = _act(layers, basis).reshape(layers.shape[:-4] + (basis.size,))
+    return images.take(_operator_positions(layers.shape[-2]), axis=-1)
 
 
 @functools.cache
@@ -260,9 +243,9 @@ def _verdicts(arr: np.ndarray, diff: np.ndarray, tol: float, degree: int = 2):
     gets the same verdict at every scale of M.  (bool, float) for one matrix,
     arrays for a stack.
     """
-    batch = arr.shape[:-3]
-    residual = np.abs(diff).reshape(batch + (-1,)).max(axis=-1)
-    norms = np.sqrt(np.sum(np.square(arr).reshape(batch + (-1,)), axis=-1))
+    batch = arr.shape[:-3]  # item sizes spelled out: batch may hold no items
+    residual = np.abs(diff).reshape(batch + (math.prod(diff.shape[len(batch):]),)).max(axis=-1)
+    norms = np.sqrt(np.sum(np.square(arr).reshape(batch + (math.prod(arr.shape[-3:]),)), axis=-1))
     ok = residual <= tol * norms**degree
     if arr.ndim == 3:
         return bool(ok), float(residual)
@@ -324,7 +307,7 @@ def is_complex(M, rel_tol: float = 1e-9):
     A bool for one matrix, a bool array for a (..., n, n, 8) stack.
     """
     Ma = np.asarray(M, dtype=float)
-    ranks = imaginary_rank(Ma.reshape(Ma.shape[:-3] + (-1, 8)), rel_tol)
+    ranks = imaginary_rank(Ma.reshape(Ma.shape[:-3] + (Ma.shape[-3] * Ma.shape[-2], 8)), rel_tol)
     return ranks <= 1 if Ma.ndim > 3 else bool(ranks <= 1)
 
 
@@ -340,7 +323,7 @@ def complex_det(M, tol: float = 1e-9):
     Ma = np.asarray(M, dtype=float)
     if not np.all(is_complex(Ma, tol)):
         raise ValueError("complex_det requires a complex matrix")
-    ims = Ma.reshape(Ma.shape[:-3] + (-1, 8))[..., 1:]
+    ims = Ma.reshape(Ma.shape[:-3] + (Ma.shape[-3] * Ma.shape[-2], 8))[..., 1:]
     widest = np.argmax(np.linalg.norm(ims, axis=-1), axis=-1)[..., None, None]
     direction = np.take_along_axis(ims, widest, axis=-2)[..., 0, :]
     # all entries real: any direction will do, take i

@@ -169,9 +169,16 @@ class TestDiracSolve:
         with pytest.raises(ValueError):
             dirac_solve(Hermitian2.identity())
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            dirac_solve(Hermitian2.zero())
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1.0, 10.0])
+    def test_zero_rejected(self, tol):
+        with pytest.raises(ValueError, match="nonzero momentum"):
+            dirac_solve(Hermitian2.zero(), tol=tol)
+
+    @pytest.mark.parametrize("tol", [1.0, 10.0])
+    def test_nonzero_null_momentum_factors_at_large_tol(self, tol):
+        # the zero test |P| <= tol max|P_i| held for every nonzero P from tol 1 up
+        for P in (Hermitian2(1.0, 0.0), Hermitian2(0.0, -3.0), Hermitian2(1.0, 1.0, np.eye(8)[0])):
+            assert (spinor_square(dirac_solve(P, tol=tol)) - P * np.sign(P.trace)).norm <= 1e-12 * P.norm
 
     def test_random_null_momenta_roundtrip(self):
         rng = np.random.default_rng(SEED)

@@ -197,16 +197,28 @@ class TestVerify:
         sample = generators.roster("SO8")[:3] + [mixed]
         assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9) == np.inf
 
+    def test_layer_predicates_share_one_tolerance(self):
+        from octe6.cli import _layer_residual
+        # a rotation whose identity layer leans 1e-7 toward j: complex only to about 1e-7
+        rotation = generators.rotation_curves(0)[1]
+        A = rotation.A.copy()
+        A[0, 0, 0, 2] = 1e-7
+        leaning = generators.GeneratorCurve("leaning[slot0]", 0, "trig", (0.5,), A, rotation.B)
+        assert _layer_residual([leaning], 1e-9) == np.inf
+        residual = _layer_residual([leaning], 1e-3)
+        assert residual == _layer_residual_loop([leaning], 1e-3)
+        assert 0.0 < residual < 1e-6
+
 
 def _layer_residual_loop(curves, tol):
     """The per-block loop that the stacked layer-predicate pass replaced, kept as an oracle."""
     res = 0.0
     for curve in curves:
         for block in curve.layer_arrays([0.37])[0]:
-            if not transform.is_complex(block):
+            if not transform.is_complex(block, tol):
                 res = np.inf
                 break
-            res = max(res, 0.0 if transform.complex_det(block)[1] else np.inf)
+            res = max(res, 0.0 if transform.complex_det(block, tol)[1] else np.inf)
             for ok, r in (transform.is_welldefined(transform.embed(block, curve.slot), tol),
                           transform.is_compatible(block, tol)):
                 res = max(res, r if ok else np.inf)
@@ -346,6 +358,15 @@ class TestDirac:
         code, out, _ = run_cli(capsys, "dirac", str(path))
         assert code == 1
         assert json.loads(out)["checks"][0]["pass"] is False
+
+    @pytest.mark.parametrize("tol", ["0.5", "1", "4"])
+    def test_null_momentum_factors_at_large_tol(self, capsys, tmp_path, tol):
+        # the zero test |P| <= tol max|P_i| rejected every nonzero P from tol 1 up
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps({"P": {"diag": [1.0, 0.0], "a": [0.0] * 8}}))
+        code, out, err = run_cli(capsys, "dirac", str(path), "--tol", tol)
+        assert code == 0, err
+        assert json.loads(out)["theta"][0] == [1.0] + [0.0] * 7
 
     def test_small_null_momentum_factors(self, capsys, tmp_path):
         # the zero test |P| <= tol was absolute: this exited 2 as "zero"

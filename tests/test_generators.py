@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import octe6.generators as generators
-import octe6.transform as transform
 from octe6.generators import (
     BASIS_UNITS,
     EXPECTED_DIMENSION,
@@ -416,7 +415,7 @@ class TestStackedLieElements:
         # E6's three slots share their 2x2 blocks: 97 blocks for 289 embedded layers
         built = _spy_on_linear_ops(monkeypatch)
         lie_elements(roster(group))
-        assert len(built) == 1  # one linear_ops call, which sizes its own blocks
+        assert len(built) == 1  # one linear_ops call for every distinct block
         maps = built[0]
         assert maps.shape == (distinct, 1, 2, 2, 8)
         assert len({m.tobytes() for m in maps}) == distinct
@@ -455,23 +454,21 @@ class TestStackedLieElements:
         assert not_antisymmetric == [curve.label for curve in curves if curve.label.startswith("boost")]
 
     def test_linear_ops_blocks_match_per_map_calls(self, monkeypatch):
+        # one call on a whole stack gives each map's own operator bit for bit
         layers = np.concatenate([curve(0.37).stack for curve in roster("E6") + roster("F4")])
         maps = layers[:289, None]
-        image_bytes, act = [], transform._act
-
-        def spy(layers, X):
-            images = act(layers, X)
-            image_bytes.append(images.nbytes)
-            return images
-
-        monkeypatch.setattr(transform, "_act", spy)
         ops = linear_ops(maps)
-        assert len(image_bytes) == -(-289 // 8)
-        assert max(image_bytes) <= 128 * 1024
-        per_map = np.stack([linear_ops(m) for m in maps])
         assert ops.shape == (289, 27, 27)
-        assert ops.tobytes() == per_map.tobytes()
+        assert ops.tobytes() == np.stack([linear_ops(m) for m in maps]).tobytes()
         assert linear_ops(maps.reshape(17, 17, 1, 3, 3, 8)).tobytes() == ops.tobytes()
+        built = _spy_on_linear_ops(monkeypatch)
+        lie_elements(roster("E6"))
+        blocks = built[0]  # E6's 97 distinct 2x2 blocks
+        assert blocks.shape == (97, 1, 2, 2, 8)
+        assert linear_ops(blocks).tobytes() == np.stack([linear_ops(b) for b in blocks]).tobytes()
+        for n, dim in ((3, 27), (2, 10)):
+            assert linear_ops(np.zeros((0, 1, n, n, 8))).shape == (0, dim, dim)
+            assert linear_ops(np.zeros((2, 0, 3, n, n, 8))).shape == (2, 0, dim, dim)
 
     def test_shuffled_curves_give_permuted_elements(self):
         curves = roster("E6") + roster("G2") + roster("SO91", slot=2)

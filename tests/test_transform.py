@@ -275,6 +275,17 @@ class TestStackedPredicates:
             assert verdict == single_real
             assert np.allclose(det, single, rtol=0.0, atol=1e-14)
 
+    def test_empty_stack_gives_empty_verdicts(self):
+        for batch in ((0,), (2, 0)):
+            for predicate, n in ((is_welldefined, 3), (is_welldefined, 2), (is_compatible, 2)):
+                ok, res = predicate(np.zeros(batch + (n, n, 8)))
+                assert ok.shape == res.shape == batch
+                assert ok.dtype == bool and res.dtype == float
+            empty = np.zeros(batch + (2, 2, 8))
+            dets, real = complex_det(empty)
+            assert is_complex(empty).shape == real.shape == batch
+            assert dets.shape == batch + (8,)
+
     def test_complex_det_rejects_a_stack_with_a_non_complex_item(self):
         stack = np.stack([phase_diag("i", 0.3), diag(unit("i"), unit("j"))])
         with pytest.raises(ValueError):
