@@ -93,8 +93,9 @@ def input_commands(workdir: Path) -> list[list[str]]:
     # drawn after everything else, so the inputs above do not depend on
     # them: I + eps N with N = random_jordan has three eigenvalues about
     # eps apart, where the interpolation numerators of psquare_decompose
-    # cancel hardest
-    near = [("near-identity", identity + jordan.random_jordan(rng) * eps) for eps in (1e-7, 1e-6, 1e-5)]
+    # cancel hardest; at 2.5e-8 they lie within a few MERGE_TOL |A|
+    near = [("near-identity", identity + jordan.random_jordan(rng) * eps)
+            for eps in (1e-7, 1e-6, 1e-5, 2.5e-8)]
     decompose(near, len(matrices))
     return out
 

@@ -15,14 +15,17 @@ trace-1 idempotents of H3(O) are exactly the normalized quaternionic
 squares.
 
 psquare_decompose splits any Jordan matrix into eigenmatrix projections
-A = sum lambda_i P_i with P_i o P_j = 0; the class p counts nonzero
-eigenvalues and is read off the determinant / second-invariant / trace
-cascade, which every determinant-preserving transformation leaves fixed.
+A = sum lambda_i P_i with P_i o P_j = 0, one Lagrange interpolation on the
+traceless part of A over its clustered eigenvalues; its p counts nonzero
+eigenvalues.  classify reads the class off the determinant /
+second-invariant / trace cascade, which every determinant-preserving
+transformation leaves fixed.
 
 classify, psquare_decompose and dirac_solve read the matrix's memoised
 scaled invariants (``jordan._scaled_invariants``: the trace, sigma, det
-and norm of the matrix divided by a power of two), so every threshold
-they apply is relative to |A| and no test depends on the input's scale.
+and norm of the matrix divided by a power of two, and sigma and det of
+its traceless part), so every threshold they apply is relative to |A|
+and no test depends on the input's scale.
 """
 
 from __future__ import annotations
@@ -162,21 +165,22 @@ class PSquareDecomposition:
 # A / |A| with it, psquare_decompose the eigenvalues over |A|
 CLASS_TOL = 1e-8
 
-# eigenvalues of psquare_decompose closer than MERGE_TOL * |A| are merged
+# relative threshold at which psquare_decompose merges eigenvalues
 MERGE_TOL = 1e-7
 
 
 def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     """Decompose A into eigenmatrix projections via Lagrange interpolation.
 
-    Distinct eigenvalues give primitive trace-1 projections from the
-    quadratic interpolant in Jordan powers of A - (tr A / 3) I, which has
-    A's projectors and eigenvalues shifted by tr A / 3: near a multiple of
-    I its numerators do not cancel against |A|^2.  Eigenvalues that agree
-    within MERGE_TOL * |A| are merged: the linear interpolant on the
-    distinct values yields the (non-primitive) group projection, except
-    that a numerically diagonal A is split directly into its diagonal
-    idempotents.
+    Everything runs on B = A - (tr A / 3) I, whose eigenvalues (from its
+    depressed cubic) and Jordan powers do not cancel against |A| near a
+    multiple of I.  All three eigenvalues merge into one cluster when
+    their spread is at most MERGE_TOL * |A|, a pair when its gap is at
+    most MERGE_TOL times the other gap.  Each cluster's projector is the
+    Lagrange polynomial of its mean over the other clusters' means,
+    evaluated at B: primitive of trace 1 for one eigenvalue, the group
+    projection for a merged cluster.  A numerically diagonal A is split
+    directly into its diagonal idempotents instead.
     p counts the eigenvalues, with multiplicity, above CLASS_TOL * |A|.
 
     Every tolerance is relative: the decomposition runs on A times the
@@ -185,18 +189,19 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     invariants, and the eigenvalues are scaled back.  A Hermitian2 raises
     TypeError.
     """
-    exponent, trace, sig, det, scale = _jordan_invariants(A)
+    exponent, trace, _, _, scale, sig_b, det_b = _jordan_invariants(A)
     A = JordanMatrix.from_vector(np.ldexp(A.to_vector(), -exponent))
-    lams = _cubic_roots(trace, sig, det, scale)
-    terms, lams = _psquare_terms(A, lams, scale)
+    mus = _cubic_roots(0.0, sig_b, det_b, scale).tolist()
+    terms, lams = _psquare_terms(A, trace / 3.0, mus, scale)
     p = sum(1 for lam in lams if abs(lam) > CLASS_TOL * scale)
     return PSquareDecomposition([(np.ldexp(lam, exponent), P) for lam, P in terms], p)
 
 
-def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float) -> tuple[list, list]:
-    """Terms (lambda, projector) of psquare_decompose for a scaled A with eigenvalues lams.
+def _psquare_terms(A: JordanMatrix, shift: float, mus: list, scale: float) -> tuple[list, list]:
+    """Terms (lambda, projector) of psquare_decompose for a scaled A.
 
-    Returns the terms and the eigenvalues with multiplicity.
+    mus are the eigenvalues, descending, of B = A - shift I.  Returns the
+    terms and the eigenvalues of A with multiplicity.
     """
     off_norm = max(float(onorm(A.a)), float(onorm(A.b)), float(onorm(A.c)))
     if off_norm <= 1e-12 * scale:
@@ -206,39 +211,27 @@ def _psquare_terms(A: JordanMatrix, lams: np.ndarray, scale: float) -> tuple[lis
         terms = [(diag[t], JordanMatrix.basis_element(int(t))) for t in order]
         return terms, [d for d, _ in terms]
 
+    gaps = (mus[0] - mus[1], mus[1] - mus[2])
+    split = mus[0] - mus[2] > MERGE_TOL * scale
+    bounds = [0] + [k + 1 for k in (0, 1) if split and gaps[k] > MERGE_TOL * gaps[1 - k]] + [3]
+    clusters = [mus[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    nodes = [sum(c) / len(c) for c in clusters]
+
+    # each node's Lagrange polynomial, prod over the other nodes o of
+    # (x - o) / (node - o), at B: x^2 - (o1 + o2) x + o1 o2, x - o1 or 1 over
+    # its value at the node, on the rows I, B and, for three nodes, B o B
     identity = JordanMatrix.identity()
-    tol = MERGE_TOL * scale
-    clusters: list[list[float]] = [[lams[0]]]
-    for lam in lams[1:]:
-        if abs(lam - clusters[-1][-1]) <= tol:
-            clusters[-1].append(lam)
-        else:
-            clusters.append([lam])
-
-    if len(clusters) == 1:
-        # triple eigenvalue: A is lambda I up to tolerance
-        return [(float(np.mean(clusters[0])), identity)], clusters[0]
-
-    if len(clusters) == 2:
-        mu = float(np.mean(clusters[0]))
-        nu = float(np.mean(clusters[1]))
-        p_mu = (A - identity * nu) * (1.0 / (mu - nu))
-        p_nu = (A - identity * mu) * (1.0 / (nu - mu))
-        return [(mu, p_mu), (nu, p_nu)], [mu] * len(clusters[0]) + [nu] * len(clusters[1])
-
-    # interpolate on B = A - (tr A / 3) I: on A itself each numerator cancels
-    # to rounding of |A|^2 and is then divided by about |B|^2, far smaller
-    # near a multiple of I
-    shift = A.trace / 3.0
     B = A - identity * shift
-    mus = [lam - shift for lam in lams]
-    B2 = jordan_product(B, B)
-    terms = []
-    for idx in range(3):
-        others = [mus[t] for t in range(3) if t != idx]
-        numer = B2 - B * (others[0] + others[1]) + identity * (others[0] * others[1])
-        proj = numer * (1.0 / ((mus[idx] - others[0]) * (mus[idx] - others[1])))
-        terms.append((lams[idx], proj))
+    powers = [identity, B, jordan_product(B, B)] if len(nodes) == 3 else [identity, B]
+    powers = np.stack([P.to_vector() for P in powers])
+    terms, lams = [], []
+    for j, (node, cluster) in enumerate(zip(nodes, clusters)):
+        others = nodes[:j] + nodes[j + 1:]
+        coeffs = [1.0, -sum(others), math.prod(others)][len(others)::-1]
+        numer = np.array(coeffs) @ powers[:len(others) + 1]
+        proj = JordanMatrix.from_vector(numer / math.prod(node - o for o in others))
+        terms.append((shift + node, proj))
+        lams += [shift + node] * len(cluster)
     return terms, lams
 
 
@@ -250,7 +243,7 @@ def classify(A: JordanMatrix) -> int:
     of them are read from A's scaled invariants, where no invariant
     under- or overflows for a finite A.  A Hermitian2 raises TypeError.
     """
-    _, trace, sig, det, norm = _jordan_invariants(A)
+    _, trace, sig, det, norm, _, _ = _jordan_invariants(A)
     if norm == 0.0:
         return 0
     if abs(det / norm**3) > CLASS_TOL:

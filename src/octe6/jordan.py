@@ -26,19 +26,20 @@ the second invariant of a JordanMatrix are evaluated in closed form on its
 
 ``det3`` equals the triple-product form tr[X, X, X]/3 (``triple``) up to
 rounding.  Eigenvalues come from the trigonometric solution of the
-characteristic cubic, whose roots are real for every Hermitian input.
+characteristic cubic of X - (tr X / 3) I, shifted back by tr X / 3.
 ``spinor_square`` gives psi psi^dagger: a Hermitian2 for a (2, 8) column
 psi, a JordanMatrix for a Cayley spinor (theta1, theta2, conj(xi)).
 
 One matrix's invariants are computed once, in one pass, and kept on the
 matrix: ``_scaled_invariants`` divides the coordinates by the power of two
 2^e that brings the largest one into [1/2, 1) and stores e with the trace,
-sigma, det and Frobenius norm of the scaled matrix.  ``det3``, ``sigma``,
-``norm``, ``Hermitian2.det`` and ``eigenvalues`` read that tuple and scale
-back by the matching power of 2^e, and the class cascade of
-``cayley.classify`` reads it as it is.  The division is exact, so the
-results keep every bit of the unscaled formulas wherever those do not
-under- or overflow, and stay finite and scale-exact where they would.
+sigma, det and Frobenius norm of the scaled matrix, and for a JordanMatrix
+sigma and det of its traceless part.  ``det3``, ``sigma``, ``norm``,
+``Hermitian2.det`` and ``eigenvalues`` read that tuple and scale back by
+the matching power of 2^e; ``cayley`` reads it as it is.  The division is
+exact, so the results keep every bit of the unscaled formulas wherever
+those do not under- or overflow, and stay finite and scale-exact where
+they would.
 The stored tuple cannot go stale: the coordinate vector is read-only and
 every arithmetic result is a new matrix.
 
@@ -212,7 +213,7 @@ class _Hermitian:
         square under- or overflows and norm(2^k X) = 2^k norm(X) exactly;
         only a norm beyond the largest float raises OverflowError.
         """
-        exponent, _, _, _, norm = _scaled_invariants(self)
+        exponent, _, _, _, norm, *_ = _scaled_invariants(self)
         return math.ldexp(norm, exponent)
 
     def __add__(self, other):
@@ -331,15 +332,18 @@ def _unscaled(x: float, exponent: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def _scaled_invariants(X: _Hermitian) -> tuple[int, float, float, float, float]:
+def _scaled_invariants(X: _Hermitian) -> tuple:
     """(e, trace, sigma, det, norm) of X / 2^e, computed once and kept on X.
 
     e brings X's largest coordinate into [1/2, 1).  The division is exact,
     so an invariant of degree k scaled back by 2^(k e) keeps every bit
     wherever nothing under- or overflows, and no square or cube of the
-    scaled coordinates overflows.  For a Hermitian2, sigma and det are
-    both x1 x2 - |a|^2.  The tuple stays valid because X's coordinate
-    vector is read-only and every arithmetic result is a new matrix.
+    scaled coordinates overflows.  A JordanMatrix's tuple goes on with
+    sigma and det of B = X - (tr X / 3) I, its traceless part, which keep
+    the spread of the eigenvalues near a multiple of I.  For a Hermitian2,
+    sigma and det are both x1 x2 - |a|^2.  The tuple stays valid because
+    X's coordinate vector is read-only and every arithmetic result is a
+    new matrix.
     """
     inv = X._inv
     if inv is None:
@@ -356,17 +360,23 @@ def _scaled_invariants(X: _Hermitian) -> tuple[int, float, float, float, float]:
             quad += x**2
         norm = math.sqrt(quad + 2.0 * sum(dots[1:], dots[0]))
         if X.SIZE == 3:
-            p, m, n = diag
             aa, bb, cc = np.add.reduce(octs * octs, axis=-1).tolist()
+            re_bac = 2.0 * float(_re_bac(octs))
+            p, m, n = diag
             sig = p * m + m * n + n * p - aa - bb - cc
-            det = p * m * n - p * bb - m * cc - n * aa + 2.0 * float(_re_bac(octs))
+            det = p * m * n - p * bb - m * cc - n * aa + re_bac
+            # the same on B = X - (tr X / 3) I, which differs on the diagonal alone
+            p, m, n = p - trace / 3.0, m - trace / 3.0, n - trace / 3.0
+            sig_b = p * m + m * n + n * p - aa - bb - cc
+            det_b = p * m * n - p * bb - m * cc - n * aa + re_bac
+            inv = X._inv = (exponent, trace, sig, det, norm, sig_b, det_b)
         else:
-            sig = det = diag[0] * diag[1] - dots[0]
-        inv = X._inv = (exponent, trace, sig, det, norm)
+            det = diag[0] * diag[1] - dots[0]
+            inv = X._inv = (exponent, trace, det, det, norm)
     return inv
 
 
-def _jordan_invariants(X: JordanMatrix) -> tuple[int, float, float, float, float]:
+def _jordan_invariants(X: JordanMatrix) -> tuple[int, float, float, float, float, float, float]:
     """``_scaled_invariants`` of a JordanMatrix; TypeError for anything else, a Hermitian2 too."""
     if not isinstance(X, JordanMatrix):
         raise TypeError(f"expected a JordanMatrix, got {type(X).__name__}")
@@ -380,7 +390,7 @@ def det3(X: JordanMatrix) -> float:
     ``triple`` up to rounding.  Anything but a JordanMatrix raises
     TypeError.
     """
-    exponent, _, _, det, _ = _jordan_invariants(X)
+    exponent, _, _, det, _, _, _ = _jordan_invariants(X)
     return _unscaled(det, 3 * exponent)
 
 
@@ -390,7 +400,7 @@ def sigma(X: JordanMatrix) -> float:
     Equal to ((tr X)^2 - tr(X o X))/2, read from X's scaled invariants.
     Anything but a JordanMatrix raises TypeError.
     """
-    exponent, _, sig, _, _ = _jordan_invariants(X)
+    exponent, _, sig, _, _, _, _ = _jordan_invariants(X)
     return _unscaled(sig, 2 * exponent)
 
 
@@ -413,35 +423,32 @@ def eigenvalues(X: JordanMatrix) -> np.ndarray:
     invariant under- or overflows and the roots scale exactly with X.
     A Hermitian2 raises TypeError.
     """
-    exponent, trace, sig, det, norm = _jordan_invariants(X)
-    return np.ldexp(_cubic_roots(trace, sig, det, norm), exponent)
+    exponent, trace, _, _, norm, sig_b, det_b = _jordan_invariants(X)
+    return np.ldexp(_cubic_roots(trace / 3.0, sig_b, det_b, norm), exponent)
 
 
 _ROOT_PHASES = 2.0 * np.pi * np.arange(3) / 3.0
 
 
-def _cubic_roots(c2: float, c1: float, c0: float, scale: float) -> np.ndarray:
-    """Roots, descending, of l^3 - c2 l^2 + c1 l - c0 for a Hermitian matrix of norm scale.
+def _cubic_roots(shift: float, sig: float, det: float, scale: float) -> np.ndarray:
+    """Eigenvalues, descending, of shift I + B of norm scale, B traceless with invariants sig, det.
 
-    Trigonometric solution of the depressed cubic; the acos argument is
-    clamped to [-1, 1] to absorb roundoff, and a nearly triple root falls
-    back to the real cube root.  "Nearly" is relative: the depressed
-    cubic's linear coefficient lies within 1e-14 scale^2 of zero.  The
-    fallback clamps the constant coefficient by the same real-root bound
-    as the acos argument.
+    Trigonometric solution of B's depressed cubic l^3 + sig l - det; the
+    acos argument is clamped to [-1, 1] to absorb roundoff, and a triple
+    root falls back to the real cube root.  Triple means that -sig, which
+    is |B|^2 / 2, lies within B's rounding level ulp(scale)^2: B's diagonal
+    is rounded at the last place of scale.  The fallback clamps det by the
+    same real-root bound as the acos argument.
     """
-    shift = c2 / 3.0
-    pdep = c1 - c2 * c2 / 3.0
-    qdep = -2.0 * c2**3 / 27.0 + c1 * c2 / 3.0 - c0
-    pdep = min(pdep, 0.0)
-    if -pdep <= 1e-14 * scale * scale:
-        # three real roots need |qdep| <= 2 (-pdep/3)^(3/2); the rest of
-        # qdep is rounding, which the cube root would magnify
+    pdep = min(sig, 0.0)
+    if -pdep <= math.ulp(scale) ** 2:
+        # three real roots need |det| <= 2 (-pdep/3)^(3/2); the rest of
+        # det is rounding, which the cube root would magnify
         bound = 2.0 * (-pdep / 3.0) ** 1.5
-        roots = np.full(3, shift + np.cbrt(-min(max(qdep, -bound), bound)))
+        roots = np.full(3, shift + np.cbrt(min(max(det, -bound), bound)))
     else:
         amp = 2.0 * np.sqrt(-pdep / 3.0)
-        arg = min(max(3.0 * qdep / (pdep * amp), -1.0), 1.0)
+        arg = min(max(-3.0 * det / (pdep * amp), -1.0), 1.0)
         phi = np.arccos(arg) / 3.0
         roots = shift + amp * np.cos(phi - _ROOT_PHASES)
     return np.sort(roots)[::-1]

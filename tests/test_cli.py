@@ -265,6 +265,25 @@ class TestDecompose:
         report = json.loads(out)
         assert report["p"] == 3 and report["pass"] is True
 
+    def test_near_identity_matrix(self, capsys, tmp_path):
+        # eigenvalues about 1e-7 apart: a chain of gaps each within
+        # MERGE_TOL |A| merged them into one term off by 2.3e-7
+        from octe6.jordan import JordanMatrix, jordan_to_dict, random_jordan
+        A = JordanMatrix.identity() + random_jordan(np.random.default_rng(2000)) * 2.5e-8
+        path = tmp_path / "near_identity.json"
+        path.write_text(json.dumps(jordan_to_dict(A)))
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0 and json.loads(out)["pass"] is True
+
+    @pytest.mark.xfail(strict=True, reason="classify compares det / |A|^3 with CLASS_TOL, "
+                       "while p counts eigenvalues above CLASS_TOL |A|")
+    def test_small_eigenvalue_pair_counts_like_the_cascade(self, capsys, tmp_path):
+        path = tmp_path / "small_pair.json"
+        path.write_text(json.dumps(
+            {"diag": [1.0, 1e-5, 1e-5], "a": [0.0] * 8, "b": [0.0] * 8, "c": [0.0] * 8}))
+        code, out, _ = run_cli(capsys, "decompose", str(path))
+        assert code == 0 and json.loads(out)["p"] == 3
+
     def test_corrupted_decomposition_of_small_matrix_fails(self, capsys, tmp_path, monkeypatch):
         # the residual bound is relative to |A|, so a wrong projector fails at any scale
         path = tmp_path / "small.json"

@@ -194,6 +194,15 @@ class TestEigenvalues:
                     - 4 * c1**3 - 27 * c0**2)
             assert disc >= -1e-9 * max(1.0, X.norm**6)
 
+    @pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+    def test_near_identity_keeps_the_spread(self, eps):
+        # the cubic of I + eps N itself lost 29-31 % of the spread at 1e-6
+        # and 1e-7: c1 - c2^2/3 cancels from about 3 to about eps^2
+        for seed in range(3):
+            N = random_jordan(np.random.default_rng(seed)) * eps
+            ref = eigenvalues(N)
+            assert np.abs(eigenvalues(I3 + N) - 1.0 - ref).max() <= 1e-9 * (ref[0] - ref[2])
+
 
 def _det3_triple(X: JordanMatrix) -> float:
     """Oracle: tr[X, X, X]/3 from the Freudenthal and Jordan products."""
@@ -321,14 +330,16 @@ def _norm_oracle(X) -> float:
 
 
 def _eigenvalues_oracle(X: JordanMatrix) -> np.ndarray:
-    """Reference eigenvalues: the trigonometric cubic on the scaled X, from the unscaled closed forms."""
+    """Reference eigenvalues: the trigonometric depressed cubic of B = S - (tr S / 3) I, shifted back.
+
+    S is the scaled X, and sigma and det of B come from the unscaled
+    closed forms on B's coordinates.
+    """
     S, exponent = _scaled_oracle(X)
-    v = S.to_vector()
-    c2, c1, c0, scale = S.trace, _sigma_formula(v), _det3_formula(v), _norm_oracle(S)
-    shift = c2 / 3.0
-    pdep = min(c1 - c2 * c2 / 3.0, 0.0)
-    qdep = -2.0 * c2**3 / 27.0 + c1 * c2 / 3.0 - c0
-    if -pdep <= 1e-14 * scale * scale:
+    shift, scale = S.trace / 3.0, _norm_oracle(S)
+    v = (S - JordanMatrix.identity() * shift).to_vector()
+    pdep, qdep = min(_sigma_formula(v), 0.0), -_det3_formula(v)
+    if -pdep <= math.ulp(scale) ** 2:
         bound = 2.0 * (-pdep / 3.0) ** 1.5
         roots = np.full(3, shift + np.cbrt(-np.clip(qdep, -bound, bound)))
     else:
