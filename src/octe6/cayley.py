@@ -23,9 +23,9 @@ transformation leaves fixed.
 
 classify, psquare_decompose and dirac_solve read the matrix's memoised
 scaled invariants (``jordan._scaled_invariants``: the trace, sigma, det
-and norm of the matrix divided by a power of two, and sigma and det of
-its traceless part), so every threshold they apply is relative to |A|
-and no test depends on the input's scale.
+and norm of the matrix divided by a power of two, and the drift, sigma
+and det of its traceless part), so every threshold they apply is relative
+to |A| and no test depends on the input's scale.
 """
 
 from __future__ import annotations
@@ -176,11 +176,11 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     depressed cubic) and Jordan powers do not cancel against |A| near a
     multiple of I.  All three eigenvalues merge into one cluster when
     their spread is at most MERGE_TOL * |A|, a pair when its gap is at
-    most MERGE_TOL times the other gap.  Each cluster's projector is the
-    Lagrange polynomial of its mean over the other clusters' means,
-    evaluated at B: primitive of trace 1 for one eigenvalue, the group
-    projection for a merged cluster.  A numerically diagonal A is split
-    directly into its diagonal idempotents instead.
+    most MERGE_TOL * |A| and eps_mach^(1/3) times the other gap.  Each
+    cluster's projector is the Lagrange polynomial of its mean over the
+    other clusters' means, evaluated at B: primitive of trace 1 for one
+    eigenvalue, the group projection for a merged cluster.  A numerically
+    diagonal A is split directly into its diagonal idempotents instead.
     p counts the eigenvalues, with multiplicity, above CLASS_TOL * |A|.
 
     Every tolerance is relative: the decomposition runs on A times the
@@ -189,9 +189,9 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     invariants, and the eigenvalues are scaled back.  A Hermitian2 raises
     TypeError.
     """
-    exponent, trace, _, _, scale, sig_b, det_b = _jordan_invariants(A)
+    exponent, trace, _, _, scale, drift, sig_b, det_b = _jordan_invariants(A)
     A = JordanMatrix.from_vector(np.ldexp(A.to_vector(), -exponent))
-    mus = _cubic_roots(0.0, sig_b, det_b, scale).tolist()
+    mus = [drift + r for r in _cubic_roots(sig_b, det_b, scale)]
     terms, lams = _psquare_terms(A, trace / 3.0, mus, scale)
     p = sum(1 for lam in lams if abs(lam) > CLASS_TOL * scale)
     return PSquareDecomposition([(np.ldexp(lam, exponent), P) for lam, P in terms], p)
@@ -211,25 +211,25 @@ def _psquare_terms(A: JordanMatrix, shift: float, mus: list, scale: float) -> tu
         terms = [(diag[t], JordanMatrix.basis_element(int(t))) for t in order]
         return terms, [d for d, _ in terms]
 
+    # a pair merges within MERGE_TOL |A| if that errs less than the cubic's split: by
+    # gap / other gap against eps_mach (other gap / gap)^2, which cross at eps_mach^(1/3)
     gaps = (mus[0] - mus[1], mus[1] - mus[2])
     split = mus[0] - mus[2] > MERGE_TOL * scale
-    bounds = [0] + [k + 1 for k in (0, 1) if split and gaps[k] > MERGE_TOL * gaps[1 - k]] + [3]
+    bounds = [0] + [k + 1 for k in (0, 1) if split and gaps[k] > min(
+        MERGE_TOL * scale, math.ulp(1.0) ** (1 / 3) * gaps[1 - k])] + [3]
     clusters = [mus[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     nodes = [sum(c) / len(c) for c in clusters]
 
-    # each node's Lagrange polynomial, prod over the other nodes o of
-    # (x - o) / (node - o), at B: x^2 - (o1 + o2) x + o1 o2, x - o1 or 1 over
-    # its value at the node, on the rows I, B and, for three nodes, B o B
     identity = JordanMatrix.identity()
     B = A - identity * shift
-    powers = [identity, B, jordan_product(B, B)] if len(nodes) == 3 else [identity, B]
-    powers = np.stack([P.to_vector() for P in powers])
+    B2 = jordan_product(B, B) if len(nodes) == 3 else None
     terms, lams = [], []
     for j, (node, cluster) in enumerate(zip(nodes, clusters)):
+        # prod over the other nodes o of (B - o I) / (node - o), in I, B and B o B
         others = nodes[:j] + nodes[j + 1:]
-        coeffs = [1.0, -sum(others), math.prod(others)][len(others)::-1]
-        numer = np.array(coeffs) @ powers[:len(others) + 1]
-        proj = JordanMatrix.from_vector(numer / math.prod(node - o for o in others))
+        numer = (B2 - B * sum(others) + identity * math.prod(others) if len(others) == 2
+                 else B - identity * sum(others) if others else identity)
+        proj = numer * (1.0 / math.prod([node - o for o in others]))
         terms.append((shift + node, proj))
         lams += [shift + node] * len(cluster)
     return terms, lams
@@ -243,7 +243,7 @@ def classify(A: JordanMatrix) -> int:
     of them are read from A's scaled invariants, where no invariant
     under- or overflows for a finite A.  A Hermitian2 raises TypeError.
     """
-    _, trace, sig, det, norm, _, _ = _jordan_invariants(A)
+    _, trace, sig, det, norm, _, _, _ = _jordan_invariants(A)
     if norm == 0.0:
         return 0
     if abs(det / norm**3) > CLASS_TOL:

@@ -33,13 +33,12 @@ psi, a JordanMatrix for a Cayley spinor (theta1, theta2, conj(xi)).
 One matrix's invariants are computed once, in one pass, and kept on the
 matrix: ``_scaled_invariants`` divides the coordinates by the power of two
 2^e that brings the largest one into [1/2, 1) and stores e with the trace,
-sigma, det and Frobenius norm of the scaled matrix, and for a JordanMatrix
-sigma and det of its traceless part.  ``det3``, ``sigma``, ``norm``,
-``Hermitian2.det`` and ``eigenvalues`` read that tuple and scale back by
-the matching power of 2^e; ``cayley`` reads it as it is.  The division is
-exact, so the results keep every bit of the unscaled formulas wherever
-those do not under- or overflow, and stay finite and scale-exact where
-they would.
+sigma, det and Frobenius norm of the scaled matrix (a JordanMatrix adds the
+drift, sigma and det of its traceless part).  ``det3``, ``sigma``, ``norm``,
+``Hermitian2.det`` and ``eigenvalues`` read that tuple and scale back by the
+matching power of 2^e; ``cayley`` reads it as it is.  The division is exact,
+so the results keep every bit of the unscaled formulas wherever those do
+not under- or overflow, and stay finite and scale-exact where they would.
 The stored tuple cannot go stale: the coordinate vector is read-only and
 every arithmetic result is a new matrix.
 
@@ -338,12 +337,12 @@ def _scaled_invariants(X: _Hermitian) -> tuple:
     e brings X's largest coordinate into [1/2, 1).  The division is exact,
     so an invariant of degree k scaled back by 2^(k e) keeps every bit
     wherever nothing under- or overflows, and no square or cube of the
-    scaled coordinates overflows.  A JordanMatrix's tuple goes on with
-    sigma and det of B = X - (tr X / 3) I, its traceless part, which keep
-    the spread of the eigenvalues near a multiple of I.  For a Hermitian2,
-    sigma and det are both x1 x2 - |a|^2.  The tuple stays valid because
-    X's coordinate vector is read-only and every arithmetic result is a
-    new matrix.
+    scaled coordinates overflows.  A JordanMatrix adds (drift, sigma, det)
+    of B = X - (tr X / 3) I re-centred by drift, the mean of its rounded
+    diagonal: X's eigenvalues are tr X / 3 + drift + those of B.  For a
+    Hermitian2, sigma and det are both x1 x2 - |a|^2.  The tuple stays
+    valid because X's coordinate vector is read-only and every arithmetic
+    result is a new matrix.
     """
     inv = X._inv
     if inv is None:
@@ -365,18 +364,22 @@ def _scaled_invariants(X: _Hermitian) -> tuple:
             p, m, n = diag
             sig = p * m + m * n + n * p - aa - bb - cc
             det = p * m * n - p * bb - m * cc - n * aa + re_bac
-            # the same on B = X - (tr X / 3) I, which differs on the diagonal alone
+            # B differs on the diagonal alone; the rounded tr X / 3 leaves it a
+            # trace of up to ulp(tr X), which the depressed cubic would ignore
+            # and split a double root by |B| sqrt(ulp(tr X) / |B|)
             p, m, n = p - trace / 3.0, m - trace / 3.0, n - trace / 3.0
+            drift = (p + m + n) / 3.0
+            p, m, n = p - drift, m - drift, n - drift
             sig_b = p * m + m * n + n * p - aa - bb - cc
             det_b = p * m * n - p * bb - m * cc - n * aa + re_bac
-            inv = X._inv = (exponent, trace, sig, det, norm, sig_b, det_b)
+            inv = X._inv = (exponent, trace, sig, det, norm, drift, sig_b, det_b)
         else:
             det = diag[0] * diag[1] - dots[0]
             inv = X._inv = (exponent, trace, det, det, norm)
     return inv
 
 
-def _jordan_invariants(X: JordanMatrix) -> tuple[int, float, float, float, float, float, float]:
+def _jordan_invariants(X: JordanMatrix) -> tuple:
     """``_scaled_invariants`` of a JordanMatrix; TypeError for anything else, a Hermitian2 too."""
     if not isinstance(X, JordanMatrix):
         raise TypeError(f"expected a JordanMatrix, got {type(X).__name__}")
@@ -390,7 +393,7 @@ def det3(X: JordanMatrix) -> float:
     ``triple`` up to rounding.  Anything but a JordanMatrix raises
     TypeError.
     """
-    exponent, _, _, det, _, _, _ = _jordan_invariants(X)
+    exponent, _, _, det, _, _, _, _ = _jordan_invariants(X)
     return _unscaled(det, 3 * exponent)
 
 
@@ -400,7 +403,7 @@ def sigma(X: JordanMatrix) -> float:
     Equal to ((tr X)^2 - tr(X o X))/2, read from X's scaled invariants.
     Anything but a JordanMatrix raises TypeError.
     """
-    exponent, _, sig, _, _, _, _ = _jordan_invariants(X)
+    exponent, _, sig, _, _, _, _, _ = _jordan_invariants(X)
     return _unscaled(sig, 2 * exponent)
 
 
@@ -423,35 +426,32 @@ def eigenvalues(X: JordanMatrix) -> np.ndarray:
     invariant under- or overflows and the roots scale exactly with X.
     A Hermitian2 raises TypeError.
     """
-    exponent, trace, _, _, norm, sig_b, det_b = _jordan_invariants(X)
-    return np.ldexp(_cubic_roots(trace / 3.0, sig_b, det_b, norm), exponent)
+    exponent, trace, _, _, norm, drift, sig_b, det_b = _jordan_invariants(X)
+    return np.ldexp([trace / 3.0 + (drift + r) for r in _cubic_roots(sig_b, det_b, norm)], exponent)
 
 
 _ROOT_PHASES = 2.0 * np.pi * np.arange(3) / 3.0
 
 
-def _cubic_roots(shift: float, sig: float, det: float, scale: float) -> np.ndarray:
-    """Eigenvalues, descending, of shift I + B of norm scale, B traceless with invariants sig, det.
+def _cubic_roots(sig: float, det: float, scale: float) -> list:
+    """Eigenvalues, descending, of a traceless B with invariants sig, det, in a matrix of norm scale.
 
     Trigonometric solution of B's depressed cubic l^3 + sig l - det; the
-    acos argument is clamped to [-1, 1] to absorb roundoff, and a triple
-    root falls back to the real cube root.  Triple means that -sig, which
-    is |B|^2 / 2, lies within B's rounding level ulp(scale)^2: B's diagonal
-    is rounded at the last place of scale.  The fallback clamps det by the
-    same real-root bound as the acos argument.
+    acos argument is clamped to [-1, 1] to absorb roundoff.  A triple root,
+    -sig = |B|^2 / 2 within B's rounding level ulp(scale)^2 (B's diagonal is
+    rounded at the last place of scale), falls back to the real cube root
+    of det, clamped by the same real-root bound as the acos argument.
     """
     pdep = min(sig, 0.0)
     if -pdep <= math.ulp(scale) ** 2:
         # three real roots need |det| <= 2 (-pdep/3)^(3/2); the rest of
         # det is rounding, which the cube root would magnify
         bound = 2.0 * (-pdep / 3.0) ** 1.5
-        roots = np.full(3, shift + np.cbrt(min(max(det, -bound), bound)))
-    else:
-        amp = 2.0 * np.sqrt(-pdep / 3.0)
-        arg = min(max(-3.0 * det / (pdep * amp), -1.0), 1.0)
-        phi = np.arccos(arg) / 3.0
-        roots = shift + amp * np.cos(phi - _ROOT_PHASES)
-    return np.sort(roots)[::-1]
+        return [float(np.cbrt(min(max(det, -bound), bound)))] * 3
+    amp = 2.0 * math.sqrt(-pdep / 3.0)
+    arg = min(max(-3.0 * det / (pdep * amp), -1.0), 1.0)
+    phi = np.arccos(arg) / 3.0
+    return sorted((amp * np.cos(phi - _ROOT_PHASES)).tolist(), reverse=True)
 
 
 # ---------------------------------------------------------------------------

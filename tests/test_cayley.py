@@ -331,18 +331,36 @@ class TestPSquareDecomposition:
         for _, proj in dec.terms:
             assert proj.trace == pytest.approx(1.0)
 
-    def test_degenerate_dense_merges(self):
-        # rotate diag(2, 2, 5) off the diagonal axis: merged projector of trace 2
-        rng = np.random.default_rng(SEED)
+    @pytest.mark.parametrize("delta", [0.0, 3e-7])
+    def test_degenerate_dense_merges(self, delta):
+        # rotate diag(2, 2 + delta, 5) off the diagonal axis: merged projector
+        # of trace 2; at 3e-7 the pair's gap is 1e-7 of the other gap, which
+        # the cubic resolves to about 0.5 %: split, its projectors were
+        # 4.6e-3 from idempotent
         curves = roster("F4")
         nm = curves[13](0.6).compose(curves[40](1.1))
-        A = nm.apply(JordanMatrix.diag(2, 2, 5))
+        A = nm.apply(JordanMatrix.diag(2, 2 + delta, 5))
         dec = psquare_decompose(A)
         assert dec.p == 3
         assert len(dec.terms) == 2
         traces = sorted(proj.trace for _, proj in dec.terms)
         assert traces == [pytest.approx(1.0), pytest.approx(2.0)]
         assert (dec.reconstruct() - A).norm <= 1e-7 * A.norm
+        for P in dec.projectors:
+            assert (jordan_product(P, P) - P).norm <= 1e-6
+
+    @pytest.mark.parametrize("mu, t", [(1.0, 1e-3), (-1.0, 1e-5), (1e4, 1.0), (1e6, 1.0)])
+    def test_scalar_plus_rank_one_merges_the_double_root(self, mu, t):
+        # mu I + t S for a rank-1 square S: the rounded tr A / 3 left B a trace
+        # of ulp(mu), which split the exact double root into three terms
+        for seed in range(8):
+            S = spinor_square(random_quaternionic_spinor(np.random.default_rng(seed)))
+            A = I3 * mu + S * t
+            dec = psquare_decompose(A)
+            assert len(dec.terms) == 2, seed
+            assert (dec.reconstruct() - A).norm <= 1e-7 * A.norm, seed
+            for P in dec.projectors:
+                assert (jordan_product(P, P) - P).norm <= 1e-6, seed
 
     def test_scalar_matrix(self):
         # diagonal input: primitive split even though all eigenvalues coincide
@@ -390,7 +408,7 @@ class TestPSquareDecomposition:
         # about 1e-16 |A|^2 and are divided by about eps^2; the cubic of A
         # itself loses the eigenvalues' spread; and merging a chain of gaps
         # each within MERGE_TOL |A| left one term off by the chained spread
-        for seed in range(2000, 2040):
+        for seed in [*range(40), *range(2000, 2040)]:
             A = I3 + random_jordan(np.random.default_rng(seed)) * eps
             dec = psquare_decompose(A)
             assert (dec.reconstruct() - A).norm <= 1e-7 * A.norm, seed

@@ -332,21 +332,24 @@ def _norm_oracle(X) -> float:
 def _eigenvalues_oracle(X: JordanMatrix) -> np.ndarray:
     """Reference eigenvalues: the trigonometric depressed cubic of B = S - (tr S / 3) I, shifted back.
 
-    S is the scaled X, and sigma and det of B come from the unscaled
-    closed forms on B's coordinates.
+    S is the scaled X.  B is re-centred by the mean drift of its diagonal,
+    and sigma and det of the re-centred B come from the unscaled closed
+    forms on its coordinates.
     """
     S, exponent = _scaled_oracle(X)
     shift, scale = S.trace / 3.0, _norm_oracle(S)
-    v = (S - JordanMatrix.identity() * shift).to_vector()
-    pdep, qdep = min(_sigma_formula(v), 0.0), -_det3_formula(v)
+    B = S - JordanMatrix.identity() * shift
+    drift = B.trace / 3.0
+    v = (B - JordanMatrix.identity() * drift).to_vector()
+    pdep, det = min(_sigma_formula(v), 0.0), _det3_formula(v)
     if -pdep <= math.ulp(scale) ** 2:
         bound = 2.0 * (-pdep / 3.0) ** 1.5
-        roots = np.full(3, shift + np.cbrt(-np.clip(qdep, -bound, bound)))
+        roots = np.full(3, np.cbrt(np.clip(det, -bound, bound)))
     else:
         amp = 2.0 * np.sqrt(-pdep / 3.0)
-        phi = np.arccos(np.clip(3.0 * qdep / (pdep * amp), -1.0, 1.0)) / 3.0
-        roots = shift + amp * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0)
-    return np.ldexp(np.sort(roots)[::-1], exponent)
+        phi = np.arccos(np.clip(-3.0 * det / (pdep * amp), -1.0, 1.0)) / 3.0
+        roots = amp * np.cos(phi - 2.0 * np.pi * np.arange(3) / 3.0)
+    return np.ldexp(shift + (drift + np.sort(roots)[::-1]), exponent)
 
 
 def _ldexp_or_inf(x: float, exponent: int) -> float:
