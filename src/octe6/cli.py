@@ -86,6 +86,31 @@ def _layer_residual(curves, tol: float) -> float:
     return float(max(welldefined_res.max(), compatible_res.max()))
 
 
+def _images(words, matrices) -> list:
+    """The image of each Jordan matrix under its word, a list of (curve, angle) innermost first.
+
+    One paired kernel call acts with every word on its own matrix.  The
+    words' 2x2 layers go into one stack, the shorter words padded with
+    identity layers on the inside, and each slot's layers are embedded at
+    once (an identity block embeds as the identity in any slot).
+    """
+    layers = [np.concatenate([curve.layer_arrays([theta])[0] for curve, theta in word])
+              for word in words]
+    depth = max(map(len, layers))
+    blocks = np.zeros((len(words), depth, 2, 2, 8))
+    blocks[..., 0, 0, 0] = blocks[..., 1, 1, 0] = 1.0
+    slots = np.zeros((len(words), depth), dtype=int)
+    for w, (word, word_layers) in enumerate(zip(words, layers)):
+        blocks[w, depth - len(word_layers):] = word_layers
+        slots[w, depth - len(word_layers):] = [curve.slot for curve, _ in word for _ in curve.rates]
+    stack = np.empty((len(words), depth, 3, 3, 8))
+    for slot in set(slots.ravel().tolist()):
+        stack[slots == slot] = transform.embed(blocks[slots == slot], slot)
+    arrays = jordan.hermitian_arrays(np.stack([X.to_vector() for X in matrices]), 3)
+    images = jordan.hermitian_vectors(transform.apply_paired(stack, arrays))
+    return [jordan.JordanMatrix.from_vector(v) for v in images]
+
+
 def cmd_verify(args) -> dict:
     group = generators.normalize_group(args.group)
     curves = generators.roster(group, slot=args.slot)
@@ -98,14 +123,13 @@ def cmd_verify(args) -> dict:
     sample = [curves[idx] for idx in rng.choice(len(curves), size=min(6, len(curves)), replace=False)]
     checks.append(_bound("layer-predicates", _layer_residual(sample, args.tol), args.tol * 10))
 
-    samples = []
+    words, matrices = [], []
     for _ in range(10):
         picks = rng.choice(len(curves), size=3, replace=False)
-        nm = curves[picks[0]](rng.uniform(-1, 1))
-        for t in picks[1:]:
-            nm = nm.compose(curves[t](rng.uniform(-1, 1)))
-        X = jordan.random_jordan(rng)
-        samples.append((jordan.det3(X), jordan.det3(nm.apply(X)), X.norm))
+        words.append([(curves[t], rng.uniform(-1, 1)) for t in picks])
+        matrices.append(jordan.random_jordan(rng))
+    samples = [(jordan.det3(X), jordan.det3(Y), X.norm)
+               for X, Y in zip(matrices, _images(words, matrices))]
     # each change relative to |X|^3 as in classify; the cube is numpy's,
     # whose last bit differs from Python's float ** 3 on some values
     before, after, norms = np.array(samples).T
@@ -116,12 +140,13 @@ def cmd_verify(args) -> dict:
         # rosters without boosts, the only cosh/exp curves, are unitary, so
         # the trace is preserved; each change relative to |X|, as the det
         # change is to |X|^3
-        trace_res = 0.0
+        words, matrices = [], []
         for _ in range(10):
             pick = int(rng.integers(len(curves)))
-            X = jordan.random_jordan(rng)
-            nm = curves[pick](rng.uniform(-1, 1))
-            trace_res = max(trace_res, abs(nm.apply(X).trace - X.trace) / X.norm)
+            matrices.append(jordan.random_jordan(rng))
+            words.append([(curves[pick], rng.uniform(-1, 1))])
+        trace_res = max(abs(Y.trace - X.trace) / X.norm
+                        for X, Y in zip(matrices, _images(words, matrices)))
         checks.append(_bound("trace-preservation", trace_res, args.tol * 10))
 
     report = {

@@ -357,9 +357,11 @@ def singular_values(items: Sequence) -> np.ndarray:
 
     Columns that are zero in every element change no nonzero singular
     value, so they are dropped first: min(n, support) values for n items.
+    The SVD runs on the transpose, support rows by n columns, whose
+    singular values are the same and which LAPACK takes faster.
     """
     stacked = np.stack([el.ravel() for el in _as_elements(items)])
-    return np.linalg.svd(stacked[:, stacked.any(axis=0)], compute_uv=False)
+    return np.linalg.svd(stacked[:, stacked.any(axis=0)].T, compute_uv=False)
 
 
 def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:

@@ -21,10 +21,14 @@ multiplies by the map's operator (27x27 for 3x3 layers, 10x10 for 2x2),
 built on the first call and kept read-only.  The operator comes from the
 layered kernel ``_act`` on the basis matrices.  For Hermitian X,
 M X = (X M^dagger)^dagger, so a layer is two products with the real table
-of M^dagger around a transpose; one contraction gives the tables of every
-layer, and ``linear_ops`` runs a whole stack of maps of one depth in one
-call, the shared basis stack folded into the rows of each map's BLAS
-products.  The predicates take one matrix or a stack, with bounds relative
+of M^dagger around a transpose; one contraction gives a layer's two
+tables.  The kernel pairs a stack of maps with a stack of matrices by
+broadcasting: ``linear_ops`` runs a whole stack of maps of one depth on
+the shared basis stack, folded into the rows of each map's BLAS products,
+and ``apply_paired`` acts with map P on its own matrix X[P], so that a
+map used once, as verify's sampled words are, needs no operator (building
+one costs about twice the layered action on one matrix).  The predicates
+take one matrix or a stack, with bounds relative
 to |M|^2 (|M|^n for an n x n determinant), all from ``_verdicts``;
 well-definedness runs ``_act`` on the Hermitian basis, compatibility one
 ``omatmul`` and one ``_act`` on sampled spinor columns.
@@ -42,6 +46,7 @@ from .octonion import (
     _CONJ_SIGNS,
     _TABLE_ON_RIGHT,
     imaginary_rank,
+    oconj,
     odagger,
     omatmul,
     omul,
@@ -178,26 +183,32 @@ _DAGGER_TABLES.setflags(write=False)
 
 
 def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Layers (..., depth, n, n, 8) applied inside out to Hermitian X, X -> (M X) M^dagger.
+    """Layers (B..., depth, n, n, 8) applied inside out to Hermitian X, X -> (M X) M^dagger.
 
-    Every map of the layer stack acts on the one shared (..., n, n, 8)
-    stack X; the result is the maps' batch followed by X's shape.  For
-    Hermitian X, M X = (X M^dagger)^dagger, so a layer takes two products
-    with the table of M^dagger, R: X's rows times R, a transpose, and the
-    rows of that times R with its rows' signs folded in (the conjugation).
-    One contraction gives both tables of every layer; each product is one
-    BLAS call per map, with all of X folded into its rows.
+    X is (A..., R..., n, n, 8): its leading axes A, one per axis of the
+    maps' batch B, broadcast against B, and its remaining axes R fold into
+    rows.  So map P acts on X[P] when A is B, and every map on one shared
+    stack when A is all ones; the result is (broadcast(A, B), R..., n, n, 8).
+    For Hermitian X, M X = (X M^dagger)^dagger, so a layer takes two
+    products with the table of M^dagger, R: X's rows times R, a transpose,
+    and the rows of that times R with its rows' signs folded in (the
+    conjugation).  Each layer's two tables come from one contraction; each
+    product is one BLAS call per pair of a map and its X, with the R axes
+    folded into its rows.
     """
     depth, n = layers.shape[-4:-2]
     batch, k = layers.shape[:-4], 8 * n
-    p, m = layers.size // (depth * n * k), X.size // (n * k)  # maps and matrices, either may be 0
-    # (P, d, b, c, table, I, K) -> per layer d and table, map P: rows (c, I), columns (b, K)
-    tables = (layers.reshape(-1, 8) @ _DAGGER_TABLES).reshape(p, depth, n, n, 2, 8, 8)
-    tables = tables.transpose(1, 4, 0, 3, 5, 2, 6).reshape(depth, 2, p, k, k)
-    out = X.reshape(m * n, k)
-    for right, right_conj in tables:
-        out = (out @ right).reshape(p, m, n, n, 8).swapaxes(-3, -2).reshape(p, m * n, k) @ right_conj
-    return out.reshape(batch + X.shape)
+    lead, rows = X.shape[:len(batch)], X.shape[len(batch):-3]
+    m = math.prod(rows)  # matrices per map, may be 0
+    out = X.reshape(lead + (m * n, k))
+    for d in range(depth):
+        # (B, b, c, table, I, K) -> per table: (B, rows (c, I), columns (b, K))
+        tables = (layers[..., d, :, :, :].reshape(-1, 8) @ _DAGGER_TABLES).reshape(-1, n, n, 2, 8, 8)
+        right, right_conj = tables.transpose(3, 0, 2, 4, 1, 5).reshape((2,) + batch + (k, k))
+        out = out @ right
+        pairs = out.shape[:-2]
+        out = out.reshape(pairs + (m, n, n, 8)).swapaxes(-3, -2).reshape(pairs + (m * n, k)) @ right_conj
+    return out.reshape(out.shape[:-2] + X.shape[len(batch):])
 
 
 def linear_ops(layers: np.ndarray) -> np.ndarray:
@@ -208,9 +219,26 @@ def linear_ops(layers: np.ndarray) -> np.ndarray:
     is 27 for 3x3 layers, 10 for 2x2).  All maps act on the basis
     matrices in one ``_act`` call, and one take reads every operator.
     """
-    basis = _hermitian_basis(layers.shape[-2])
-    images = _act(layers, basis).reshape(layers.shape[:-4] + (basis.size,))
+    batch, basis = layers.shape[:-4], _hermitian_basis(layers.shape[-2])
+    images = _act(layers, basis.reshape((1,) * len(batch) + basis.shape)).reshape(batch + (basis.size,))
     return images.take(_operator_positions(layers.shape[-2]), axis=-1)
+
+
+def apply_paired(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Map P of a stack of nested maps on its own Hermitian matrix X[P], no read-off.
+
+    Layers (..., depth, n, n, 8) and X (..., n, n, 8) share their leading
+    shape; one ``_act`` call gives every image, item P equal bit for bit to
+    ``NestedMap(layers[P]).apply_array(X[P])``.  Maps of different depths
+    share a stack when the shorter ones are padded with identity layers on
+    the inside: on exactly Hermitian X an identity layer is exact, up to
+    the sign of zero.
+    """
+    layers, X = np.asarray(layers, dtype=float), np.asarray(X, dtype=float)
+    if (layers.ndim < 4 or layers.shape[-3] != layers.shape[-2] or layers.shape[-1] != 8
+            or X.shape != layers.shape[:-4] + layers.shape[-3:]):
+        raise ValueError(f"{layers.shape} layers do not pair with {X.shape} operands")
+    return _act(layers, X)
 
 
 @functools.cache
@@ -262,7 +290,8 @@ def is_welldefined(M, tol: float = 1e-9):
     (..., n, n, 8) stack, one per item.
     """
     Ma = np.asarray(M, dtype=float)
-    Z = _act(Ma[..., None, :, :, :], _hermitian_basis(Ma.shape[-2]))
+    basis = _hermitian_basis(Ma.shape[-2])
+    Z = _act(Ma[..., None, :, :, :], basis.reshape((1,) * (Ma.ndim - 3) + basis.shape))
     return _verdicts(Ma, odagger(Z) - Z, tol)
 
 
@@ -287,6 +316,8 @@ def is_compatible(M, tol: float = 1e-9):
 
     Samples the 16 standard basis columns plus 32 seeded unit columns; M v
     is one ``omatmul`` for all of them, M(v v^dagger)M^dagger one ``_act``.
+    For w = M v, (w w^dagger) has |w_0|^2 and |w_1|^2 on its diagonal and
+    w_0 conj(w_1) and its conjugate off it, one ``omul`` per column.
     Returns (verdict, largest residual) for one 2x2 matrix, arrays of both
     for a (..., 2, 2, 8) stack.
     """
@@ -294,11 +325,16 @@ def is_compatible(M, tol: float = 1e-9):
     if Ma.shape[-3:] != (2, 2, 8):
         raise ValueError("compatibility is a predicate on 2x2 matrices")
     columns, squares = _spinor_samples()
-    # the images M v as a (..., 48, 2, 1, 8) stack of columns
-    W = np.swapaxes(omatmul(Ma, columns), -3, -2)[..., None, :]
-    lhs = omul(W, odagger(W))
-    rhs = _act(Ma[..., None, :, :, :], squares)
-    return _verdicts(Ma, lhs - rhs, tol)
+    W = omatmul(Ma, columns)  # (..., 2, 48, 8): the images w = M v as columns
+    norms = np.add.reduce(W * W, axis=-1)
+    off = omul(W[..., 0, :, :], oconj(W[..., 1, :, :]))
+    # M(v v^dagger)M^dagger minus (w w^dagger), entry by entry
+    diff = _act(Ma[..., None, :, :, :], squares.reshape((1,) * (Ma.ndim - 3) + squares.shape))
+    diff[..., 0, 0, 0] -= norms[..., 0, :]
+    diff[..., 1, 1, 0] -= norms[..., 1, :]
+    diff[..., 0, 1, :] -= off
+    diff[..., 1, 0, :] -= oconj(off)
+    return _verdicts(Ma, diff, tol)
 
 
 def is_complex(M, rel_tol: float = 1e-9):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import octe6
-from octe6 import cayley, cli, generators, transform
+from octe6 import cayley, cli, generators, jordan, transform
 from octe6.cli import main
 from octe6.octonion import signed_table
 
@@ -128,10 +128,9 @@ class TestVerify:
     def test_determinant_bound_is_relative_below_unit_scale(self, capsys, monkeypatch):
         # a map that scales every image by 1.5 multiplies det by 3.375; on
         # samples scaled by 1e-3 the change was 5.4e-8 of max(1, |det X|)
-        from octe6 import jordan
-        honest_random, honest_apply = jordan.random_jordan, transform.NestedMap.apply
+        honest_random, honest_apply = jordan.random_jordan, transform.apply_paired
         monkeypatch.setattr(jordan, "random_jordan", lambda rng: honest_random(rng) * 1e-3)
-        monkeypatch.setattr(transform.NestedMap, "apply", lambda nm, X: honest_apply(nm, X) * 1.5)
+        monkeypatch.setattr(transform, "apply_paired", lambda layers, X: honest_apply(layers, X) * 1.5)
         code, out, _ = run_cli(capsys, "verify", "SO8", "--seed", "1")
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -141,7 +140,6 @@ class TestVerify:
     def test_trace_bound_is_relative_above_unit_scale(self, capsys, monkeypatch):
         # on samples scaled by 2^30 the absolute change in the trace was
         # 4.8e-7, over the 1e-8 bound, while the relative det check passed
-        from octe6 import jordan
         honest_random = jordan.random_jordan
         monkeypatch.setattr(jordan, "random_jordan", lambda rng: honest_random(rng) * 2.0**30)
         code, out, _ = run_cli(capsys, "verify", "F4", "--seed", "3")
@@ -152,10 +150,9 @@ class TestVerify:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 2.0**30])
     def test_trace_bound_fails_a_wrong_map_at_every_scale(self, capsys, monkeypatch, scale):
         # a map that scales every image by 1 + 1e-6 moves the trace by 1e-6 |tr X|
-        from octe6 import jordan
-        honest_random, honest_apply = jordan.random_jordan, transform.NestedMap.apply
+        honest_random, honest_apply = jordan.random_jordan, transform.apply_paired
         monkeypatch.setattr(jordan, "random_jordan", lambda rng: honest_random(rng) * scale)
-        monkeypatch.setattr(transform.NestedMap, "apply", lambda nm, X: honest_apply(nm, X) * (1 + 1e-6))
+        monkeypatch.setattr(transform, "apply_paired", lambda layers, X: honest_apply(layers, X) * (1 + 1e-6))
         code, out, _ = run_cli(capsys, "verify", "SO8", "--seed", "1")
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -173,6 +170,33 @@ class TestVerify:
         boosts = any(c.label.startswith("boost") for c in generators.roster(group))
         assert names.count("trace-preservation") == (not boosts)
         assert boosts == (group in ("E6", "SO91"))
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("group", generators.GROUPS)
+    def test_sampled_checks_match_a_per_word_operator_loop(self, capsys, group, seed):
+        # one paired kernel call against each word's own 27x27 operator: rounding apart
+        code, out, _ = run_cli(capsys, "verify", group, "--seed", str(seed))
+        assert code == 0
+        checks = {c["name"]: c["observed"] for c in json.loads(out)["checks"]}
+        det_res, trace_res = _preservation_loop(group, seed)
+        assert abs(checks["determinant-preservation"] - det_res) <= 1e-15
+        if trace_res is None:
+            assert "trace-preservation" not in checks
+        else:
+            assert abs(checks["trace-preservation"] - trace_res) <= 1e-15
+
+    def test_images_match_each_word(self):
+        # words of 1 to 12 layers over all three slots, in one stack
+        rng = np.random.default_rng(11)
+        curves = generators.roster("E6") + generators.roster("G2", slot=2)
+        words = [[(curves[t], rng.uniform(-1, 1)) for t in rng.choice(len(curves), size=size)]
+                 for size in (1, 3, 2, 3, 1)]
+        matrices = [jordan.random_jordan(rng) for _ in words]
+        for word, X, Y in zip(words, matrices, cli._images(words, matrices)):
+            nm = word[0][0](word[0][1])
+            for curve, theta in word[1:]:
+                nm = nm.compose(curve(theta))
+            assert np.array_equal(Y.to_vector(), jordan.hermitian_vectors(nm.apply_array(X.to_array())))
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
@@ -208,6 +232,34 @@ class TestVerify:
         residual = _layer_residual([leaning], 1e-3)
         assert residual == _layer_residual_loop([leaning], 1e-3)
         assert 0.0 < residual < 1e-6
+
+
+def _preservation_loop(group, seed):
+    """verify's determinant and trace observations by each word's own operator, as an oracle.
+
+    The draws are verify's; each word is a composed NestedMap, applied through
+    its 27x27 operator.  The trace observation is None for rosters with boosts.
+    """
+    curves = generators.roster(group)
+    rng = np.random.default_rng(seed)
+    rng.choice(len(curves), size=min(6, len(curves)), replace=False)  # the layer-predicate sample
+    det_res = 0.0
+    for _ in range(10):
+        picks = rng.choice(len(curves), size=3, replace=False)
+        nm = curves[picks[0]](rng.uniform(-1, 1))
+        for t in picks[1:]:
+            nm = nm.compose(curves[t](rng.uniform(-1, 1)))
+        X = jordan.random_jordan(rng)
+        det_res = max(det_res, abs(jordan.det3(nm.apply(X)) - jordan.det3(X)) / X.norm ** 3)
+    if any(curve.kind != "trig" for curve in curves):
+        return det_res, None
+    trace_res = 0.0
+    for _ in range(10):
+        pick = int(rng.integers(len(curves)))
+        X = jordan.random_jordan(rng)
+        nm = curves[pick](rng.uniform(-1, 1))
+        trace_res = max(trace_res, abs(nm.apply(X).trace - X.trace) / X.norm)
+    return det_res, trace_res
 
 
 def _layer_residual_loop(curves, tol):

@@ -492,7 +492,7 @@ class TestStackedLieElements:
         stacked = np.stack([el.ravel() for el in expected])
         support = stacked[:, stacked.any(axis=0)]
         sv = singular_values(items)
-        assert np.array_equal(sv, np.linalg.svd(support, compute_uv=False))
+        assert np.array_equal(sv, np.linalg.svd(support.T, compute_uv=False))
         np.testing.assert_allclose(sv, np.linalg.svd(stacked, compute_uv=False)[:len(sv)], rtol=1e-14)
         assert span_equal(items, expected)
 

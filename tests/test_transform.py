@@ -15,6 +15,7 @@ from octe6.octonion import BASIS_NAMES, oconj, odagger, omatmul, omul
 from octe6.transform import (
     COMPATIBILITY_SEED,
     NestedMap,
+    apply_paired,
     complex_det,
     cyclic_permutation,
     embed,
@@ -114,7 +115,7 @@ class TestVectorApply:
         rng = np.random.default_rng(SEED)
         layers = rng.integers(-2, 3, batch + (2, n, n, 8)).astype(float)
         stack = rng.integers(-2, 3, (4, n, n, 8)).astype(float)
-        got = _act(layers, stack)
+        got = _act(layers, stack.reshape((1,) * len(batch) + stack.shape))
         assert got.shape == batch + stack.shape
         for idx in np.ndindex(*batch):
             assert np.array_equal(got[idx], NestedMap(layers[idx]).apply_array(stack))
@@ -122,6 +123,60 @@ class TestVectorApply:
     def test_stack_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             NestedMap.single(I3).apply_array(np.zeros((4, 2, 2, 8)))
+
+
+def _padded(words: list) -> np.ndarray:
+    """(words, depth, 3, 3, 8) stack of (depth_w, 3, 3, 8) words, identity layers padded inside."""
+    depth = max(len(word) for word in words)
+    stack = np.zeros((len(words), depth, 3, 3, 8))
+    stack[..., range(3), range(3), 0] = 1.0
+    for w, word in enumerate(words):
+        stack[w, depth - len(word):] = word
+    return stack
+
+
+class TestPairedApply:
+    """apply_paired: map P of a stack on its own matrix X[P], in one kernel call."""
+
+    @pytest.mark.parametrize("batch, n", [((3,), 3), ((2, 2), 3), ((3,), 2)],
+                             ids=["3-maps-3x3", "2x2-maps-3x3", "3-maps-2x2"])
+    def test_paired_maps_match_each_map(self, batch, n):
+        # integer-valued layers and operands keep every sum exact
+        rng = np.random.default_rng(SEED)
+        layers = rng.integers(-2, 3, batch + (3, n, n, 8)).astype(float)
+        X = rng.integers(-2, 3, batch + (n, n, 8)).astype(float)
+        got = apply_paired(layers, X)
+        assert got.shape == X.shape
+        for idx in np.ndindex(*batch):
+            assert got[idx].tobytes() == NestedMap(layers[idx]).apply_array(X[idx]).tobytes()
+
+    def test_roster_words_of_mixed_depth_match_each_word(self):
+        # G2 curves have 4 layers, SO7's 2 and most of E6's 1: words of 1 to 12 layers
+        rng = np.random.default_rng(SEED)
+        curves = roster("G2", slot=1) + roster("SO7", slot=2) + roster("E6")
+        words = []
+        for size in (1, 2, 3, 1, 3, 2, 3):
+            picks = rng.choice(len(curves), size=size, replace=False)
+            words.append(np.concatenate([curves[t](rng.uniform(-1, 1)).stack for t in picks]))
+        assert len({len(word) for word in words}) > 3
+        X = np.stack([random_jordan(rng).to_array() for _ in words])
+        stack = _padded(words)
+        got = apply_paired(stack, X)
+        for word, padded, image, x in zip(words, stack, got, X):
+            assert image.tobytes() == NestedMap(padded).apply_array(x).tobytes()
+            # an identity layer on an exactly Hermitian matrix is exact, up to the sign of zero
+            assert np.array_equal(image, NestedMap(word).apply_array(x))
+
+    @pytest.mark.parametrize("layers, X", [
+        ((2, 1, 3, 3, 8), (3, 3, 3, 8)),
+        ((2, 1, 3, 3, 8), (3, 3, 8)),
+        ((2, 1, 3, 3, 8), (2, 2, 2, 8)),
+        ((3, 3, 8), (3, 3, 8)),
+        ((2, 1, 2, 3, 8), (2, 2, 3, 8)),
+    ], ids=["batch", "unpaired", "size", "no-depth", "not-square"])
+    def test_unpaired_shapes_rejected(self, layers, X):
+        with pytest.raises(ValueError):
+            apply_paired(np.zeros(layers), np.zeros(X))
 
 
 class TestSpinorApply:
