@@ -6,9 +6,10 @@ and slot at seeds 0, 3, 7 and 11, ``triality --seed 5``, and ``report-all
 on a fixed set of inputs drawn from a seeded generator and written to a
 temporary directory: generic, two-cluster, near-identity (I + eps N for
 eps from 1e-9 to 1e-3) and diagonal matrices, each alone and under
-``--apply`` of an E6 word, and null momenta theta theta^dagger of both
-signs.  Their stdout carries the lambdas, projectors and residual bounds
-read from the Jordan invariants.
+``--apply`` of an E6 word, diag(1, 0.1, 0.1) under an E6 boost at
+rapidity 6, and null momenta theta theta^dagger of both signs.  Their
+stdout carries the lambdas, projectors and residual bounds read from the
+Jordan invariants.
 
 Each command runs once as ``python -m octe6.cli`` in a new process, where
 it must exit 0, then twice, in order, through ``octe6.cli.main`` inside
@@ -97,6 +98,13 @@ def input_commands(workdir: Path) -> list[list[str]]:
     near = [("near-identity", identity + jordan.random_jordan(rng) * eps)
             for eps in (1e-7, 1e-6, 1e-5, 2.5e-8)]
     decompose(near, len(matrices))
+    # E6's first boost curve (an exponential one) at rapidity 6 keeps the rank 3
+    # of diag(1, 0.1, 0.1) and brings its smallest eigenvalue to 6e-7 |A|
+    path = workdir / "boosted-diagonal.json"
+    path.write_text(json.dumps(jordan.jordan_to_dict(jordan.JordanMatrix.diag(1.0, 0.1, 0.1))))
+    map_path = workdir / "map-boost.json"
+    map_path.write_text(json.dumps(transform.nested_map_to_json(e6[0](6.0))))
+    out.append(["decompose", str(path), "--apply", str(map_path)])
     return out
 
 

@@ -16,10 +16,10 @@ squares.
 
 psquare_decompose splits any Jordan matrix into eigenmatrix projections
 A = sum lambda_i P_i with P_i o P_j = 0, one Lagrange interpolation on the
-traceless part of A over its clustered eigenvalues; its p counts nonzero
-eigenvalues.  classify reads the class off the determinant /
-second-invariant / trace cascade, which every determinant-preserving
-transformation leaves fixed.
+traceless part of A over its clustered eigenvalues.  classify is the one
+owner of the rank, which every determinant-preserving transformation
+leaves fixed: it reads the class off A, its Freudenthal square A#A and
+det A, and psquare_decompose's p is that class.
 
 classify, psquare_decompose and dirac_solve read the matrix's memoised
 scaled invariants (``jordan._scaled_invariants``: the trace, sigma, det
@@ -70,34 +70,33 @@ def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
     Requires P != 0 and det(P) = 0 relative to |P|^2, both tested on P's
     scaled invariants, so neither test depends on P's scale.  The
     returned theta lies in the complex subalgebra of P's off-diagonal
-    entry; the gauge is fixed by rotating the first nonzero component
-    real and nonnegative with a right phase.
+    entry a, with q = sign(tr P) (x1, x2) and sign(tr P) folded into a.
+    The gauge, the right phase that turns the first nonzero component
+    real and nonnegative, is applied in closed form: theta = (sqrt(q1),
+    a / sqrt(q1)) if q1 >= q2, else (|t1|, a / |t1|) for t1 =
+    conj(a) / sqrt(q2), or (t1, sqrt(q2)) where |t1| <= tol |P|.
     """
     _, _, _, det, norm = _scaled_invariants(P)
     if norm == 0.0:
         raise ValueError("dirac_solve requires a nonzero momentum")
     if abs(det) > tol * norm**2:
         raise ValueError(f"no rank-1 factorization: det(P) = {P.det:g} is not 0")
-    scale = P.norm
     sign = 1.0 if P.trace > 0 else -1.0
     q1, q2 = sign * P.x1, sign * P.x2
     a = sign * P.a
+    theta = np.zeros((2, 8))
     if q1 >= q2:
-        t1 = np.zeros(8)
-        t1[0] = np.sqrt(max(q1, 0.0))
-        t2 = a / t1[0]
+        theta[0, 0] = math.sqrt(q1)
+        theta[1] = a / theta[0, 0]
+        return theta
+    t1 = oconj(a) / math.sqrt(q2)
+    size = float(onorm(t1))
+    if size > tol * P.norm:
+        # (t1, sqrt(q2)) times the right phase conj(t1) / |t1|
+        theta[0, 0] = size
+        theta[1] = a / size
     else:
-        t2 = np.zeros(8)
-        t2[0] = np.sqrt(max(q2, 0.0))
-        t1 = oconj(a) / t2[0]
-    theta = np.stack([t1, t2])
-    # right phase in the shared complex subalgebra: first nonzero entry >= 0
-    for comp in theta:
-        nrm = float(onorm(comp))
-        if nrm > tol * scale:
-            w = oconj(comp) / nrm
-            theta = np.stack([omul(theta[0], w), omul(theta[1], w)])
-            break
+        theta[0], theta[1, 0] = t1, math.sqrt(q2)
     return theta
 
 
@@ -161,8 +160,8 @@ class PSquareDecomposition:
         return f"PSquareDecomposition(lambdas=[{lams}], p={self.p})"
 
 
-# relative threshold of the class p: classify compares the invariants of
-# A / |A| with it, psquare_decompose the eigenvalues over |A|
+# relative threshold of the rank: classify compares |A#A| with it times
+# |A|^2 and |det A| with it times |A| |A#A|
 CLASS_TOL = 1e-8
 
 # relative threshold at which psquare_decompose merges eigenvalues
@@ -181,7 +180,7 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     other clusters' means, evaluated at B: primitive of trace 1 for one
     eigenvalue, the group projection for a merged cluster.  A numerically
     diagonal A is split directly into its diagonal idempotents instead.
-    p counts the eigenvalues, with multiplicity, above CLASS_TOL * |A|.
+    p is classify(A), the rank.
 
     Every tolerance is relative: the decomposition runs on A times the
     power of two that brings its largest coordinate into [1/2, 1), which
@@ -190,26 +189,24 @@ def psquare_decompose(A: JordanMatrix) -> PSquareDecomposition:
     TypeError.
     """
     exponent, trace, _, _, scale, drift, sig_b, det_b = _jordan_invariants(A)
+    p = classify(A)
     A = JordanMatrix.from_vector(np.ldexp(A.to_vector(), -exponent))
     mus = [drift + r for r in _cubic_roots(sig_b, det_b, scale)]
-    terms, lams = _psquare_terms(A, trace / 3.0, mus, scale)
-    p = sum(1 for lam in lams if abs(lam) > CLASS_TOL * scale)
+    terms = _psquare_terms(A, trace / 3.0, mus, scale)
     return PSquareDecomposition([(np.ldexp(lam, exponent), P) for lam, P in terms], p)
 
 
-def _psquare_terms(A: JordanMatrix, shift: float, mus: list, scale: float) -> tuple[list, list]:
+def _psquare_terms(A: JordanMatrix, shift: float, mus: list, scale: float) -> list:
     """Terms (lambda, projector) of psquare_decompose for a scaled A.
 
-    mus are the eigenvalues, descending, of B = A - shift I.  Returns the
-    terms and the eigenvalues of A with multiplicity.
+    mus are the eigenvalues, descending, of B = A - shift I.
     """
     off_norm = max(float(onorm(A.a)), float(onorm(A.b)), float(onorm(A.c)))
     if off_norm <= 1e-12 * scale:
         # diagonal: idempotents can be read off directly, even when degenerate
         diag = (A.p, A.m, A.n)
         order = np.argsort(diag)[::-1]
-        terms = [(diag[t], JordanMatrix.basis_element(int(t))) for t in order]
-        return terms, [d for d, _ in terms]
+        return [(diag[t], JordanMatrix.basis_element(int(t))) for t in order]
 
     # a pair merges within MERGE_TOL |A| if that errs less than the cubic's split: by
     # gap / other gap against eps_mach (other gap / gap)^2, which cross at eps_mach^(1/3)
@@ -217,42 +214,60 @@ def _psquare_terms(A: JordanMatrix, shift: float, mus: list, scale: float) -> tu
     split = mus[0] - mus[2] > MERGE_TOL * scale
     bounds = [0] + [k + 1 for k in (0, 1) if split and gaps[k] > min(
         MERGE_TOL * scale, math.ulp(1.0) ** (1 / 3) * gaps[1 - k])] + [3]
-    clusters = [mus[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    nodes = [sum(c) / len(c) for c in clusters]
+    nodes = [sum(mus[lo:hi]) / (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
     identity = JordanMatrix.identity()
     B = A - identity * shift
     B2 = jordan_product(B, B) if len(nodes) == 3 else None
-    terms, lams = [], []
-    for j, (node, cluster) in enumerate(zip(nodes, clusters)):
+    terms = []
+    for j, node in enumerate(nodes):
         # prod over the other nodes o of (B - o I) / (node - o), in I, B and B o B
         others = nodes[:j] + nodes[j + 1:]
         numer = (B2 - B * sum(others) + identity * math.prod(others) if len(others) == 2
                  else B - identity * sum(others) if others else identity)
         proj = numer * (1.0 / math.prod([node - o for o in others]))
         terms.append((shift + node, proj))
-        lams += [shift + node] * len(cluster)
-    return terms, lams
+    return terms
 
 
 def classify(A: JordanMatrix) -> int:
-    """Number of nonzero eigenvalues via the det / sigma / trace cascade.
+    """The rank of A, from A, its Freudenthal square A#A and det A.
 
-    The cascade compares det/|A|^3, sigma/|A|^2 and tr/|A| with the fixed
-    threshold CLASS_TOL, so the class does not depend on A's scale.  All
-    of them are read from A's scaled invariants, where no invariant
-    under- or overflows for a finite A.  A Hermitian2 raises TypeError.
+    0 iff A = 0; at least 2 iff |A#A| > CLASS_TOL |A|^2; 3 iff also
+    |det A| > CLASS_TOL |A| |A#A|.  Each test compares an eigenvalue with
+    CLASS_TOL |A|: A#A has the eigenvalues l2 l3, l3 l1, l1 l2, and
+    det A / |A#A| is about the smallest |l|.  |A#A| <= |A|^2, so
+    |det A| > CLASS_TOL |A|^3 alone gives 3, and A#A is formed only past
+    that test.  Everything is read on A / 2^e, e from A's scaled
+    invariants, where nothing under- or overflows for a finite A, so the
+    class does not depend on A's scale.  A Hermitian2 raises TypeError.
     """
-    _, trace, sig, det, norm, _, _, _ = _jordan_invariants(A)
+    exponent, _, _, det, norm, _, _, _ = _jordan_invariants(A)
     if norm == 0.0:
         return 0
     if abs(det / norm**3) > CLASS_TOL:
         return 3
-    if abs(sig / norm**2) > CLASS_TOL:
-        return 2
-    if abs(trace / norm) > CLASS_TOL:
+    sharp = _sharp_norm(np.ldexp(A.to_vector(), -exponent))
+    if sharp <= CLASS_TOL * norm**2:
         return 1
-    return 0
+    return 3 if abs(det) > CLASS_TOL * norm * sharp else 2
+
+
+def _sharp_norm(v: np.ndarray) -> float:
+    """|A#A| for the coordinates v = (p, m, n, a, b, c) of A, in closed form.
+
+    A#A = A o A - (tr A) A + sigma(A) I has the diagonal mn - |b|^2,
+    np - |c|^2, pm - |a|^2 and the stored entries conj(c b) - n a,
+    conj(a c) - p b, conj(b a) - m c, the three products in one ``omul``
+    call.  Its invariant form sigma^2 - 2 tr det cancels to about
+    sqrt(eps_mach) |A|^2 on a rank-1 A.
+    """
+    p, m, n = v[:3].tolist()
+    octs = v[3:].reshape(3, 8)
+    off = oconj(omul(octs[[2, 0, 1]], octs[[1, 2, 0]])) - np.array([[n], [p], [m]]) * octs
+    aa, bb, cc = np.add.reduce(octs * octs, axis=-1).tolist()
+    diag = (m * n - bb, n * p - cc, p * m - aa)
+    return math.sqrt(sum(d * d for d in diag) + 2.0 * float(np.add.reduce(off * off, axis=None)))
 
 
 # ---------------------------------------------------------------------------

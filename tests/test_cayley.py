@@ -540,6 +540,59 @@ class TestClassPreservation:
         assert psquare_decompose(image).p == expected
 
 
+def _word(rng, curves, length: int) -> NestedMap:
+    nm = curves[int(rng.integers(len(curves)))](float(rng.uniform(-1.0, 1.0)))
+    for _ in range(length - 1):
+        nm = nm.compose(curves[int(rng.integers(len(curves)))](float(rng.uniform(-1.0, 1.0))))
+    return nm
+
+
+class TestRankRule:
+    """p is classify's rank: the exact count of nonzero eigenvalues, kept by F4 and E6."""
+
+    def test_grid_rank_is_the_count_and_f4_invariant(self):
+        # diag(1, d1, +-d2) for d = 10^(-k/2), k = 2..32, alone and under two
+        # 4-curve F4 words: away from CLASS_TOL |A| the rank counts the
+        # eigenvalues above it, also where det / |A|^3 is below CLASS_TOL,
+        # as for diag(1, 0.1, 1e-7)
+        rng = np.random.default_rng(SEED)
+        ops = [_word(rng, roster("F4"), 4).as_linear_op() for _ in range(2)]
+        deltas = [10.0 ** (-k / 2) for k in range(2, 33)]
+        off_threshold = 0
+        for d1 in deltas:
+            for d2 in deltas:
+                for diag in ((1.0, d1, d2), (1.0, d1, -d2)):
+                    A = JordanMatrix.diag(*diag)
+                    images = [A] + [JordanMatrix.from_vector(op @ A.to_vector()) for op in ops]
+                    classes = [classify(X) for X in images]
+                    for X, c in zip(images, classes):
+                        assert psquare_decompose(X).p == c, diag
+                    bound = cayley.CLASS_TOL * A.norm
+                    if any(bound / 3 <= abs(x) <= 3 * bound for x in diag):
+                        continue
+                    off_threshold += 1
+                    count = sum(abs(x) > bound for x in diag)
+                    assert classes == [count] * 3, diag
+        assert off_threshold == 1922 - 122
+
+    @pytest.mark.parametrize("t", [6.0, 8.0])
+    def test_e6_boosts_keep_the_rank(self, t):
+        # the smallest eigenvalue falls to 6.1e-7 |A| at t = 6 and 1.1e-8 |A| at t = 8
+        A = JordanMatrix.diag(1.0, 0.1, 0.1)
+        boosts = [curve for curve in E6_CURVES if curve.kind != "trig"]
+        assert len(boosts) == 27
+        for curve in boosts:
+            image = curve(t).apply(A)
+            assert classify(image) == psquare_decompose(image).p == 3
+
+    @pytest.mark.parametrize("length", range(1, 7))
+    def test_quaternionic_squares_stay_rank_one_under_e6_words(self, length):
+        rng = np.random.default_rng(SEED + length)
+        for _ in range(8):
+            image = _word(rng, E6_CURVES, length).apply(spinor_square(random_quaternionic_spinor(rng)))
+            assert classify(image) == psquare_decompose(image).p == 1
+
+
 def _identity3():
     arr = np.zeros((3, 3, 8))
     arr[[0, 1, 2], [0, 1, 2], 0] = 1.0
