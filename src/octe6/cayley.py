@@ -74,7 +74,8 @@ def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
     The gauge, the right phase that turns the first nonzero component
     real and nonnegative, is applied in closed form: theta = (sqrt(q1),
     a / sqrt(q1)) if q1 >= q2, else (|t1|, a / |t1|) for t1 =
-    conj(a) / sqrt(q2), or (t1, sqrt(q2)) where |t1| <= tol |P|.
+    conj(a) / sqrt(q2), or (t1, sqrt(q2)) where |t1| <= tol sqrt(|P|); a
+    spinor's components, and so |t1|, scale as sqrt(|P|).
     """
     _, _, _, det, norm = _scaled_invariants(P)
     if norm == 0.0:
@@ -91,7 +92,7 @@ def dirac_solve(P: Hermitian2, tol: float = 1e-9) -> np.ndarray:
         return theta
     t1 = oconj(a) / math.sqrt(q2)
     size = float(onorm(t1))
-    if size > tol * P.norm:
+    if size > tol * math.sqrt(P.norm):
         # (t1, sqrt(q2)) times the right phase conj(t1) / |t1|
         theta[0, 0] = size
         theta[1] = a / size

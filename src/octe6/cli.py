@@ -15,19 +15,25 @@ diagnostics and wall time go to stderr so identical flags and seed yield
 byte-identical stdout.  Exit codes: 0 all checks pass, 1 a check failed,
 2 usage or parse errors.
 
-Each call builds its parser afresh for the invoked command only, from the
-``COMMANDS`` table; the parser with every subcommand is built only when
-the first argument is not a command (help, no argument, an unknown word or
-an option first), and it gives the same output byte for byte.
+Each command's parser is built once per process, from the ``COMMANDS``
+table, and holds that command alone; the parser with every subcommand is
+used only when the first argument is not a command (help, no argument, an
+unknown word or an option first), and it gives the same output byte for
+byte.  A JSON report is written by ``_json``, which gives exactly the bytes
+of ``json.dumps(report, indent=2)`` (NaN and infinities as ``NaN`` and
+``Infinity``, non-ASCII escaped, ``TypeError`` on a value JSON cannot
+hold) and joins each list of floats in one C-level ``str.join``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -320,9 +326,63 @@ def _finite_scale(X, path: str, what: str):
     return X
 
 
+def _scalar(node) -> str:
+    """A JSON leaf as ``json.dumps`` writes it; bool is tested before int, as there."""
+    if isinstance(node, str):
+        return encode_basestring_ascii(node)
+    if node is None:
+        return "null"
+    if node is True:
+        return "true"
+    if node is False:
+        return "false"
+    if isinstance(node, int):
+        return int.__repr__(node)
+    if isinstance(node, float):
+        if node != node:
+            return "NaN"
+        if node == math.inf:
+            return "Infinity"
+        if node == -math.inf:
+            return "-Infinity"
+        return float.__repr__(node)
+    raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+
+
+def _json(node, pad: str = "") -> str:
+    """node as ``json.dumps(node, indent=2)`` writes it, nested at the indent pad.
+
+    A list of floats (float subclasses such as np.float64 too) is one join
+    of their reprs; a finite float's repr has no "n", so a join that holds
+    one (nan, inf) is redone item by item.  Non-string keys are written as
+    their JSON token, in quotes, as ``json`` does.
+    """
+    if isinstance(node, (list, tuple)):
+        if not node:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(float.__repr__, node))
+        except TypeError:  # an item is not a float
+            body = None
+        if body is None or "n" in body:
+            body = sep.join([_json(item, inner) for item in node])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join(
+            [_scalar(key if isinstance(key, str) else _scalar(key)) + ": " + _json(value, inner)
+             for key, value in node.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    return _scalar(node)
+
+
 def _emit(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2))
+        print(_json(report))
         return
     rows = ["suite,name,expected,observed,tolerance,pass"]
 
@@ -367,6 +427,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The octe6 parser with every subcommand, or with ``command``'s alone.
 
@@ -374,6 +435,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     full one does.  Its metavar names every command, so its usage line is
     the full parser's; the full parser leaves argparse to derive that same
     metavar, since a set one would also replace ``command`` in its errors.
+
+    Each parser is built once per process and shared by every later call:
+    ``parse_args`` and ``error`` only read it, and a caller must not
+    mutate it.
     """
     parser = argparse.ArgumentParser(
         prog="octe6",

@@ -214,6 +214,18 @@ class TestDiracSolve:
             got = dirac_solve(P)
             assert (spinor_square(got) - P * sign).norm <= 1e-12 * P.norm
 
+    def test_gauge_does_not_depend_on_scale(self):
+        # |t1| grows like sqrt|P|: against tol |P| the phase was skipped from
+        # |P| about 1/tol^2 on, leaving theta_1 = (0.3, 0.4) at 1e19
+        theta = np.zeros((2, 8))
+        theta[0, :2] = (0.3, 0.4)
+        theta[1, 0] = 1.0
+        unit = dirac_solve(spinor_square(theta))
+        for scale in (1.0, 1e17, 1e19, 1e300):
+            got = dirac_solve(spinor_square(theta) * scale)
+            assert got[0, 0] >= 0.0 and not got[0, 1:].any()
+            assert np.abs(got / np.sqrt(scale) - unit).max() <= 1e-12
+
     @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-10, 1e-5, 1.0, 1e150, 1e300])
     def test_full_rank_rejected_at_every_scale(self, t):
         for P in (Hermitian2(1.0, 1.0), Hermitian2(1.0, -2.0, np.eye(8)[3])):

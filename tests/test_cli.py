@@ -1,6 +1,7 @@
 """CLI surface: subcommands, JSON schemas, exit codes, determinism."""
 
 import argparse
+import importlib.util
 import json
 import os
 import re
@@ -51,6 +52,52 @@ class TestCsv:
         assert list(dict.fromkeys(suites)) == expected
         checks = [(sub["suite"], c["name"]) for sub in report["reports"] for c in sub["checks"]]
         assert [tuple(row.split(",")[:2]) for row in rows] == checks
+
+
+def _cli_parity():
+    """scripts/cli_parity.py as a module."""
+    path = Path(__file__).parents[1] / "scripts" / "cli_parity.py"
+    spec = importlib.util.spec_from_file_location("cli_parity", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestJsonWriter:
+    def emitted(self, capsys, report):
+        cli._emit(report, "json")
+        return capsys.readouterr().out
+
+    def test_parity_reports_match_json_dumps(self, capsys, tmp_path):
+        parity = _cli_parity()
+        argvs = parity.commands() + parity.input_commands(tmp_path)
+        for argv in argvs:
+            args = cli.build_parser(argv[0]).parse_args(argv)
+            report = cli.COMMANDS[args.command][0](args)
+            assert self.emitted(capsys, report) == json.dumps(report, indent=2) + "\n", argv
+
+    def test_edge_values_match_json_dumps(self, capsys):
+        report = {
+            "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308],
+            "nan-in-nested": [[1.5, float("nan")], [float("-inf")]],
+            "float64": [np.float64(0.1), np.float64(-2.5e-300)],
+            "float64-leaf": np.float64(1e308),
+            "mixed": [1, 2.0, True],
+            "empty": [[], {}, [[]], {"inner": {}}, [[], [{}]]],
+            "text": 'caf\u00e9 \u2202 \U0001d546 "quoted" back\\slash \x00\x1f\n\t',
+            "none": None,
+            "tuple": (1.0, (2, "x")),
+            "keys": {1: "int", 2.5: "float", float("nan"): "nan", True: "bool", None: "none"},
+            "checks": [{"name": "x", "expected": "<= 1e-07", "observed": 3e-12, "tolerance": 1e-07,
+                        "pass": False}],
+        }
+        assert self.emitted(capsys, report) == json.dumps(report, indent=2) + "\n"
+        for leaf in ([], {}, "", 0, -7, 0.0, None, False):
+            assert self.emitted(capsys, leaf) == json.dumps(leaf, indent=2) + "\n"
+
+    def test_unserializable_leaf_raises_type_error(self):
+        with pytest.raises(TypeError, match="set"):
+            cli._json({"checks": [{"observed": {1, 2}}]})
 
 
 class TestVerify:
@@ -793,6 +840,41 @@ class TestRepeatedCalls:
         assert run_cli(capsys, "verify", "bogus")[0] == 2
         assert run_cli(capsys, "verify", "SO7", "--rank-tol", "1")[0] == 2
         assert run_cli(capsys, *valid)[:2] == (0, alone.stdout)
+
+    def test_cached_parsers_keep_no_state_between_calls(self, capsys, tmp_path):
+        # usage errors on the full, decompose and dirac parsers first, then
+        # each valid call twice: both must read as a fresh process does
+        rng = np.random.default_rng(2)
+        matrix, momentum = tmp_path / "matrix.json", tmp_path / "momentum.json"
+        matrix.write_text(json.dumps(jordan.jordan_to_dict(jordan.random_jordan(rng))))
+        momentum.write_text(json.dumps({"P": jordan.hermitian2_to_dict(
+            jordan.spinor_square(rng.standard_normal((2, 8))))}))
+        valid = [["decompose", str(matrix)], ["dirac", str(momentum)]]
+        env = dict(os.environ, PYTHONPATH=str(Path(octe6.__file__).parents[1]))
+        fresh = [subprocess.run([sys.executable, "-m", "octe6.cli", *argv], env=env,
+                                capture_output=True, text=True) for argv in valid]
+        assert [run.returncode for run in fresh] == [0, 0]
+        assert run_cli(capsys, "-h")[0] == 0
+        assert run_cli(capsys, "verify", "bogus")[0] == 2
+        assert run_cli(capsys, "decompose", str(matrix), "--tol", "nan")[0] == 2
+        assert run_cli(capsys, "dirac", str(momentum), "--rank-tol", "1")[0] == 2
+        assert run_cli(capsys, "decompose")[0] == 2
+        for _ in range(2):
+            for argv, run in zip(valid, fresh):
+                assert run_cli(capsys, *argv)[:2] == (0, run.stdout)
+
+    def test_parser_is_built_on_the_first_call_only(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        built = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(1) or real(self, *args, **kwargs))
+        counts = []
+        for _ in range(3):
+            assert run_cli(capsys, "table")[0] == 0
+            counts.append(len(built))
+        # the top-level parser and the table subparser, then none
+        assert counts == [2, 2, 2]
 
 
 class TestImport:
