@@ -438,7 +438,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     Each parser is built once per process and shared by every later call:
     ``parse_args`` and ``error`` only read it, and a caller must not
-    mutate it.
+    mutate it.  The cache keys each call form apart, so ``main`` asks for
+    the full parser as ``build_parser()`` and a command's as
+    ``build_parser(command)``.
     """
     parser = argparse.ArgumentParser(
         prog="octe6",
@@ -456,8 +458,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # every subcommand only when the first argument is not a command (help, an unknown word, an option)
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
+    # every subcommand only when the first argument is not a command (help, an
+    # unknown word, an option); no argument, so the cache has one full parser
+    parser = build_parser(argv[0]) if argv and argv[0] in COMMANDS else build_parser()
     try:
         args = parser.parse_args(argv)
         # NaN fails both comparisons; a rank cutoff below 1 keeps the largest singular value

@@ -876,6 +876,19 @@ class TestRepeatedCalls:
         # the top-level parser and the table subparser, then none
         assert counts == [2, 2, 2]
 
+    def test_full_parser_warmed_up_without_argument_serves_main(self, capsys, monkeypatch):
+        # build_parser() and main's full-parser call share one cache entry
+        cli.build_parser.cache_clear()
+        cli.build_parser()
+        built = []
+        real = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs: built.append(1) or real(self, *args, **kwargs))
+        for argv in (["-h"], [], ["bogus"], ["--seed", "1", "verify", "E6"]):
+            assert run_cli(capsys, *argv)[0] in (0, 2)
+        assert built == []
+        assert cli.build_parser.cache_info().currsize == 1
+
 
 class TestImport:
     def test_cli_import_leaves_numpy_random_unloaded(self):
