@@ -76,11 +76,16 @@ def _layer_residual(curves, tol: float) -> float:
     """Largest well-definedness or compatibility residual of the curves' blocks at 0.37.
 
     inf when a block is not complex, has a non-real determinant or fails
-    either predicate.  All blocks go through each predicate in one pass.
+    either predicate.  A max over the blocks is the max over the distinct
+    ones, so each distinct block goes through each predicate once (through
+    ``is_welldefined`` once per slot it is embedded in), all in one pass.
     """
-    blocks = [curve.layer_arrays([0.37])[0] for curve in curves]
-    layers = np.concatenate([transform.embed(b, c.slot) for b, c in zip(blocks, curves)])
-    blocks = np.concatenate(blocks)
+    placed = {}  # each distinct (slot, block) -> the block
+    for curve in curves:
+        for block in curve.layer_arrays([0.37])[0]:
+            placed.setdefault((curve.slot, block.tobytes()), block)
+    layers = _embedded(np.array(list(placed.values())), np.array([slot for slot, _ in placed]))
+    blocks = np.array(list({key: block for (_, key), block in placed.items()}.values()))
     try:
         _, det_real = transform.complex_det(blocks, tol)
     except ValueError:  # a block is not complex
@@ -92,13 +97,14 @@ def _layer_residual(curves, tol: float) -> float:
     return float(max(welldefined_res.max(), compatible_res.max()))
 
 
-def _images(words, matrices) -> list:
-    """The image of each Jordan matrix under its word, a list of (curve, angle) innermost first.
+def _images(words, X: np.ndarray) -> np.ndarray:
+    """The image of each row of a (W, 27) coordinate stack under its word, a (W, 27) stack.
 
-    One paired kernel call acts with every word on its own matrix.  The
-    words' 2x2 layers go into one stack, the shorter words padded with
-    identity layers on the inside, and each slot's layers are embedded at
-    once (an identity block embeds as the identity in any slot).
+    A word is a list of (curve, angle), innermost first.  One paired kernel
+    call acts with every word on its own matrix.  The words' 2x2 layers go
+    into one stack, the shorter words padded with identity layers on the
+    inside, and each slot's layers are embedded at once (an identity block
+    embeds as the identity in any slot).
     """
     layers = [np.concatenate([curve.layer_arrays([theta])[0] for curve, theta in word])
               for word in words]
@@ -109,12 +115,21 @@ def _images(words, matrices) -> list:
     for w, (word, word_layers) in enumerate(zip(words, layers)):
         blocks[w, depth - len(word_layers):] = word_layers
         slots[w, depth - len(word_layers):] = [curve.slot for curve, _ in word for _ in curve.rates]
-    stack = np.empty((len(words), depth, 3, 3, 8))
+    stack = _embedded(blocks, slots)
+    return jordan.hermitian_vectors(transform.apply_paired(stack, jordan.hermitian_arrays(X, 3)))
+
+
+def _embedded(blocks: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Each 2x2 block of a (..., 2, 2, 8) stack embedded in its slot, one ``embed`` call per slot."""
+    out = np.empty(slots.shape + (3, 3, 8))
     for slot in set(slots.ravel().tolist()):
-        stack[slots == slot] = transform.embed(blocks[slots == slot], slot)
-    arrays = jordan.hermitian_arrays(np.stack([X.to_vector() for X in matrices]), 3)
-    images = jordan.hermitian_vectors(transform.apply_paired(stack, arrays))
-    return [jordan.JordanMatrix.from_vector(v) for v in images]
+        out[slots == slot] = transform.embed(blocks[slots == slot], slot)
+    return out
+
+
+def _traces(V: np.ndarray) -> list[float]:
+    """The trace of each row of a coordinate stack, summed as ``JordanMatrix.trace`` sums it."""
+    return [sum(diag[1:], diag[0]) for diag in V[:, :3].tolist()]
 
 
 def cmd_verify(args) -> dict:
@@ -133,13 +148,13 @@ def cmd_verify(args) -> dict:
     for _ in range(10):
         picks = rng.choice(len(curves), size=3, replace=False)
         words.append([(curves[t], rng.uniform(-1, 1)) for t in picks])
-        matrices.append(jordan.random_jordan(rng))
-    samples = [(jordan.det3(X), jordan.det3(Y), X.norm)
-               for X, Y in zip(matrices, _images(words, matrices))]
+        matrices.append(jordan.random_jordan(rng).to_vector())
+    X = np.array(matrices)
+    dets, norms = jordan.det3_and_norm(np.concatenate((X, _images(words, X))))
     # each change relative to |X|^3 as in classify; the cube is numpy's,
     # whose last bit differs from Python's float ** 3 on some values
-    before, after, norms = np.array(samples).T
-    det_res = float((np.abs(after - before) / norms ** 3).max())
+    before, after = np.array(dets).reshape(2, len(X))
+    det_res = float((np.abs(after - before) / np.array(norms[:len(X)]) ** 3).max())
     checks.append(_bound("determinant-preservation", det_res, 1e-7))
 
     if all(curve.kind == "trig" for curve in curves):
@@ -149,10 +164,12 @@ def cmd_verify(args) -> dict:
         words, matrices = [], []
         for _ in range(10):
             pick = int(rng.integers(len(curves)))
-            matrices.append(jordan.random_jordan(rng))
+            matrices.append(jordan.random_jordan(rng).to_vector())
             words.append([(curves[pick], rng.uniform(-1, 1))])
-        trace_res = max(abs(Y.trace - X.trace) / X.norm
-                        for X, Y in zip(matrices, _images(words, matrices)))
+        X = np.array(matrices)
+        _, norms = jordan.det3_and_norm(X)
+        trace_res = max(abs(y - x) / norm
+                        for x, y, norm in zip(_traces(X), _traces(_images(words, X)), norms))
         checks.append(_bound("trace-preservation", trace_res, args.tol * 10))
 
     report = {

@@ -62,7 +62,11 @@ Layers inside the innermost moving one drop out.  Roster blocks repeat
 heavily (G2's 21 curves have 48 distinct blocks M_d, M_d +- M'_d; E6's
 three slots share 97), so ``lie_elements`` keeps each distinct block once
 and acts with all of them by one ``linear_ops`` and one ``omatmul`` call.
-The work runs in one pass per rates tuple, over all its curves.
+The work runs in one pass per rates tuple, over all its curves, and writes
+every curve's two parts into one (N, 356) array, which one scatter places:
+into one (N, 27, 27) stack for ``lie_elements``, and for
+``singular_values`` straight into the columns that some element uses, the
+one copy of the elements that the SVD reads.
 """
 
 from __future__ import annotations
@@ -258,8 +262,19 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
     """Lie elements of many curves, one stacked pass per rates tuple; see the module docstring.
 
     Element t is the tangent of curves[t] at 0, right-translated to the
-    identity.  A layer whose op at 0 is not orthogonal bit for bit raises
-    ValueError, an item that is not a GeneratorCurve TypeError.
+    identity, a (27, 27) view into one (N, 27, 27) stack.  A layer whose op
+    at 0 is not orthogonal bit for bit raises ValueError, an item that is
+    not a GeneratorCurve TypeError.
+    """
+    parts, slots = _element_parts(curves)
+    return list(_place(parts, slots, np.arange(27 * 27), 27 * 27).reshape(len(curves), 27, 27))
+
+
+def _element_parts(curves: Sequence[GeneratorCurve]) -> tuple[np.ndarray, np.ndarray]:
+    """Each curve's 10x10 and 16x16 parts, flattened side by side in one (N, 356) array, and its slot.
+
+    The parts of a Lie element are all of it but zeros (see the module
+    docstring); ``_place`` puts them into 27x27 form.
     """
     groups: dict[tuple, list[int]] = {}  # rates -> indices of its curves
     for index, curve in enumerate(curves):
@@ -280,19 +295,19 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
         chains.append((indices, rates[::-1], np.array(ids, dtype=int).reshape(len(A), len(rates), 3)[:, ::-1]))
     distinct = np.frombuffer(b"".join(blocks)).reshape(-1, 2, 2, 8)
     # each distinct block's action on the 10 of the 2x2 block and on the 16 of the column beside it
-    parts = (linear_ops(distinct[:, None]),
-             omatmul(distinct, _COLUMN_BASIS).transpose(0, 1, 3, 2).reshape(-1, 16, 16))
+    ops = (linear_ops(distinct[:, None]),
+           omatmul(distinct, _COLUMN_BASIS).transpose(0, 1, 3, 2).reshape(-1, 16, 16))
     # every layer's M_d, inner layers included; np.unique would import numpy.ma on first use
     bases = sorted({b for *_, ids in chains for b in ids[..., 0].ravel().tolist()})
-    for L in (op[bases] for op in parts):
+    for L in (op[bases] for op in ops):
         if not (L @ L.swapaxes(-1, -2) == np.eye(L.shape[-1])).all():
             raise ValueError("a layer's op at 0 is not orthogonal; the roster is broken")
-    elements = [None] * len(curves)
+    parts = np.zeros((len(curves), 10 * 10 + 16 * 16))
     for indices, rates, ids in chains:
         moving = [level for level, rate in enumerate(rates) if rate]
-        sums = [np.zeros((len(indices), n, n)) for n in (10, 16)]  # the elements' two parts
-        for op, E in zip(parts, sums):
-            Q = None  # product of the ops of the levels before
+        for op, columns in zip(ops, (slice(0, 100), slice(100, 356))):
+            n = op.shape[-1]
+            E, Q = np.zeros((len(indices), n, n)), None  # the part; product of the ops of the levels before
             for level in range(moving[-1] + 1 if moving else 0):
                 base, plus, minus = op[ids[:, level].T]
                 if rates[level]:
@@ -300,21 +315,23 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
                     E += t if Q is None else Q @ t @ Q.swapaxes(-1, -2)
                 if level < moving[-1]:
                     Q = base if Q is None else Q @ base
-        for index, element in zip(indices, _place(*sums, [curves[i].slot for i in indices])):
-            elements[index] = element
-    return elements
+            parts[indices, columns] = E.reshape(len(indices), n * n)
+    return parts, np.array([curve.slot for curve in curves], dtype=int)
 
 
-def _place(on_block: np.ndarray, on_column: np.ndarray, slots: Sequence[int]) -> np.ndarray:
-    """(N, 27, 27) matrices acting on slots[t] as on_block[t] and on_column[t], and as 0 on the corner."""
-    out, slots = np.zeros((len(slots), 27, 27)), np.asarray(slots, dtype=int)
-    for slot in set(slots.tolist()):
-        at, (place, signs) = np.flatnonzero(slots == slot), _SLOT_LAYOUTS[slot]
-        signs = signs[:, None] * signs  # entry (t, u) of a part lands at (place[t], place[u])
-        # + 0.0 turns the -0.0 of a negative sign into 0.0
-        out[at[:, None, None], place[:10, None], place[:10]] = on_block[at] * signs[:10, :10] + 0.0
-        out[at[:, None, None], place[10:26, None], place[10:26]] = on_column[at] * signs[10:26, 10:26] + 0.0
-    return out
+def _place(parts: np.ndarray, slots: np.ndarray, columns: np.ndarray, width: int) -> np.ndarray:
+    """(N, width) rows: row t the flattened 27x27 matrix acting on slot slots[t] as the parts in parts[t].
+
+    Entry (r, c) of the matrix lands in column columns[27 r + c]; columns
+    that no entry of the slot's 10x10 and 16x16 blocks lands in hold 0.
+    """
+    at, values = columns[_PART_POSITIONS][slots], _PART_SIGNS[slots]
+    at += width * np.arange(len(parts))[:, None]
+    values *= parts
+    values += 0.0  # turns the -0.0 of a negative sign into 0.0
+    out = np.zeros(len(parts) * width)
+    out[at] = values
+    return out.reshape(len(parts), width)
 
 
 def _slot_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,6 +353,20 @@ def _slot_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _SLOT_LAYOUTS = tuple(_slot_layout(slot) for slot in range(3))
+
+
+def _part_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of the 356 part entries of a slot lands in a flattened 27x27 element, and its sign."""
+    place, signs = _SLOT_LAYOUTS[slot]
+    # entry (t, u) of a part lands at (place[t], place[u]) with sign signs[t] signs[u]
+    blocks = (slice(0, 10), slice(10, 26))
+    return (np.concatenate([(27 * place[b, None] + place[b]).ravel() for b in blocks]),
+            np.concatenate([(signs[b, None] * signs[b]).ravel() for b in blocks]))
+
+
+# row s: the positions and signs of _part_layout(s)
+_PART_POSITIONS, _PART_SIGNS = map(np.stack, zip(*(_part_layout(slot) for slot in range(3))))
+
 # column t of the (2, 16, 8) matrix is the basis spinor with coefficient 1 at (t // 8, t % 8)
 _COLUMN_BASIS = np.eye(16).reshape(16, 2, 8).transpose(1, 0, 2)
 _COLUMN_BASIS.setflags(write=False)
@@ -360,8 +391,26 @@ def singular_values(items: Sequence) -> np.ndarray:
     The SVD runs on the transpose, support rows by n columns, whose
     singular values are the same and which LAPACK takes faster.
     """
-    stacked = np.stack([el.ravel() for el in _as_elements(items)])
-    return np.linalg.svd(stacked[:, stacked.any(axis=0)].T, compute_uv=False)
+    return np.linalg.svd(_support_rows(items).T, compute_uv=False)
+
+
+def _support_rows(items: Sequence) -> np.ndarray:
+    """The flattened elements of items, one row each, over the columns that some element uses.
+
+    A list of curves alone places its elements' parts straight into those
+    columns, with no (N, 27, 27) stack: a column is used where some part
+    entry landing there is nonzero, and the unused ones go to one spare
+    column, left out of the view returned.
+    """
+    if not all(isinstance(item, GeneratorCurve) for item in items):
+        stacked = np.stack([el.ravel() for el in _as_elements(items)])
+        return stacked[:, stacked.any(axis=0)]
+    parts, slots = _element_parts(items)
+    used = np.zeros(27 * 27, dtype=bool)
+    used[_PART_POSITIONS[slots][parts != 0]] = True
+    support = int(used.sum())
+    columns = np.where(used, np.cumsum(used) - 1, support)
+    return _place(parts, slots, columns, support + 1)[:, :support]
 
 
 def lie_rank(items: Sequence, rel_tol: float = 1e-6) -> int:

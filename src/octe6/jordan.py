@@ -42,14 +42,21 @@ not under- or overflow, and stay finite and scale-exact where they would.
 The stored tuple cannot go stale: the coordinate vector is read-only and
 every arithmetic result is a new matrix.
 
-The pass runs eleven numpy kernels besides views and ``tolist``.  One
-``np.matmul`` of the (k, 1, 8) and (k, 8, 1) views of the octonions gives
-each |x|^2 of the norm through the same BLAS dot that ``x @ x`` takes,
-and ``_re_bac`` runs the operations of ``omul`` and ``oconj`` without
-their wrappers, so every invariant keeps its bits.  ``det3``, ``sigma``
-and ``eigenvalues`` take only a JordanMatrix: anything else raises
-TypeError, a Hermitian2 (whose coordinates they would misread) and a
-coordinate array alike.
+The pass runs eleven numpy kernels besides views and ``tolist``, then a
+scalar tail (``_invariant_tail``) that forms the tuple in Python floats.
+One ``np.matmul`` of the (k, 1, 8) and (k, 8, 1) views of the octonions
+gives each |x|^2 of the norm through the same BLAS dot that ``x @ x``
+takes, and ``_re_bac`` runs the operations of ``omul`` and ``oconj``
+without their wrappers, so every invariant keeps its bits.  The stacked
+pass, ``_scaled_invariant_rows``, runs the same kernels once over an
+(N, 27) coordinate stack, each row through the same BLAS call as one
+matrix, and every row through the same tail, so each row's tuple equals
+the one-matrix tuple bit for bit; ``det3_and_norm`` reads det3 and the
+norm of every row from it.  On 20 rows it takes about 70 us against
+about 14 us per matrix for the one-matrix pass (one thread of a 2-core
+VM).  ``det3``, ``sigma`` and ``eigenvalues`` take only a JordanMatrix:
+anything else raises TypeError, a Hermitian2 (whose coordinates they
+would misread) and a coordinate array alike.
 """
 
 from __future__ import annotations
@@ -349,34 +356,70 @@ def _scaled_invariants(X: _Hermitian) -> tuple:
         v = X._v
         exponent = math.frexp(float(np.maximum.reduce(np.abs(v))))[1]
         s = np.ldexp(v, -exponent)
-        diag = s[:X.SIZE].tolist()
         octs = s[X.SIZE:].reshape(-1, 8)
         # each octonion's x @ x: matmul hands every 1x8 by 8x1 item to the same BLAS dot
         dots = np.matmul(octs[:, None, :], octs[:, :, None]).ravel().tolist()
-        trace = sum(diag[1:], diag[0])
-        quad = diag[0] ** 2
-        for x in diag[1:]:
-            quad += x**2
-        norm = math.sqrt(quad + 2.0 * sum(dots[1:], dots[0]))
         if X.SIZE == 3:
-            aa, bb, cc = np.add.reduce(octs * octs, axis=-1).tolist()
-            re_bac = 2.0 * float(_re_bac(octs))
-            p, m, n = diag
-            sig = p * m + m * n + n * p - aa - bb - cc
-            det = p * m * n - p * bb - m * cc - n * aa + re_bac
-            # B differs on the diagonal alone; the rounded tr X / 3 leaves it a
-            # trace of up to ulp(tr X), which the depressed cubic would ignore
-            # and split a double root by |B| sqrt(ulp(tr X) / |B|)
-            p, m, n = p - trace / 3.0, m - trace / 3.0, n - trace / 3.0
-            drift = (p + m + n) / 3.0
-            p, m, n = p - drift, m - drift, n - drift
-            sig_b = p * m + m * n + n * p - aa - bb - cc
-            det_b = p * m * n - p * bb - m * cc - n * aa + re_bac
-            inv = X._inv = (exponent, trace, sig, det, norm, drift, sig_b, det_b)
+            squares = np.add.reduce(octs * octs, axis=-1).tolist()
+            inv = _invariant_tail(exponent, s[:3].tolist(), dots, squares, float(_re_bac(octs)))
         else:
-            det = diag[0] * diag[1] - dots[0]
-            inv = X._inv = (exponent, trace, det, det, norm)
+            inv = _invariant_tail(exponent, s[:2].tolist(), dots)
+        X._inv = inv
     return inv
+
+
+def _scaled_invariant_rows(V: np.ndarray) -> list[tuple]:
+    """``_scaled_invariants`` of each row of an (N, 27) coordinate stack, equal bit for bit.
+
+    The numpy kernels of the one-matrix pass run once over the stack, each
+    row through the same kernel as there: the same BLAS dot per octonion,
+    and ``_re_bac`` on (N, 1, 3, 8), so that every row gets its own 1x64 by
+    64x8 gemv, as one matrix does.  Every row then goes through the same
+    scalar tail.  Nothing is kept: the rows are not matrices.
+    """
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] != JordanMatrix.DIM:
+        raise ValueError(f"expected an (N, 27) coordinate stack, got shape {V.shape}")
+    exponents = np.frexp(np.maximum.reduce(np.abs(V), axis=-1))[1]
+    s = np.ldexp(V, -exponents[:, None])
+    octs = s[:, 3:].reshape(-1, 3, 8)
+    dots = np.matmul(octs[..., None, :], octs[..., :, None]).reshape(-1, 3).tolist()
+    squares = np.add.reduce(octs * octs, axis=-1).tolist()
+    re_bac = _re_bac(octs[:, None])[:, 0].tolist()
+    return list(map(_invariant_tail, exponents.tolist(), s[:, :3].tolist(), dots, squares, re_bac))
+
+
+def _invariant_tail(exponent: int, diag: list, dots: list, squares: list | None = None,
+                    re_bac: float = 0.0) -> tuple:
+    """The tuple of ``_scaled_invariants`` from the terms its numpy kernels give.
+
+    The scaled diagonal and each octonion's x @ x; for a JordanMatrix also
+    [|a|^2, |b|^2, |c|^2] and Re((b a) c), squares None for a Hermitian2.
+    The one-matrix and the stacked pass both end here, so they share every
+    formula and every bit.
+    """
+    trace = sum(diag[1:], diag[0])
+    quad = diag[0] ** 2
+    for x in diag[1:]:
+        quad += x**2
+    norm = math.sqrt(quad + 2.0 * sum(dots[1:], dots[0]))
+    if squares is None:
+        det = diag[0] * diag[1] - dots[0]
+        return (exponent, trace, det, det, norm)
+    aa, bb, cc = squares
+    re_bac = 2.0 * re_bac
+    p, m, n = diag
+    sig = p * m + m * n + n * p - aa - bb - cc
+    det = p * m * n - p * bb - m * cc - n * aa + re_bac
+    # B differs on the diagonal alone; the rounded tr X / 3 leaves it a
+    # trace of up to ulp(tr X), which the depressed cubic would ignore
+    # and split a double root by |B| sqrt(ulp(tr X) / |B|)
+    p, m, n = p - trace / 3.0, m - trace / 3.0, n - trace / 3.0
+    drift = (p + m + n) / 3.0
+    p, m, n = p - drift, m - drift, n - drift
+    sig_b = p * m + m * n + n * p - aa - bb - cc
+    det_b = p * m * n - p * bb - m * cc - n * aa + re_bac
+    return (exponent, trace, sig, det, norm, drift, sig_b, det_b)
 
 
 def _jordan_invariants(X: JordanMatrix) -> tuple:
@@ -405,6 +448,17 @@ def sigma(X: JordanMatrix) -> float:
     """
     exponent, _, sig, _, _, _, _, _ = _jordan_invariants(X)
     return _unscaled(sig, 2 * exponent)
+
+
+def det3_and_norm(V: np.ndarray) -> tuple[list[float], list[float]]:
+    """det3 and the Frobenius norm of each row of an (N, 27) coordinate stack.
+
+    One stacked invariant pass (``_scaled_invariant_rows``): item t equals
+    ``det3`` and ``norm`` of ``JordanMatrix.from_vector(V[t])`` bit for bit.
+    """
+    rows = _scaled_invariant_rows(V)
+    return ([_unscaled(det, 3 * e) for e, _, _, det, *_ in rows],
+            [math.ldexp(norm, e) for e, _, _, _, norm, *_ in rows])
 
 
 def char_residual(X: JordanMatrix) -> JordanMatrix:
@@ -534,14 +588,8 @@ def trace_identity_check(M, X: JordanMatrix) -> float:
 # ---------------------------------------------------------------------------
 
 def random_jordan(rng: np.random.Generator, scale: float = 1.0) -> JordanMatrix:
-    """Standard-normal coordinates in all six slots."""
-    d = rng.standard_normal(3) * scale
-    return JordanMatrix(
-        d[0], d[1], d[2],
-        rng.standard_normal(8) * scale,
-        rng.standard_normal(8) * scale,
-        rng.standard_normal(8) * scale,
-    )
+    """Standard-normal coordinates in all six slots, drawn in coordinate order in one call."""
+    return JordanMatrix._wrap(rng.standard_normal(27) * scale)
 
 
 def random_complex_jordan(rng: np.random.Generator, scale: float = 1.0) -> tuple[JordanMatrix, np.ndarray]:

@@ -232,18 +232,32 @@ class TestVerify:
         else:
             assert abs(checks["trace-preservation"] - trace_res) <= 1e-15
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    @pytest.mark.parametrize("group", generators.GROUPS)
+    def test_sampled_checks_match_a_per_matrix_loop(self, capsys, group, slot, seed):
+        # the stacked invariant pass against det3 and norm of each image row, bit for bit
+        code, out, _ = run_cli(capsys, "verify", group, "--slot", str(slot), "--seed", str(seed))
+        assert code == 0
+        checks = {c["name"]: c["observed"] for c in json.loads(out)["checks"]}
+        det_res, trace_res = _preservation_rows(group, slot, seed)
+        assert checks["determinant-preservation"] == det_res
+        assert checks.get("trace-preservation") == trace_res
+
     def test_images_match_each_word(self):
         # words of 1 to 12 layers over all three slots, in one stack
         rng = np.random.default_rng(11)
         curves = generators.roster("E6") + generators.roster("G2", slot=2)
         words = [[(curves[t], rng.uniform(-1, 1)) for t in rng.choice(len(curves), size=size)]
                  for size in (1, 3, 2, 3, 1)]
-        matrices = [jordan.random_jordan(rng) for _ in words]
-        for word, X, Y in zip(words, matrices, cli._images(words, matrices)):
+        matrices = np.array([jordan.random_jordan(rng).to_vector() for _ in words])
+        images = cli._images(words, matrices)
+        assert images.shape == matrices.shape
+        for word, x, y in zip(words, matrices, images):
             nm = word[0][0](word[0][1])
             for curve, theta in word[1:]:
                 nm = nm.compose(curve(theta))
-            assert np.array_equal(Y.to_vector(), jordan.hermitian_vectors(nm.apply_array(X.to_array())))
+            assert np.array_equal(y, jordan.hermitian_vectors(nm.apply_array(jordan.hermitian_arrays(x, 3))))
 
     def test_determinism(self, capsys):
         _, first, _ = run_cli(capsys, "verify", "SO8", "--seed", "5")
@@ -258,6 +272,26 @@ class TestVerify:
             rng = np.random.default_rng(seed)
             sample = [curves[t] for t in rng.choice(len(curves), size=6, replace=False)]
             assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_layer_predicates_see_each_distinct_block_once(self, monkeypatch, seed):
+        # G2's four-flip curves share blocks: a sample of 6 holds 24, fewer of them distinct
+        rows = {"is_welldefined": [], "is_compatible": [], "complex_det": []}
+        for name, seen in rows.items():
+            honest = getattr(transform, name)
+            monkeypatch.setattr(transform, name, lambda M, tol, honest=honest, seen=seen:
+                                seen.append(len(M)) or honest(M, tol))
+        curves = generators.roster("G2", slot=1)
+        rng = np.random.default_rng(seed)
+        sample = [curves[t] for t in rng.choice(len(curves), size=6, replace=False)]
+        blocks = [b for curve in sample for b in curve.layer_arrays([0.37])[0]]
+        distinct = len({b.tobytes() for b in blocks})
+        assert len(blocks) == 24 and distinct < 24
+        expected = _layer_residual_loop(sample, 1e-9)
+        for seen in rows.values():
+            seen.clear()
+        assert cli._layer_residual(sample, 1e-9) == expected
+        assert rows == {name: [distinct] for name in rows}
 
     def test_layer_predicates_flag_a_failing_block(self):
         from octe6.cli import _layer_residual
@@ -307,6 +341,37 @@ def _preservation_loop(group, seed):
         nm = curves[pick](rng.uniform(-1, 1))
         trace_res = max(trace_res, abs(nm.apply(X).trace - X.trace) / X.norm)
     return det_res, trace_res
+
+
+def _preservation_rows(group, slot, seed):
+    """verify's determinant and trace observations from a per-matrix det3/norm loop over ``_images``.
+
+    The draws are verify's; each image row becomes a JordanMatrix, read by
+    det3, trace and norm one matrix at a time.  The trace observation is
+    None for rosters with boosts.
+    """
+    curves = generators.roster(group, slot=slot)
+    rng = np.random.default_rng(seed)
+    rng.choice(len(curves), size=min(6, len(curves)), replace=False)  # the layer-predicate sample
+    words, X = [], []
+    for _ in range(10):
+        picks = rng.choice(len(curves), size=3, replace=False)
+        words.append([(curves[t], rng.uniform(-1, 1)) for t in picks])
+        X.append(jordan.random_jordan(rng).to_vector())
+    pairs = [(jordan.JordanMatrix.from_vector(x), jordan.JordanMatrix.from_vector(y))
+             for x, y in zip(X, cli._images(words, np.array(X)))]
+    before, after, norms = np.array([(jordan.det3(A), jordan.det3(B), A.norm) for A, B in pairs]).T
+    det_res = float((np.abs(after - before) / norms ** 3).max())
+    if any(curve.kind != "trig" for curve in curves):
+        return det_res, None
+    words, X = [], []
+    for _ in range(10):
+        pick = int(rng.integers(len(curves)))
+        X.append(jordan.random_jordan(rng).to_vector())
+        words.append([(curves[pick], rng.uniform(-1, 1))])
+    pairs = [(jordan.JordanMatrix.from_vector(x), jordan.JordanMatrix.from_vector(y))
+             for x, y in zip(X, cli._images(words, np.array(X)))]
+    return det_res, max(abs(B.trace - A.trace) / A.norm for A, B in pairs)
 
 
 def _layer_residual_loop(curves, tol):

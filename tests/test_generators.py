@@ -420,13 +420,24 @@ class TestStackedLieElements:
         assert maps.shape == (distinct, 1, 2, 2, 8)
         assert len({m.tobytes() for m in maps}) == distinct
 
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
+    def test_support_rows_are_the_sliced_element_stack(self, group, slot):
+        # the parts are placed straight into the support columns: the same matrix, the same SVD
+        curves = roster(group, slot=slot)
+        stacked = np.stack([el.ravel() for el in lie_elements(curves)])
+        support = stacked[:, stacked.any(axis=0)]
+        assert np.array_equal(generators._support_rows(curves), support)
+        assert singular_values(curves).tobytes() == np.linalg.svd(support.T, compute_uv=False).tobytes()
+
     @pytest.mark.parametrize("slot", [0, 1, 2])
     def test_placed_parts_are_the_embedded_maps(self, slot):
         # an embedded block acts on the block, on the column beside it and, as 1, on the corner
         blocks = np.random.default_rng(SEED + slot).standard_normal((5, 2, 2, 8))
         spinors = np.eye(16).reshape(16, 2, 1, 8)  # the basis columns
         on_column = np.stack([omatmul(blocks, v).reshape(5, 16) for v in spinors], axis=-1)
-        placed = generators._place(linear_ops(blocks[:, None]), on_column, [slot] * 5)
+        parts = np.concatenate([linear_ops(blocks[:, None]).reshape(5, 100), on_column.reshape(5, 256)],
+                               axis=1)
+        placed = generators._place(parts, np.full(5, slot), np.arange(27 * 27), 27 * 27).reshape(5, 27, 27)
         corner = generators._SLOT_LAYOUTS[slot][0][26]
         placed[:, corner, corner] = 1.0
         embedded = linear_ops(embed(blocks, slot)[:, None])

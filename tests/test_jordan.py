@@ -495,6 +495,65 @@ class TestScaledInvariants:
         assert (det3(X), sigma(X), X.norm) == before
 
 
+class TestStackedInvariants:
+    """The stacked invariant pass gives each row the one-matrix tuple, bit for bit."""
+
+    @staticmethod
+    def _rows() -> np.ndarray:
+        rng = np.random.default_rng(SEED)
+        rows = [np.ldexp(X.to_vector(), k) for k in (-1000, -300, 0, 300, 1000)
+                for X in _invariant_samples()]
+        rows.append(np.zeros(27))
+        rows += [rng.standard_normal(27) * tiny for tiny in (5e-324, 5e-320, 1e-310)]
+        rows.append(np.where(rng.random(27) < 0.5, 5e-320, 1.0) * rng.standard_normal(27))
+        rows += [rng.standard_normal(27) * 1e307, np.full(27, np.finfo(float).max)]
+        for value, at in ((np.nan, 0), (np.nan, 14), (np.inf, 1), (-np.inf, 20), (np.inf, 5)):
+            row = rng.standard_normal(27)
+            row[at] = value
+            rows.append(row)
+        return np.array(rows)
+
+    def test_rows_match_the_one_matrix_pass(self):
+        V = self._rows()
+        with np.errstate(all="ignore"):  # the non-finite rows
+            got = jordan._scaled_invariant_rows(V)
+            want = [jordan._scaled_invariants(JordanMatrix.from_vector(v)) for v in V]
+        assert len(got) == len(V)
+        for row, g, w in zip(V, got, want):
+            assert g[0] == w[0] and _bits(g[1:]) == _bits(w[1:]), row
+
+    def test_det3_and_norm_match_the_readers(self):
+        finite = []
+        with np.errstate(all="ignore"):  # the non-finite rows
+            for v in self._rows():
+                X = JordanMatrix.from_vector(v)
+                try:
+                    norm = X.norm
+                except OverflowError:  # a norm beyond the largest float raises in both
+                    with pytest.raises(OverflowError):
+                        jordan.det3_and_norm(v[None])
+                    continue
+                finite.append((v, det3(X), norm))
+            dets, norms = jordan.det3_and_norm(np.array([v for v, _, _ in finite]))
+        assert len(finite) == len(self._rows()) - 1
+        for (_, det, norm), got_det, got_norm in zip(finite, dets, norms, strict=True):
+            assert _bits(got_det) == _bits(det) and _bits(got_norm) == _bits(norm)
+
+    def test_empty_stack(self):
+        assert jordan._scaled_invariant_rows(np.zeros((0, 27))) == []
+        assert jordan.det3_and_norm(np.zeros((0, 27))) == ([], [])
+
+    def test_rows_keep_no_state(self):
+        V = self._rows()[:10]
+        first = jordan._scaled_invariant_rows(V)
+        assert jordan._scaled_invariant_rows(V.copy()) == first
+
+    @pytest.mark.parametrize("shape", [(27,), (3, 10), (2, 3, 27)])
+    def test_other_shapes_raise(self, shape):
+        with pytest.raises(ValueError, match="27"):
+            jordan._scaled_invariant_rows(np.zeros(shape))
+
+
 class TestInvariantReaders:
     """The JordanMatrix invariant readers refuse a Hermitian2 instead of misreading it."""
 
