@@ -240,7 +240,7 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", group, "--slot", str(slot), "--seed", str(seed))
         assert code == 0
         checks = {c["name"]: c["observed"] for c in json.loads(out)["checks"]}
-        det_res, trace_res = _preservation_rows(group, slot, seed)
+        det_res, trace_res = _preservation_loop(group, seed, _row_images, slot)
         assert checks["determinant-preservation"] == det_res
         assert checks.get("trace-preservation") == trace_res
 
@@ -315,63 +315,49 @@ class TestVerify:
         assert 0.0 < residual < 1e-6
 
 
-def _preservation_loop(group, seed):
-    """verify's determinant and trace observations by each word's own operator, as an oracle.
-
-    The draws are verify's; each word is a composed NestedMap, applied through
-    its 27x27 operator.  The trace observation is None for rosters with boosts.
-    """
-    curves = generators.roster(group)
-    rng = np.random.default_rng(seed)
-    rng.choice(len(curves), size=min(6, len(curves)), replace=False)  # the layer-predicate sample
-    det_res = 0.0
-    for _ in range(10):
-        picks = rng.choice(len(curves), size=3, replace=False)
-        nm = curves[picks[0]](rng.uniform(-1, 1))
-        for t in picks[1:]:
-            nm = nm.compose(curves[t](rng.uniform(-1, 1)))
-        X = jordan.random_jordan(rng)
-        det_res = max(det_res, abs(jordan.det3(nm.apply(X)) - jordan.det3(X)) / X.norm ** 3)
-    if any(curve.kind != "trig" for curve in curves):
-        return det_res, None
-    trace_res = 0.0
-    for _ in range(10):
-        pick = int(rng.integers(len(curves)))
-        X = jordan.random_jordan(rng)
-        nm = curves[pick](rng.uniform(-1, 1))
-        trace_res = max(trace_res, abs(nm.apply(X).trace - X.trace) / X.norm)
-    return det_res, trace_res
+def _operator_images(words, matrices):
+    """Each word as a composed NestedMap, applied to its matrix through its 27x27 operator."""
+    images = []
+    for word, X in zip(words, matrices):
+        nm = word[0][0](word[0][1])
+        for curve, theta in word[1:]:
+            nm = nm.compose(curve(theta))
+        images.append(nm.apply(X))
+    return images
 
 
-def _preservation_rows(group, slot, seed):
-    """verify's determinant and trace observations from a per-matrix det3/norm loop over ``_images``.
+def _row_images(words, matrices):
+    """A JordanMatrix for each row that ``cli._images`` gives for the matrices' coordinate stack."""
+    rows = cli._images(words, np.array([X.to_vector() for X in matrices]))
+    return [jordan.JordanMatrix.from_vector(y) for y in rows]
 
-    The draws are verify's; each image row becomes a JordanMatrix, read by
-    det3, trace and norm one matrix at a time.  The trace observation is
-    None for rosters with boosts.
+
+def _preservation_loop(group, seed, images=_operator_images, slot=0):
+    """verify's determinant and trace observations from a per-matrix loop, as an oracle.
+
+    The draws are verify's; images(words, matrices) gives the image of each
+    matrix under its word, and det3, norm and trace are read one matrix at a
+    time.  The trace observation is None for rosters with boosts.
     """
     curves = generators.roster(group, slot=slot)
     rng = np.random.default_rng(seed)
     rng.choice(len(curves), size=min(6, len(curves)), replace=False)  # the layer-predicate sample
-    words, X = [], []
+    words, matrices = [], []
     for _ in range(10):
         picks = rng.choice(len(curves), size=3, replace=False)
         words.append([(curves[t], rng.uniform(-1, 1)) for t in picks])
-        X.append(jordan.random_jordan(rng).to_vector())
-    pairs = [(jordan.JordanMatrix.from_vector(x), jordan.JordanMatrix.from_vector(y))
-             for x, y in zip(X, cli._images(words, np.array(X)))]
-    before, after, norms = np.array([(jordan.det3(A), jordan.det3(B), A.norm) for A, B in pairs]).T
+        matrices.append(jordan.random_jordan(rng))
+    before, after, norms = np.array([(jordan.det3(X), jordan.det3(Y), X.norm)
+                                     for X, Y in zip(matrices, images(words, matrices))]).T
     det_res = float((np.abs(after - before) / norms ** 3).max())
     if any(curve.kind != "trig" for curve in curves):
         return det_res, None
-    words, X = [], []
+    words, matrices = [], []
     for _ in range(10):
         pick = int(rng.integers(len(curves)))
-        X.append(jordan.random_jordan(rng).to_vector())
+        matrices.append(jordan.random_jordan(rng))
         words.append([(curves[pick], rng.uniform(-1, 1))])
-    pairs = [(jordan.JordanMatrix.from_vector(x), jordan.JordanMatrix.from_vector(y))
-             for x, y in zip(X, cli._images(words, np.array(X)))]
-    return det_res, max(abs(B.trace - A.trace) / A.norm for A, B in pairs)
+    return det_res, max(abs(Y.trace - X.trace) / X.norm for X, Y in zip(matrices, images(words, matrices)))
 
 
 def _layer_residual_loop(curves, tol):

@@ -543,11 +543,6 @@ class TestStackedInvariants:
         assert jordan._scaled_invariant_rows(np.zeros((0, 27))) == []
         assert jordan.det3_and_norm(np.zeros((0, 27))) == ([], [])
 
-    def test_rows_keep_no_state(self):
-        V = self._rows()[:10]
-        first = jordan._scaled_invariant_rows(V)
-        assert jordan._scaled_invariant_rows(V.copy()) == first
-
     @pytest.mark.parametrize("shape", [(27,), (3, 10), (2, 3, 27)])
     def test_other_shapes_raise(self, shape):
         with pytest.raises(ValueError, match="27"):
