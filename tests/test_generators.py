@@ -378,6 +378,7 @@ class TestStackedLieElements:
 
     def test_empty_list(self):
         assert lie_elements([]) == []
+        assert singular_values([]).shape == (0,) and lie_rank([]) == 0
 
     def test_degenerate_curve_sharing_rotation_layers_rejected(self, monkeypatch):
         rotations = rotation_curves(0)
