@@ -36,7 +36,6 @@ from .jordan import (
 from .transform import (
     NestedMap,
     complex_det,
-    cyclic_permutation,
     embed,
     is_compatible,
     is_complex,
@@ -45,6 +44,7 @@ from .transform import (
 from .generators import (
     EXPECTED_DIMENSION,
     GeneratorCurve,
+    Roster,
     g2_curves,
     lie_element,
     lie_elements,

@@ -45,7 +45,7 @@ from .jordan import (
     jordan_product,
     spinor_square,
 )
-from .octonion import oconj, omatmul, omul, onorm, subalgebra_dimension
+from .octonion import oconj, omatmul, omul, onorm
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +281,3 @@ def random_quaternionic_spinor(rng: np.random.Generator, scale: float = 1.0) -> 
     psi[:, :4] = rng.standard_normal((3, 4)) * scale
     psi[2] = oconj(psi[2])
     return psi
-
-
-def random_octonionic_spinor(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """A full-octonionic (3, 8) spinor; redrawn until the components generate all of O."""
-    while True:
-        psi = rng.standard_normal((3, 8)) * scale
-        psi[2] = oconj(psi[2])
-        if subalgebra_dimension(psi) == 8:
-            return psi

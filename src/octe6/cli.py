@@ -72,18 +72,19 @@ def cmd_table(args) -> dict:
     }
 
 
-def _layer_residual(curves, tol: float) -> float:
-    """Largest well-definedness or compatibility residual of the curves' blocks at 0.37.
+def _layer_residual(curves, indices, tol: float) -> float:
+    """Largest well-definedness or compatibility residual of the blocks of roster curves at 0.37.
 
-    inf when a block is not complex, has a non-real determinant or fails
+    curves is a ``generators.Roster`` and indices pick its curves.  inf
+    when a block is not complex, has a non-real determinant or fails
     either predicate.  A max over the blocks is the max over the distinct
     ones, so each distinct block goes through each predicate once (through
     ``is_welldefined`` once per slot it is embedded in), all in one pass.
     """
     placed = {}  # each distinct (slot, block) -> the block
-    for curve in curves:
-        for block in curve.layer_arrays([0.37])[0]:
-            placed.setdefault((curve.slot, block.tobytes()), block)
+    for family, _, layers in curves.layers(indices, np.full(len(indices), 0.37)):
+        for block in layers.reshape(-1, 2, 2, 8):
+            placed.setdefault((family.slot, block.tobytes()), block)
     layers = _embedded(np.array(list(placed.values())), np.array([slot for slot, _ in placed]))
     blocks = np.array(list({key: block for (_, key), block in placed.items()}.values()))
     try:
@@ -97,24 +98,35 @@ def _layer_residual(curves, tol: float) -> float:
     return float(max(welldefined_res.max(), compatible_res.max()))
 
 
-def _images(words, X: np.ndarray) -> np.ndarray:
+def _images(curves, words, X: np.ndarray) -> np.ndarray:
     """The image of each row of a (W, 27) coordinate stack under its word, a (W, 27) stack.
 
-    A word is a list of (curve, angle), innermost first.  One paired kernel
-    call acts with every word on its own matrix.  The words' 2x2 layers go
-    into one stack, the shorter words padded with identity layers on the
-    inside, and each slot's layers are embedded at once (an identity block
-    embeds as the identity in any slot).
+    curves is a ``generators.Roster``, and a word a list of (roster index,
+    angle) pairs, innermost first.  Every layer of every word comes from
+    one expression per family touched, and one paired kernel call acts
+    with every word on its own matrix.  The words' 2x2 layers go into one
+    stack, the shorter words padded with identity layers on the inside,
+    and each slot's layers are embedded at once (an identity block embeds
+    as the identity in any slot).
     """
-    layers = [np.concatenate([curve.layer_arrays([theta])[0] for curve, theta in word])
-              for word in words]
-    depth = max(map(len, layers))
+    word_of = np.array([w for w, word in enumerate(words) for _ in word], dtype=int)
+    indices, thetas = zip(*(pair for word in words for pair in word))
+    groups = list(curves.layers(indices, thetas))
+    depths = np.zeros(len(word_of), dtype=int)
+    for _, at, layers in groups:
+        depths[at] = layers.shape[1]
+    ends = np.cumsum(depths)  # a word's pairs are adjacent: its last layer ends at ends[its last pair]
+    totals = np.bincount(word_of, weights=depths, minlength=len(words)).astype(int)
+    depth = totals.max()
+    # pair p's first layer, after the identity padding of its word and the layers of the pairs before it
+    starts = depth + ends - depths - np.cumsum(totals)[word_of]
     blocks = np.zeros((len(words), depth, 2, 2, 8))
     blocks[..., 0, 0, 0] = blocks[..., 1, 1, 0] = 1.0
     slots = np.zeros((len(words), depth), dtype=int)
-    for w, (word, word_layers) in enumerate(zip(words, layers)):
-        blocks[w, depth - len(word_layers):] = word_layers
-        slots[w, depth - len(word_layers):] = [curve.slot for curve, _ in word for _ in curve.rates]
+    for family, at, layers in groups:
+        rows, levels = word_of[at, None], starts[at, None] + np.arange(layers.shape[1])
+        blocks[rows, levels] = layers
+        slots[rows, levels] = family.slot
     stack = _embedded(blocks, slots)
     return jordan.hermitian_vectors(transform.apply_paired(stack, jordan.hermitian_arrays(X, 3)))
 
@@ -141,35 +153,35 @@ def cmd_verify(args) -> dict:
     expected = generators.EXPECTED_DIMENSION[group]
     checks = [_check("lie-rank", rank, expected)]
 
-    sample = [curves[idx] for idx in rng.choice(len(curves), size=min(6, len(curves)), replace=False)]
-    checks.append(_bound("layer-predicates", _layer_residual(sample, args.tol), args.tol * 10))
+    sample = rng.choice(len(curves), size=min(6, len(curves)), replace=False)
+    checks.append(_bound("layer-predicates", _layer_residual(curves, sample, args.tol), args.tol * 10))
 
     words, matrices = [], []
     for _ in range(10):
         picks = rng.choice(len(curves), size=3, replace=False)
-        words.append([(curves[t], rng.uniform(-1, 1)) for t in picks])
+        words.append([(t, rng.uniform(-1, 1)) for t in picks])
         matrices.append(jordan.random_jordan(rng).to_vector())
+    # rosters without boosts, the only cosh/exp curves, are unitary, so the
+    # trace is preserved: a second set of 10 single-curve words, drawn after
+    # the first and sharing its kernel call and invariant pass
+    unitary = all(family.kind == "trig" for family in curves.families)
+    for _ in range(10 if unitary else 0):
+        pick = int(rng.integers(len(curves)))
+        matrices.append(jordan.random_jordan(rng).to_vector())
+        words.append([(pick, rng.uniform(-1, 1))])
     X = np.array(matrices)
-    dets, norms = jordan.det3_and_norm(np.concatenate((X, _images(words, X))))
+    images = _images(curves, words, X)
+    dets, norms = jordan.det3_and_norm(np.concatenate((X[:10], images[:10], X[10:])))
     # each change relative to |X|^3 as in classify; the cube is numpy's,
     # whose last bit differs from Python's float ** 3 on some values
-    before, after = np.array(dets).reshape(2, len(X))
-    det_res = float((np.abs(after - before) / np.array(norms[:len(X)]) ** 3).max())
+    before, after = np.array(dets[:20]).reshape(2, 10)
+    det_res = float((np.abs(after - before) / np.array(norms[:10]) ** 3).max())
     checks.append(_bound("determinant-preservation", det_res, 1e-7))
 
-    if all(curve.kind == "trig" for curve in curves):
-        # rosters without boosts, the only cosh/exp curves, are unitary, so
-        # the trace is preserved; each change relative to |X|, as the det
-        # change is to |X|^3
-        words, matrices = [], []
-        for _ in range(10):
-            pick = int(rng.integers(len(curves)))
-            matrices.append(jordan.random_jordan(rng).to_vector())
-            words.append([(curves[pick], rng.uniform(-1, 1))])
-        X = np.array(matrices)
-        _, norms = jordan.det3_and_norm(X)
+    if unitary:
+        # each trace change relative to |X|, as the det change is to |X|^3
         trace_res = max(abs(y - x) / norm
-                        for x, y, norm in zip(_traces(X), _traces(_images(words, X)), norms))
+                        for x, y, norm in zip(_traces(X[10:]), _traces(images[10:]), norms[20:]))
         checks.append(_bound("trace-preservation", trace_res, args.tol * 10))
 
     report = {

@@ -26,11 +26,18 @@ Per 2x2 block slot the determinant-preserving roster holds 45 curves:
   of distinct imaginary units (each layer an imaginary multiple of the
   identity, determinant -1)
 
-``layer_arrays(thetas)`` evaluates a curve at many angles in one array
-expression, and calling the curve embeds the 2x2 layers at one angle in
-the slot's 3x3 block (``transform.embed``).  ``ROSTERS``
-assembles the group rosters from these families: all three slots give E6
-(135 curves, rank 78); dropping boosts gives the rotation subgroups.  The
+A roster is a :class:`Roster`, a tuple of families: each ``Family``
+holds the K curves of one builder in one slot, with its kind, its rates,
+stacked (K, depth, 2, 2, 8) arrays A and B, and labels formatted on
+demand.  Indexing and iterating a roster give ``GeneratorCurve``s;
+``Roster.layers`` evaluates many (index, angle) pairs with one array
+expression per family, and a curve's ``layer_arrays(thetas)`` evaluates
+it at many angles; both go through ``_layers``, the one copy of the
+layer formula.  Calling a curve embeds its 2x2 layers at one angle in the
+slot's 3x3 block (``transform.embed``).  ``ROSTERS`` assembles the group
+rosters from the family builders: E6 (135 curves, rank 78) builds one
+slot's families once and places them in all three slots, the arrays
+shared, and dropping boosts gives the rotation subgroups.  The
 automorphism subgroup uses four-flip curves
 
     [s I, (s cos t + sw sin t) I, u I, (u cos t - uw sin t) I]
@@ -62,17 +69,24 @@ Layers inside the innermost moving one drop out.  Roster blocks repeat
 heavily (G2's 21 curves have 48 distinct blocks M_d, M_d +- M'_d; E6's
 three slots share 97), so ``lie_elements`` keeps each distinct block once
 and acts with all of them by one ``linear_ops`` and one ``omatmul`` call.
-The work runs in one pass per rates tuple, over all its curves, and writes
-every curve's two parts into one (N, 356) array, which one scatter places:
-into one (N, 27, 27) stack for ``lie_elements``, and for
+The work runs in one pass per rates tuple, over the stacked arrays of its
+families, and writes every curve's two parts into one (N, 356) array.
+The parts do not depend on the slot, so families that share their arrays,
+as E6's and F4's three slots do, are worked out once and their rows
+repeated; the elements are exact, so the rows keep their bits.  A list of
+curves takes the same path as one family per curve.  A scatter per slot
+places the parts: into one (N, 27, 27) stack for ``lie_elements``, and for
 ``singular_values`` straight into the columns that some element uses, the
 one copy of the elements that the SVD reads.
 """
 
 from __future__ import annotations
 
+import operator
+from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -108,6 +122,18 @@ KINDS = {
 JETS = {"trig": ((1, 0), (0, 1)), "hyperbolic": ((1, 0), (0, 1)), "exponential": ((1, 1), (1, -1))}
 
 
+def _layers(kind: str, rates: tuple, A: np.ndarray, B: np.ndarray, thetas) -> np.ndarray:
+    """c(r_d t) A_d + s(r_d t) B_d at angles t, with (c, s) = ``KINDS[kind]``: the one layer formula.
+
+    Gives (len(thetas), depth, 2, 2, 8): against one curve's (depth, 2, 2, 8)
+    A and B every layer at each angle, against a (len(thetas), depth, 2, 2, 8)
+    stack of curves curve p's layers at thetas[p].
+    """
+    c, s = KINDS[kind]
+    x = np.multiply.outer(np.asarray(thetas, dtype=float), rates)[..., None, None, None]
+    return c(x) * A + s(x) * B
+
+
 @dataclass(frozen=True)
 class GeneratorCurve:
     """A labeled one-parameter family of nested maps in one 2x2 block slot.
@@ -132,12 +158,108 @@ class GeneratorCurve:
 
     def layer_arrays(self, thetas) -> np.ndarray:
         """The 2x2 layers at every angle, a (len(thetas), depth, 2, 2, 8) array."""
-        c, s = KINDS[self.kind]
-        x = np.multiply.outer(np.asarray(thetas, dtype=float), self.rates)[..., None, None, None]
-        return c(x) * self.A + s(x) * self.B
+        return _layers(self.kind, self.rates, self.A, self.B, thetas)
 
     def __call__(self, theta: float) -> NestedMap:
         return NestedMap(embed(self.layer_arrays([theta])[0], self.slot))
+
+
+@dataclass(frozen=True)
+class Family:
+    """K curves of one kind and rates tuple in one slot, held as stacked arrays.
+
+    Curve k has layers from A[k] and B[k], of the read-only
+    (K, depth, 2, 2, 8) arrays A and B, and the label
+    ``label.format(keys[k], slot)``.  Families that hold the same arrays
+    in different slots share them.
+    """
+
+    label: str
+    keys: tuple[str, ...]
+    slot: int
+    kind: str
+    rates: tuple[float, ...]
+    A: np.ndarray = field(repr=False, compare=False)
+    B: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        self.A.setflags(write=False)
+        self.B.setflags(write=False)
+
+    @property
+    def labels(self) -> list[str]:
+        return [self.label.format(key, self.slot) for key in self.keys]
+
+    def curve(self, k: int) -> GeneratorCurve:
+        return GeneratorCurve(self.label.format(self.keys[k], self.slot), self.slot, self.kind,
+                              self.rates, self.A[k], self.B[k])
+
+
+class Roster(Sequence):
+    """Generator curves held as families, in order; see the module docstring.
+
+    Indexing and iteration give ``GeneratorCurve``s (a slice a list of
+    them), built on demand; ``layers`` evaluates many (index, angle) pairs
+    with one expression per family, and ``lie_elements`` reads the
+    families as they are.  A roster plus a roster or a list of curves is
+    a roster.
+    """
+
+    def __init__(self, families=()):
+        self.families = tuple(families)
+        self._ends = list(accumulate(len(family.A) for family in self.families))  # one past each family
+
+    @classmethod
+    def of(cls, curves) -> "Roster":
+        """A roster as it is; any other sequence of curves as one family per curve."""
+        if isinstance(curves, Roster):
+            return curves
+        families = []
+        for curve in curves:
+            if not isinstance(curve, GeneratorCurve):
+                raise TypeError(f"a roster holds GeneratorCurve items, not {type(curve).__name__}")
+            label = curve.label.replace("{", "{{").replace("}", "}}")
+            families.append(Family(label, ("",), curve.slot, curve.kind, curve.rates,
+                                   curve.A[None], curve.B[None]))
+        return cls(families)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        i += len(self) if i < 0 else 0
+        if not 0 <= i < len(self):
+            raise IndexError("roster index out of range")
+        f = bisect_right(self._ends, i)
+        family = self.families[f]
+        return family.curve(i - self._ends[f] + len(family.A))
+
+    def __iter__(self):
+        for family in self.families:
+            yield from map(family.curve, range(len(family.A)))
+
+    def __add__(self, other) -> "Roster":
+        return Roster(self.families + Roster.of(other).families)
+
+    def layers(self, indices, thetas):
+        """Curve indices[p]'s 2x2 layers at thetas[p], one expression per family touched.
+
+        Yields (family, positions, layers) per family in roster order: the
+        positions p whose curve lies in the family, and their
+        (len(positions), depth, 2, 2, 8) layers, each bit for bit the
+        curve's ``layer_arrays([thetas[p]])[0]``.
+        """
+        indices, thetas = np.asarray(indices, dtype=int), np.asarray(thetas, dtype=float)
+        if indices.size and not 0 <= indices.min() <= indices.max() < len(self):
+            raise IndexError("roster index out of range")
+        which = np.searchsorted(self._ends, indices, side="right")
+        for f in sorted(set(which.tolist())):
+            family, at = self.families[f], np.flatnonzero(which == f)
+            rows = indices[at] - self._ends[f] + len(family.A)
+            yield family, at, _layers(family.kind, family.rates, family.A[rows], family.B[rows], thetas[at])
 
 
 _UNITS = np.eye(8)  # row k is the basis unit BASIS_UNITS[k]
@@ -151,10 +273,9 @@ def _times_identity(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _family(name: str, keys, slot: int, kind: str, rates: tuple, A, B) -> list[GeneratorCurve]:
+def _family(name: str, keys, slot: int, kind: str, rates: tuple, A, B) -> Roster:
     """One curve per key, labeled name[key,slotN], with layers from A[k] and B[k]."""
-    return [GeneratorCurve(f"{name}[{key},slot{slot}]", slot, kind, rates, a, b)
-            for key, a, b in zip(keys, A, B)]
+    return Roster((Family(name + "[{},slot{}]", tuple(keys), slot, kind, rates, A, B),))
 
 
 def _identity_and_offdiagonal(sign: float) -> tuple[np.ndarray, np.ndarray]:
@@ -166,21 +287,21 @@ def _identity_and_offdiagonal(sign: float) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def boost_curves(slot: int) -> list[GeneratorCurve]:
+def boost_curves(slot: int) -> Roster:
     """The 9 boost curves of one slot: Hermitian layers, determinant +1."""
-    A, B = np.zeros((2, 1, 2, 2, 8))
-    A[0, 0, 0, 0] = B[0, 1, 1, 0] = 1.0
-    diagonal = GeneratorCurve(f"boost-diag[slot{slot}]", slot, "exponential", (0.5,), A, B)
-    return [diagonal] + _family("boost", BASIS_UNITS, slot, "hyperbolic", (0.5,),
-                                *_identity_and_offdiagonal(1.0))
+    A, B = np.zeros((2, 1, 1, 2, 2, 8))
+    A[0, 0, 0, 0, 0] = B[0, 0, 1, 1, 0] = 1.0
+    diagonal = Roster((Family("boost-diag[slot{1}]", ("",), slot, "exponential", (0.5,), A, B),))
+    return diagonal + _family("boost", BASIS_UNITS, slot, "hyperbolic", (0.5,),
+                              *_identity_and_offdiagonal(1.0))
 
 
-def rotation_curves(slot: int) -> list[GeneratorCurve]:
+def rotation_curves(slot: int) -> Roster:
     """The 8 off-diagonal rotation curves: unitary layers, determinant +1."""
     return _family("rotation", BASIS_UNITS, slot, "trig", (0.5,), *_identity_and_offdiagonal(-1.0))
 
 
-def transverse_curves(slot: int) -> list[GeneratorCurve]:
+def transverse_curves(slot: int) -> Roster:
     """The 7 diagonal-phase curves diag(e^{st}, e^{-st}); diagonal-preserving."""
     A, B = np.zeros((2, 7, 1, 2, 2, 8))
     A[..., 0, 0, 0] = A[..., 1, 1, 0] = 1.0
@@ -189,7 +310,7 @@ def transverse_curves(slot: int) -> list[GeneratorCurve]:
     return _family("transverse", IMAGINARY_UNITS, slot, "trig", (1.0,), A, B)
 
 
-def flip_pair_curves(slot: int) -> list[GeneratorCurve]:
+def flip_pair_curves(slot: int) -> Roster:
     """The 21 nested flip pairs over unordered pairs of imaginary units."""
     s, u = np.triu_indices(len(IMAGINARY_UNITS), 1)
     S, U = _UNITS[1 + s], _UNITS[1 + u]
@@ -199,7 +320,7 @@ def flip_pair_curves(slot: int) -> list[GeneratorCurve]:
     return _family("flip-pair", keys, slot, "trig", (0.0, 1.0), A, B)
 
 
-def g2_curves(slot: int = 0) -> list[GeneratorCurve]:
+def g2_curves(slot: int = 0) -> Roster:
     """The 21 four-flip automorphism curves with distinct Lie elements.
 
     The six imaginary units other than w lie on three lines {x, x w}.  A
@@ -209,9 +330,9 @@ def g2_curves(slot: int = 0) -> list[GeneratorCurve]:
     Their 21 elements span the 14-dimensional automorphism algebra.
     """
     n = len(IMAGINARY_UNITS)
-    times = np.abs(signed_table()[1:, 1:]) - 2  # times[s, w]: IMAGINARY_UNITS index of +-e_s e_w
+    times = (np.abs(signed_table()[1:, 1:]) - 2).tolist()  # times[s][w]: IMAGINARY_UNITS index of +-e_s e_w
     triples = [(s, u, w) for s in range(n) for u in range(s + 1, n)
-               for w in range(n) if w not in (s, u) and s < times[s, w] and u < times[u, w]]
+               for w in range(n) if w not in (s, u) and s < times[s][w] and u < times[u][w]]
     S, U, W = _UNITS[1 + np.array(triples).T]
     A = _times_identity(np.stack([S, S, U, U], axis=1))
     zero = np.zeros_like(S)
@@ -241,17 +362,20 @@ ROSTERS = {
 }
 
 
-def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
+def roster(group: str, slot: int = 0) -> Roster:
     """Generator curves for one of E6, F4, SO91, SO9, SO8, SO7, G2.
 
     Slot selects the 2x2 block for the single-slot groups; E6 and F4 span
-    all three slots.
+    all three slots, with one slot's families built once and placed in
+    each, their arrays shared.
     """
     name = normalize_group(group)
     if name in SLOT_GROUPS and slot not in (0, 1, 2):
         raise ValueError("slot must be 0, 1 or 2")
     slots = (slot,) if name in SLOT_GROUPS else (0, 1, 2)
-    return [curve for sl in slots for family in ROSTERS[name] for curve in family(sl)]
+    families = [family for build in ROSTERS[name] for family in build(slots[0]).families]
+    return Roster(family if family.slot == sl else replace(family, slot=sl)
+                  for sl in slots for family in families)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +383,7 @@ def roster(group: str, slot: int = 0) -> list[GeneratorCurve]:
 # ---------------------------------------------------------------------------
 
 def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
-    """Lie elements of many curves, one stacked pass per rates tuple; see the module docstring.
+    """Lie elements of a roster or a list of curves, one pass per rates tuple; see the module docstring.
 
     Element t is the tangent of curves[t] at 0, right-translated to the
     identity, a (27, 27) view into one (N, 27, 27) stack.  A layer whose op
@@ -267,32 +391,41 @@ def lie_elements(curves: Sequence[GeneratorCurve]) -> list[np.ndarray]:
     not a GeneratorCurve TypeError.
     """
     parts, slots = _element_parts(curves)
-    return list(_place(parts, slots, np.arange(27 * 27), 27 * 27).reshape(len(curves), 27, 27))
+    return list(_place(parts, slots, np.arange(27 * 27), 27 * 27).reshape(len(parts), 27, 27))
 
 
 def _element_parts(curves: Sequence[GeneratorCurve]) -> tuple[np.ndarray, np.ndarray]:
     """Each curve's 10x10 and 16x16 parts, flattened side by side in one (N, 356) array, and its slot.
 
     The parts of a Lie element are all of it but zeros (see the module
-    docstring); ``_place`` puts them into 27x27 form.
+    docstring); ``_place`` puts them into 27x27 form.  They do not depend
+    on the slot, so families that hold the same arrays, as the three slots
+    of E6 and F4 do, are worked out once and their rows repeated.
     """
-    groups: dict[tuple, list[int]] = {}  # rates -> indices of its curves
-    for index, curve in enumerate(curves):
-        if not isinstance(curve, GeneratorCurve):
-            raise TypeError(f"Lie elements need GeneratorCurve items, not {type(curve).__name__}")
-        groups.setdefault(curve.rates, []).append(index)
+    families = Roster.of(curves).families
+    first: dict[tuple, int] = {}  # (kind, rates, ids of A and B) of each distinct family -> its first row
+    groups: dict[tuple, list] = {}  # rates -> (first row, family) of its distinct families
+    order, slots, count = [], [], 0  # per curve: its row among the distinct families' rows, and its slot
+    for family in families:
+        key = (family.kind, family.rates, id(family.A), id(family.B))
+        if key not in first:
+            first[key] = count
+            groups.setdefault(family.rates, []).append((count, family))
+            count += len(family.A)
+        order += range(first[key], first[key] + len(family.A))
+        slots += [family.slot] * len(family.A)
     blocks: dict[bytes, int] = {}  # each distinct 2x2 block -> its index
-    chains = []  # per rates: curve indices, rates and (C, depth, 3) block indices, outermost layer first
-    for rates, indices in groups.items():
-        group = [curves[i] for i in indices]
-        A, B = np.array([c.A for c in group]), np.array([c.B for c in group])
-        jets = np.array([JETS[c.kind] for c in group], dtype=float)
-        (c0, s0), (c1, s1) = jets.transpose(1, 2, 0)[..., None, None, None, None]
+    chains = []  # per rates: rows, rates and (C, depth, 3) block indices, outermost layer first
+    for rates, members in groups.items():
+        A, B = (np.concatenate([getattr(f, name) for _, f in members]) for name in "AB")
+        rows = np.concatenate([np.arange(start, start + len(f.A)) for start, f in members])
+        jets = np.repeat([JETS[f.kind] for _, f in members], [len(f.A) for _, f in members], axis=0)
+        (c0, s0), (c1, s1) = jets.astype(float).transpose(1, 2, 0)[..., None, None, None, None]
         M = c0 * A + s0 * B
         dM = np.array(rates)[:, None, None, None] * (c1 * A + s1 * B)
         data, size = np.stack([M, M + dM, M - dM], axis=2).tobytes(), 32 * M.itemsize  # M_d, M_d +- M'_d
         ids = [blocks.setdefault(data[at:at + size], len(blocks)) for at in range(0, len(data), size)]
-        chains.append((indices, rates[::-1], np.array(ids, dtype=int).reshape(len(A), len(rates), 3)[:, ::-1]))
+        chains.append((rows, rates[::-1], np.array(ids, dtype=int).reshape(len(A), len(rates), 3)[:, ::-1]))
     distinct = np.frombuffer(b"".join(blocks)).reshape(-1, 2, 2, 8)
     # each distinct block's action on the 10 of the 2x2 block and on the 16 of the column beside it
     ops = (linear_ops(distinct[:, None]),
@@ -302,12 +435,12 @@ def _element_parts(curves: Sequence[GeneratorCurve]) -> tuple[np.ndarray, np.nda
     for L in (op[bases] for op in ops):
         if not (L @ L.swapaxes(-1, -2) == np.eye(L.shape[-1])).all():
             raise ValueError("a layer's op at 0 is not orthogonal; the roster is broken")
-    parts = np.zeros((len(curves), 10 * 10 + 16 * 16))
-    for indices, rates, ids in chains:
+    parts = np.zeros((count, 10 * 10 + 16 * 16))
+    for rows, rates, ids in chains:
         moving = [level for level, rate in enumerate(rates) if rate]
         for op, columns in zip(ops, (slice(0, 100), slice(100, 356))):
             n = op.shape[-1]
-            E, Q = np.zeros((len(indices), n, n)), None  # the part; product of the ops of the levels before
+            E, Q = np.zeros((len(rows), n, n)), None  # the part; product of the ops of the levels before
             for level in range(moving[-1] + 1 if moving else 0):
                 base, plus, minus = op[ids[:, level].T]
                 if rates[level]:
@@ -315,8 +448,8 @@ def _element_parts(curves: Sequence[GeneratorCurve]) -> tuple[np.ndarray, np.nda
                     E += t if Q is None else Q @ t @ Q.swapaxes(-1, -2)
                 if level < moving[-1]:
                     Q = base if Q is None else Q @ base
-            parts[indices, columns] = E.reshape(len(indices), n * n)
-    return parts, np.array([curve.slot for curve in curves], dtype=int)
+            parts[rows, columns] = E.reshape(len(rows), n * n)
+    return (parts if len(parts) == len(order) else parts[order]), np.array(slots, dtype=int)
 
 
 def _place(parts: np.ndarray, slots: np.ndarray, columns: np.ndarray, width: int) -> np.ndarray:
@@ -325,13 +458,14 @@ def _place(parts: np.ndarray, slots: np.ndarray, columns: np.ndarray, width: int
     Entry (r, c) of the matrix lands in column columns[27 r + c]; columns
     that no entry of the slot's 10x10 and 16x16 blocks lands in hold 0.
     """
-    at, values = columns[_PART_POSITIONS][slots], _PART_SIGNS[slots]
-    at += width * np.arange(len(parts))[:, None]
-    values *= parts
-    values += 0.0  # turns the -0.0 of a negative sign into 0.0
-    out = np.zeros(len(parts) * width)
-    out[at] = values
-    return out.reshape(len(parts), width)
+    out = np.zeros((len(parts), width))
+    for slot in set(slots.tolist()):
+        rows = np.flatnonzero(slots == slot)
+        values = parts[rows]
+        values *= _PART_SIGNS[slot]
+        values += 0.0  # turns the -0.0 of a negative sign into 0.0
+        out[rows[:, None], columns[_PART_POSITIONS[slot]]] = values
+    return out
 
 
 def _slot_layout(slot: int) -> tuple[np.ndarray, np.ndarray]:
@@ -397,17 +531,19 @@ def singular_values(items: Sequence) -> np.ndarray:
 def _support_rows(items: Sequence) -> np.ndarray:
     """The flattened elements of items, one row each, over the columns that some element uses.
 
-    A list of curves alone places its elements' parts straight into those
+    A roster or a list of curves alone places its elements' parts straight into those
     columns, with no (N, 27, 27) stack: a column is used where some part
     entry landing there is nonzero, and the unused ones go to one spare
     column, left out of the view returned.
     """
-    if not all(isinstance(item, GeneratorCurve) for item in items):
+    if not isinstance(items, Roster) and not all(isinstance(item, GeneratorCurve) for item in items):
         stacked = np.stack([el.ravel() for el in _as_elements(items)])
         return stacked[:, stacked.any(axis=0)]
     parts, slots = _element_parts(items)
     used = np.zeros(27 * 27, dtype=bool)
-    used[_PART_POSITIONS[slots][parts != 0]] = True
+    nonzero = parts != 0
+    for slot in set(slots.tolist()):
+        used[_PART_POSITIONS[slot][nonzero[slots == slot].any(axis=0)]] = True
     support = int(used.sum())
     columns = np.where(used, np.cumsum(used) - 1, support)
     return _place(parts, slots, columns, support + 1)[:, :support]

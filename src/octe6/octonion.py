@@ -264,17 +264,6 @@ def _orthonormal(rows: np.ndarray, tol: float) -> np.ndarray:
 # seeded sampling
 # ---------------------------------------------------------------------------
 
-def random_octonion(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Standard-normal coefficients, optionally rescaled."""
-    return rng.standard_normal(8) * scale
-
-
 def random_unit_octonion(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(8)
-    return v / onorm(v)
-
-
-def random_imaginary_unit(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(8)
-    v[0] = 0.0
     return v / onorm(v)

@@ -74,14 +74,6 @@ class OctMatrix:
         self.arr = a
 
 
-def cyclic_permutation() -> np.ndarray:
-    """The 3x3 cyclic permutation matrix, read-only; its inverse is its square and dagger."""
-    arr = np.zeros((3, 3, 8))
-    arr[0, 1, 0] = arr[1, 2, 0] = arr[2, 0, 0] = 1.0
-    arr.setflags(write=False)
-    return arr
-
-
 class NestedMap:
     """Ordered layers of octonionic matrices applied inside out.
 
@@ -211,17 +203,33 @@ def _act(layers: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + X.shape[len(batch):])
 
 
+# glibc's default mmap threshold: it serves a smaller block from the heap it
+# reuses, and maps a larger one afresh, page-faulting it in, on every call
+_HEAP_BYTES = 128 * 1024
+
+
 def linear_ops(layers: np.ndarray) -> np.ndarray:
     """Operators of stacked nested maps, (..., depth, n, n, 8) -> (..., dim, dim).
 
     Item P of the stack is the map whose layers are ``layers[P]``; its
     operator's column t is the image of coordinate basis element t (dim
-    is 27 for 3x3 layers, 10 for 2x2).  All maps act on the basis
-    matrices in one ``_act`` call, and one take reads every operator.
+    is 27 for 3x3 layers, 10 for 2x2).  The maps act on the basis matrices
+    in slices, one ``_act`` call each, whose layer tables (two 8n x 8n
+    tables per map) fit in ``_HEAP_BYTES``: 32 maps of 2x2 layers, 14 of
+    3x3.  A whole roster's 97 distinct blocks in one call would allocate
+    about 1 MB, mapped and faulted in again on every call.  Each map's
+    operator is still its own product, so a slice gives the same bits as
+    one call per map.
     """
-    batch, basis = layers.shape[:-4], _hermitian_basis(layers.shape[-2])
-    images = _act(layers, basis.reshape((1,) * len(batch) + basis.shape)).reshape(batch + (basis.size,))
-    return images.take(_operator_positions(layers.shape[-2]), axis=-1)
+    batch, n = layers.shape[:-4], layers.shape[-2]
+    maps, basis = layers.reshape((math.prod(batch),) + layers.shape[-4:]), _hermitian_basis(n)
+    positions = _operator_positions(n)
+    step = _HEAP_BYTES // (n * n * _DAGGER_TABLES.shape[1] * _DAGGER_TABLES.itemsize)  # an entry's two tables
+    ops = np.empty((len(maps),) + positions.shape)
+    for at in range(0, len(maps), step):
+        images = _act(maps[at:at + step], basis[None])
+        ops[at:at + step] = images.reshape(len(images), basis.size).take(positions, axis=-1)
+    return ops.reshape(batch + positions.shape)
 
 
 def apply_paired(layers: np.ndarray, X: np.ndarray) -> np.ndarray:

@@ -12,7 +12,6 @@ from octe6.cayley import (
     classify,
     dirac_equiv_check,
     psquare_decompose,
-    random_octonionic_spinor,
     random_quaternionic_spinor,
 )
 from octe6.generators import (
@@ -45,6 +44,8 @@ from octe6.octonion import (
     random_unit_octonion,
     triality_ell_conjugation_check,
 )
+
+from helpers import random_octonionic_spinor
 
 SEED = 20260810
 print(f"[seed] acceptance sampling uses seed {SEED}")

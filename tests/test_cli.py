@@ -248,15 +248,15 @@ class TestVerify:
         # words of 1 to 12 layers over all three slots, in one stack
         rng = np.random.default_rng(11)
         curves = generators.roster("E6") + generators.roster("G2", slot=2)
-        words = [[(curves[t], rng.uniform(-1, 1)) for t in rng.choice(len(curves), size=size)]
+        words = [[(t, rng.uniform(-1, 1)) for t in rng.choice(len(curves), size=size)]
                  for size in (1, 3, 2, 3, 1)]
         matrices = np.array([jordan.random_jordan(rng).to_vector() for _ in words])
-        images = cli._images(words, matrices)
+        images = cli._images(curves, words, matrices)
         assert images.shape == matrices.shape
         for word, x, y in zip(words, matrices, images):
-            nm = word[0][0](word[0][1])
-            for curve, theta in word[1:]:
-                nm = nm.compose(curve(theta))
+            nm = curves[word[0][0]](word[0][1])
+            for t, theta in word[1:]:
+                nm = nm.compose(curves[t](theta))
             assert np.array_equal(y, jordan.hermitian_vectors(nm.apply_array(jordan.hermitian_arrays(x, 3))))
 
     def test_determinism(self, capsys):
@@ -270,8 +270,9 @@ class TestVerify:
         curves = generators.roster(group, slot=slot)
         for seed in range(4):
             rng = np.random.default_rng(seed)
-            sample = [curves[t] for t in rng.choice(len(curves), size=6, replace=False)]
-            assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9)
+            sample = rng.choice(len(curves), size=6, replace=False)
+            expected = _layer_residual_loop([curves[t] for t in sample], 1e-9)
+            assert _layer_residual(curves, sample, 1e-9) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_layer_predicates_see_each_distinct_block_once(self, monkeypatch, seed):
@@ -283,14 +284,14 @@ class TestVerify:
                                 seen.append(len(M)) or honest(M, tol))
         curves = generators.roster("G2", slot=1)
         rng = np.random.default_rng(seed)
-        sample = [curves[t] for t in rng.choice(len(curves), size=6, replace=False)]
-        blocks = [b for curve in sample for b in curve.layer_arrays([0.37])[0]]
+        sample = rng.choice(len(curves), size=6, replace=False)
+        blocks = [b for t in sample for b in curves[t].layer_arrays([0.37])[0]]
         distinct = len({b.tobytes() for b in blocks})
         assert len(blocks) == 24 and distinct < 24
-        expected = _layer_residual_loop(sample, 1e-9)
+        expected = _layer_residual_loop([curves[t] for t in sample], 1e-9)
         for seen in rows.values():
             seen.clear()
-        assert cli._layer_residual(sample, 1e-9) == expected
+        assert cli._layer_residual(curves, sample, 1e-9) == expected
         assert rows == {name: [distinct] for name in rows}
 
     def test_layer_predicates_flag_a_failing_block(self):
@@ -300,7 +301,8 @@ class TestVerify:
         A[0, 0, 0, 1] = A[0, 1, 1, 2] = 1.0
         mixed = generators.GeneratorCurve("mixed", 1, "trig", (0.0,), A, np.zeros_like(A))
         sample = generators.roster("SO8")[:3] + [mixed]
-        assert _layer_residual(sample, 1e-9) == _layer_residual_loop(sample, 1e-9) == np.inf
+        curves = generators.Roster.of(sample)
+        assert _layer_residual(curves, range(4), 1e-9) == _layer_residual_loop(sample, 1e-9) == np.inf
 
     def test_layer_predicates_share_one_tolerance(self):
         from octe6.cli import _layer_residual
@@ -309,35 +311,37 @@ class TestVerify:
         A = rotation.A.copy()
         A[0, 0, 0, 2] = 1e-7
         leaning = generators.GeneratorCurve("leaning[slot0]", 0, "trig", (0.5,), A, rotation.B)
-        assert _layer_residual([leaning], 1e-9) == np.inf
-        residual = _layer_residual([leaning], 1e-3)
+        curves = generators.Roster.of([leaning])
+        assert _layer_residual(curves, [0], 1e-9) == np.inf
+        residual = _layer_residual(curves, [0], 1e-3)
         assert residual == _layer_residual_loop([leaning], 1e-3)
         assert 0.0 < residual < 1e-6
 
 
-def _operator_images(words, matrices):
+def _operator_images(curves, words, matrices):
     """Each word as a composed NestedMap, applied to its matrix through its 27x27 operator."""
     images = []
     for word, X in zip(words, matrices):
-        nm = word[0][0](word[0][1])
-        for curve, theta in word[1:]:
-            nm = nm.compose(curve(theta))
+        nm = curves[word[0][0]](word[0][1])
+        for t, theta in word[1:]:
+            nm = nm.compose(curves[t](theta))
         images.append(nm.apply(X))
     return images
 
 
-def _row_images(words, matrices):
+def _row_images(curves, words, matrices):
     """A JordanMatrix for each row that ``cli._images`` gives for the matrices' coordinate stack."""
-    rows = cli._images(words, np.array([X.to_vector() for X in matrices]))
+    rows = cli._images(curves, words, np.array([X.to_vector() for X in matrices]))
     return [jordan.JordanMatrix.from_vector(y) for y in rows]
 
 
 def _preservation_loop(group, seed, images=_operator_images, slot=0):
     """verify's determinant and trace observations from a per-matrix loop, as an oracle.
 
-    The draws are verify's; images(words, matrices) gives the image of each
-    matrix under its word, and det3, norm and trace are read one matrix at a
-    time.  The trace observation is None for rosters with boosts.
+    The draws are verify's; images(curves, words, matrices) gives the image
+    of each matrix under its word of (roster index, angle) pairs, and det3,
+    norm and trace are read one matrix at a time.  The trace observation is
+    None for rosters with boosts.
     """
     curves = generators.roster(group, slot=slot)
     rng = np.random.default_rng(seed)
@@ -345,10 +349,10 @@ def _preservation_loop(group, seed, images=_operator_images, slot=0):
     words, matrices = [], []
     for _ in range(10):
         picks = rng.choice(len(curves), size=3, replace=False)
-        words.append([(curves[t], rng.uniform(-1, 1)) for t in picks])
+        words.append([(t, rng.uniform(-1, 1)) for t in picks])
         matrices.append(jordan.random_jordan(rng))
     before, after, norms = np.array([(jordan.det3(X), jordan.det3(Y), X.norm)
-                                     for X, Y in zip(matrices, images(words, matrices))]).T
+                                     for X, Y in zip(matrices, images(curves, words, matrices))]).T
     det_res = float((np.abs(after - before) / norms ** 3).max())
     if any(curve.kind != "trig" for curve in curves):
         return det_res, None
@@ -356,8 +360,9 @@ def _preservation_loop(group, seed, images=_operator_images, slot=0):
     for _ in range(10):
         pick = int(rng.integers(len(curves)))
         matrices.append(jordan.random_jordan(rng))
-        words.append([(curves[pick], rng.uniform(-1, 1))])
-    return det_res, max(abs(Y.trace - X.trace) / X.norm for X, Y in zip(matrices, images(words, matrices)))
+        words.append([(pick, rng.uniform(-1, 1))])
+    return det_res, max(abs(Y.trace - X.trace) / X.norm
+                        for X, Y in zip(matrices, images(curves, words, matrices)))
 
 
 def _layer_residual_loop(curves, tol):

@@ -13,6 +13,7 @@ from octe6.generators import (
     KINDS,
     SLOT_GROUPS,
     GeneratorCurve,
+    Roster,
     _as_elements,
     boost_curves,
     flip_pair_curves,
@@ -254,6 +255,9 @@ def _reference_roster(group, slot):
 
 
 ALL_ROSTERS = [(group, slot) for group in GROUPS for slot in (0, 1, 2)]
+DISTINCT_ROSTERS = [(group, slot) for group in GROUPS
+                    for slot in ((0, 1, 2) if group in SLOT_GROUPS else (0,))]
+
 
 
 class TestRosterOracle:
@@ -287,6 +291,106 @@ class TestRosterOracle:
             curves[0].A[...] = 0.0
         assert len(set(curves)) == len(curves)
         assert set(roster("E6")) == set(curves[:135])
+
+
+# (kind, rates) of each family, by the label's name
+FAMILY_KINDS = {
+    "boost-diag": ("exponential", (0.5,)),
+    "boost": ("hyperbolic", (0.5,)),
+    "rotation": ("trig", (0.5,)),
+    "transverse": ("trig", (1.0,)),
+    "flip-pair": ("trig", (0.0, 1.0)),
+    "four-flip": ("trig", (0.0, 1.0, 0.0, 1.0)),
+}
+
+
+class TestRosterFamilies:
+    @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
+    def test_curves_match_per_slot_builders(self, group, slot):
+        # one slot's families placed in slots 0-2 give the curves each builder gives per slot
+        curves = list(roster(group, slot=slot))
+        slots = (slot,) if group in SLOT_GROUPS else (0, 1, 2)
+        expected = [c for sl in slots for build in generators.ROSTERS[group] for c in build(sl)]
+        assert [c.label for c in curves] == [label for label, _ in _reference_roster(group, slot)]
+        assert ([(c.label, c.slot, c.kind, c.rates) for c in curves]
+                == [(c.label, c.slot, c.kind, c.rates) for c in expected])
+        reference_blocks = [blocks for _, blocks in _reference_roster(group, slot)]
+        for curve, reference, blocks in zip(curves, expected, reference_blocks, strict=True):
+            assert curve.label.endswith(f"slot{curve.slot}]")
+            assert (curve.kind, curve.rates) == FAMILY_KINDS[curve.label.split("[")[0]]
+            assert curve.A.tobytes() == reference.A.tobytes() and curve.B.tobytes() == reference.B.tobytes()
+            assert curve.A.shape == curve.B.shape == (len(curve.rates), 2, 2, 8)
+            if curve.kind != "exponential":  # c(0) = 1 and s(0) = 0: the layers at 0 are A
+                assert np.array_equal(curve.A, blocks(0.0)), curve.label
+
+    def test_three_slot_families_share_their_arrays(self):
+        for group, size in (("E6", 5), ("F4", 3)):
+            families = roster(group).families
+            assert len(families) == 3 * size
+            for family, *others in zip(*(families[at:at + size] for at in range(0, len(families), size))):
+                assert [f.slot for f in (family, *others)] == [0, 1, 2]
+                assert all(f.A is family.A and f.B is family.B for f in others)
+
+    @pytest.mark.parametrize("group, slot", [("E6", 0), ("SO91", 2), ("G2", 1)])
+    def test_family_layers_match_each_curve(self, group, slot):
+        # all three kinds, zeros of both signs, and G2's depth-4 four-flips, in shuffled order
+        curves = roster(group, slot=slot)
+        angles = (0.0, -0.0, 1.0, -1.0, 0.37)
+        order = np.random.default_rng(SEED).permutation(len(curves) * len(angles))
+        indices = np.repeat(np.arange(len(curves)), len(angles))[order]
+        thetas = np.tile(angles, len(curves))[order]
+        seen, kinds = np.zeros(len(order), dtype=int), set()
+        for family, at, layers in curves.layers(indices, thetas):
+            kinds.add(family.kind)
+            assert layers.shape == (len(at), len(family.rates), 2, 2, 8)
+            for p, got in zip(at, layers):
+                curve = curves[indices[p]]
+                assert curve.slot == family.slot
+                assert got.tobytes() == curve.layer_arrays([thetas[p]])[0].tobytes(), (curve.label, thetas[p])
+            seen[at] += 1
+        assert (seen == 1).all()
+        assert kinds == ({"trig", "hyperbolic", "exponential"} if group != "G2" else {"trig"})
+
+    @pytest.mark.parametrize("group", ["E6", "F4"])
+    def test_tiled_parts_match_untiled(self, monkeypatch, group):
+        # one slot's parts repeated in each slot, against every curve worked out as its own family
+        built = _spy_on_linear_ops(monkeypatch)
+        curves = roster(group)
+        parts, slots = generators._element_parts(curves)
+        untiled, untiled_slots = generators._element_parts(list(curves))
+        assert parts.tobytes() == untiled.tobytes()
+        assert np.array_equal(slots, untiled_slots) and np.array_equal(slots, [c.slot for c in curves])
+        assert len(built) == 2 and built[0].tobytes() == built[1].tobytes()
+
+    def test_roster_of_curves(self):
+        curves = roster("SO8", slot=1)[:4] + [_degenerate] + list(g2_curves(2))[:2]
+        built = Roster.of(curves)
+        assert len(built) == len(curves) and len(built.families) == len(curves)
+        assert [(c.label, c.slot, c.kind, c.rates) for c in built] == [
+            (c.label, c.slot, c.kind, c.rates) for c in curves]
+        assert all(a.A.tobytes() == b.A.tobytes() and a.B.tobytes() == b.B.tobytes()
+                   for a, b in zip(built, curves))
+        assert Roster.of(built) is built
+        odd = GeneratorCurve("odd{0}[slot2]", 2, "trig", (0.5,), _degenerate.A, _degenerate.B)
+        assert Roster.of([odd])[0].label == "odd{0}[slot2]"
+        with pytest.raises(TypeError):
+            Roster.of(curves + ["boost-diag[slot0]"])
+
+    def test_indexing(self):
+        curves = roster("E6")
+        listed = list(curves)
+        assert [curves[i].label for i in range(-len(curves), len(curves))] == [c.label for c in listed * 2]
+        assert curves[np.int64(17)].label == listed[17].label
+        assert [c.label for c in curves[40:50:3]] == [c.label for c in listed[40:50:3]]
+        for bad in (len(curves), -len(curves) - 1):
+            with pytest.raises(IndexError):
+                curves[bad]
+        with pytest.raises(IndexError):
+            list(curves.layers([len(curves)], [0.0]))
+        both = curves + roster("G2", slot=1) + [_degenerate]
+        assert isinstance(both, Roster) and len(both) == 135 + 21 + 1
+        assert [c.label for c in both] == [c.label for c in listed] + g2_curves(1).families[0].labels + [
+            _degenerate.label]
 
 
 class TestLieElements:
@@ -331,10 +435,6 @@ class TestLieElements:
 
 
 # each roster once: E6 and F4 ignore the slot
-DISTINCT_ROSTERS = [(group, slot) for group in GROUPS
-                    for slot in ((0, 1, 2) if group in SLOT_GROUPS else (0,))]
-
-
 class TestStackedLieElements:
     @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
     def test_matches_per_curve_formula(self, group, slot):

@@ -34,7 +34,9 @@ from octe6.jordan import (
     triple,
 )
 from octe6.octonion import BASIS_NAMES, oconj, omatmul, omul, onorm, signed_table
-from octe6.transform import NestedMap, cyclic_permutation
+from octe6.transform import NestedMap
+
+from helpers import cyclic_permutation
 
 SEED = 31415
 

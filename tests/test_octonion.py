@@ -18,13 +18,13 @@ from octe6.octonion import (
     omatmul,
     omul,
     onorm,
-    random_imaginary_unit,
-    random_octonion,
     random_unit_octonion,
     signed_table,
     subalgebra_dimension,
     triality_ell_conjugation_check,
 )
+
+from helpers import random_imaginary_unit, random_octonion
 
 SEED = 20260810
 

@@ -10,6 +10,7 @@ from octe6.jordan import (
     hermitian_vectors,
     random_jordan,
 )
+from octe6 import transform
 from octe6.generators import roster
 from octe6.octonion import BASIS_NAMES, oconj, odagger, omatmul, omul
 from octe6.transform import (
@@ -17,15 +18,17 @@ from octe6.transform import (
     NestedMap,
     apply_paired,
     complex_det,
-    cyclic_permutation,
     embed,
     is_compatible,
     is_complex,
     is_welldefined,
+    linear_ops,
     nested_map_from_json,
     nested_map_to_json,
 )
-from octe6.transform import _act, _hermitian_basis, _spinor_samples
+from octe6.transform import _DAGGER_TABLES, _act, _hermitian_basis, _spinor_samples
+
+from helpers import cyclic_permutation
 
 SEED = 27182
 
@@ -507,6 +510,28 @@ class TestLinearOp:
         lhs = a.compose(b).as_linear_op()
         rhs = b.as_linear_op() @ a.as_linear_op()
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+    @pytest.mark.parametrize("n, count", [(2, 0), (2, 31), (2, 32), (2, 33), (2, 97), (3, 15)])
+    def test_sliced_batches_match_per_map_calls(self, monkeypatch, n, count):
+        # slices whose layer tables fit in _HEAP_BYTES, each map still its own product
+        maps = np.random.default_rng(SEED + count).standard_normal((count, 2, n, n, 8))
+        slices = []
+        honest = transform._act
+        monkeypatch.setattr(transform, "_act", lambda M, X: slices.append(len(M)) or honest(M, X))
+        ops = linear_ops(maps)
+        dim = len(_hermitian_basis(n))
+        assert ops.shape == (count, dim, dim)
+        assert sum(slices) == count
+        assert all(size * n * n * _DAGGER_TABLES[0].nbytes <= transform._HEAP_BYTES for size in slices)
+        assert len(slices) == -(-count // (32 if n == 2 else 14))
+        monkeypatch.setattr(transform, "_act", honest)
+        assert ops.tobytes() == b"".join(linear_ops(m).tobytes() for m in maps)
+
+    def test_sliced_two_dimensional_batch_matches_per_map_calls(self):
+        maps = np.random.default_rng(SEED).standard_normal((5, 7, 1, 2, 2, 8))
+        ops = linear_ops(maps)
+        assert ops.shape == (5, 7, 10, 10)
+        assert ops.tobytes() == np.stack([linear_ops(m) for m in maps.reshape(35, 1, 2, 2, 8)]).tobytes()
 
 
 def _word(rng, curves, layers: int) -> NestedMap:
