@@ -255,9 +255,9 @@ def _reference_roster(group, slot):
 
 
 ALL_ROSTERS = [(group, slot) for group in GROUPS for slot in (0, 1, 2)]
+# each roster once: E6 and F4 ignore the slot
 DISTINCT_ROSTERS = [(group, slot) for group in GROUPS
                     for slot in ((0, 1, 2) if group in SLOT_GROUPS else (0,))]
-
 
 
 class TestRosterOracle:
@@ -434,7 +434,6 @@ class TestLieElements:
         assert abs((s(h) - s(-h)) / (2 * h) - s1) <= 1e-9
 
 
-# each roster once: E6 and F4 ignore the slot
 class TestStackedLieElements:
     @pytest.mark.parametrize("group, slot", DISTINCT_ROSTERS)
     def test_matches_per_curve_formula(self, group, slot):
